@@ -38,7 +38,6 @@ class BandParams:
     gamma1: complex = 1.0 + 0.0j
     gamma2: complex = 1.0 + 0.0j
     a: float = A_DEFAULT
-    gamma_scale: float = 1.0
 
     def __post_init__(self):
         if self.a <= 0:
@@ -49,8 +48,7 @@ def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
     """Equal real hoppings (the flat graphene sheet / zero-field tube)."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return BandParams(epsilon=epsilon, gamma0=gamma, gamma1=gamma, gamma2=gamma,
-                      a=a, gamma_scale=gamma)
+    return BandParams(epsilon=epsilon, gamma0=gamma, gamma1=gamma, gamma2=gamma, a=a)
 
 
 def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
@@ -68,7 +66,6 @@ def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
         gamma1=gamma * np.exp(1j * beta * c[1] * a),
         gamma2=gamma * np.exp(1j * beta * c[2] * a),
         a=a,
-        gamma_scale=gamma,
     )
 
 
@@ -155,25 +152,23 @@ def line_k(c, sym, m, kappa, a=A_DEFAULT):
         raise ValueError(f"m must lie in [0, {sym.n}), got {m}")
     if not 0.0 <= kappa < kappa_period(sym, a):
         raise ValueError(f"kappa {kappa} outside [0, 2 pi q'/a)")
-    x, y = _line_xy(sym, m, kappa, a)
-    return tuple(x * sym.c[i] + y * sym.b[i] for i in range(3))
+    return _line_k(sym, m, kappa, a)
 
 
-def _line_xy(sym, m, kappa, a):
-    """Coefficients of k = x c + y b for the line point (kappa may be an array)."""
+def _line_k(sym, m, kappa, a):
+    """Components of k = x c + y b on line m at screw coordinate kappa.
+
+    The one formula for a point of the allowed-line family; m and kappa
+    broadcast as arrays.
+    """
     x = 2.0 * math.pi * m / (a * inner(sym.c, sym.c))
     y = (kappa - x * sym.q_prime * inner(sym.c, sym.omega)) / inner(sym.b, sym.b)
-    return x, y
+    return tuple(x * ci + y * bi for ci, bi in zip(sym.c, sym.b))
 
 
 def _line_modulus(sym, m, kappa, p):
     """Hopping-sum modulus along line m at screw coordinates kappa (array)."""
-    kappa = np.asarray(kappa, dtype=float)
-    x, y = _line_xy(sym, m, kappa, p.a)
-    k0 = x * sym.c[0] + y * sym.b[0]
-    k1 = x * sym.c[1] + y * sym.b[1]
-    k2 = x * sym.c[2] + y * sym.b[2]
-    return _modulus(k0, k1, k2, p)
+    return _modulus(*_line_k(sym, m, np.asarray(kappa, dtype=float), p.a), p)
 
 
 def k_point_projections(c, sym, a=A_DEFAULT):
@@ -307,20 +302,3 @@ def gap_vs_beta(c, sym, gamma, a, beta_grid, resolution=4096, epsilon=0.0):
         p = magnetic_params(gamma, beta, c, a, epsilon=epsilon)
         out.append((float(beta), band_gap(c, sym, p, resolution=resolution).gap))
     return out
-
-
-def density_of_states(tables, bins):
-    """Energy histogram of all sampled band values.
-
-    Returns (counts, bin_edges); counts sum to the total number of sampled
-    states (two per kappa sample).
-    """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    energies = np.concatenate(
-        [t.E_minus for t in tables] + [t.E_plus for t in tables]
-    ) if tables else np.array([])
-    if energies.size == 0:
-        return np.zeros(bins, dtype=int), np.zeros(bins + 1)
-    counts, edges = np.histogram(energies, bins=bins)
-    return counts, edges

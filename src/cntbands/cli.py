@@ -6,11 +6,10 @@ failure.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +21,8 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+CSV_BLOCK = 4096
+
 
 @dataclass
 class RunConfig:
@@ -30,7 +31,6 @@ class RunConfig:
     bond_length: float = 1.44
     resolution: int = 4096
     tolerance: float = 1e-8
-    format: str = "json"
     out: str = None
 
     def __post_init__(self):
@@ -40,8 +40,6 @@ class RunConfig:
             raise ValueError("bond-length must be positive")
         if self.resolution < 64:
             raise ValueError("resolution must be >= 64")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
 
     @property
     def a(self):
@@ -62,18 +60,23 @@ def _parse_triple(text):
     return parts
 
 
+def _tube(args):
+    """Validated chirality of --c and its symmetry record."""
+    c = tube.validate_chirality(_parse_triple(args.c))
+    return c, tube.tube_symmetry(c)
+
+
 def _load_config(args):
+    keys = [f.name for f in fields(RunConfig)]
     values = {}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        allowed = set(RunConfig.__dataclass_fields__)
-        unknown = set(raw) - allowed
+        unknown = set(raw) - set(keys)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         values.update(raw)
-    for key in ("gamma", "epsilon", "bond_length", "resolution", "tolerance",
-                "format", "out"):
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             values[key] = val
@@ -83,33 +86,33 @@ def _load_config(args):
         raise InputError(str(exc)) from exc
 
 
-def _emit_json(obj, cfg):
-    text = json.dumps(obj, indent=2) + "\n"
+def _emit(chunks, cfg):
+    """Write text chunks to --out, or to stdout."""
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _emit_csv(header, rows, cfg):
-    def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{x:.12g}" if isinstance(x, float) else x for x in row])
+def _json(obj):
+    return (json.dumps(obj, indent=2) + "\n",)
 
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+
+def _csv(header, row_format, table):
+    """CSV chunks of a 2-D array: each block of rows formatted in one pass.
+
+    Blocks bound the memory held by formatting to CSV_BLOCK rows.
+    """
+    yield ",".join(header) + "\n"
+    for i in range(0, len(table), CSV_BLOCK):
+        block = table[i:i + CSV_BLOCK]
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def cmd_classify(args, cfg):
-    c = tube.validate_chirality(_parse_triple(args.c))
-    sym = tube.tube_symmetry(c)
-    _emit_json({
+    c, sym = _tube(args)
+    _emit(_json({
         "c": list(c),
         "class": tube.tube_class(c),
         "n": sym.n,
@@ -122,20 +125,19 @@ def cmd_classify(args, cfg):
         "delta": sym.line_spacing(cfg.a),
         "diameter_angstrom": tube.diameter(c, cfg.a),
         "metallic": bands.is_metallic(c),
-    }, cfg)
+    }), cfg)
     return EXIT_OK
 
 
 def cmd_bands(args, cfg):
-    c = tube.validate_chirality(_parse_triple(args.c))
-    sym = tube.tube_symmetry(c)
+    c, sym = _tube(args)
     p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
-    rows = []
+    parts = []
     for m in range(sym.n):
         t = bands.band_table(c, sym, m, cfg.resolution, p)
-        for kappa, emin, eplus in zip(t.kappa, t.E_minus, t.E_plus):
-            rows.append((m, float(kappa), float(emin), float(eplus)))
-    _emit_csv(("m", "kappa", "E_minus", "E_plus"), rows, cfg)
+        parts.append(np.column_stack([np.full(len(t.kappa), m), t.kappa, t.E_minus, t.E_plus]))
+    _emit(_csv(("m", "kappa", "E_minus", "E_plus"), "%d,%.12g,%.12g,%.12g\n",
+               np.vstack(parts)), cfg)
     return EXIT_OK
 
 
@@ -146,23 +148,21 @@ def _gap_params(c, cfg, beta):
 
 
 def cmd_gap(args, cfg):
-    c = tube.validate_chirality(_parse_triple(args.c))
-    sym = tube.tube_symmetry(c)
+    c, sym = _tube(args)
     beta = args.beta or 0.0
     res = bands.band_gap(c, sym, _gap_params(c, cfg, beta), resolution=cfg.resolution)
-    _emit_json({
+    _emit(_json({
         "gap": res.gap,
         "argmin_m": res.argmin_m,
         "argmin_k": list(res.argmin_k),
         "metallic_by_theorem": res.metallic_by_theorem,
         "beta": beta,
-    }, cfg)
+    }), cfg)
     return EXIT_OK
 
 
 def cmd_magsweep(args, cfg):
-    c = tube.validate_chirality(_parse_triple(args.c))
-    sym = tube.tube_symmetry(c)
+    c, sym = _tube(args)
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.periods < 1:
@@ -172,7 +172,7 @@ def cmd_magsweep(args, cfg):
     betas = np.linspace(0.0, args.periods * period, total)
     sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas,
                               resolution=cfg.resolution, epsilon=cfg.epsilon)
-    _emit_csv(("beta", "gap"), [(float(b), float(g)) for b, g in sweep], cfg)
+    _emit(_csv(("beta", "gap"), "%.12g,%.12g\n", np.array(sweep)), cfg)
     return EXIT_OK
 
 
@@ -189,41 +189,39 @@ def cmd_graphene_path(args, cfg):
     segs = list(zip(labels[:-1], labels[1:]))
     lengths = [math.dist(waypoints[a], waypoints[b]) for a, b in segs]
     total_len = sum(lengths)
-    rows = []
+    parts = []
     arc = 0.0
     for (la, lb), seg_len in zip(segs, lengths):
         start = np.array(waypoints[la])
         end = np.array(waypoints[lb])
         count = max(2, round(args.samples * seg_len / total_len))
         ts = np.linspace(0.0, 1.0, count)
-        if rows:
+        if parts:
             ts = ts[1:]  # segment start already emitted
-        for t in ts:
-            k = start + t * (end - start)
-            emin, eplus = bands.dispersion(k, p)
-            rows.append((arc + t * seg_len, float(k[0]), float(k[1]),
-                         float(k[2]), emin, eplus))
+        k = start + ts[:, None] * (end - start)
+        mod = bands._modulus(*k.T, p)
+        parts.append(np.column_stack([arc + ts * seg_len, k, p.epsilon - mod, p.epsilon + mod]))
         arc += seg_len
-    _emit_csv(("arclength", "k0", "k1", "k2", "E_minus", "E_plus"), rows, cfg)
+    _emit(_csv(("arclength", "k0", "k1", "k2", "E_minus", "E_plus"), "%.12g," * 5 + "%.12g\n",
+               np.vstack(parts)), cfg)
     return EXIT_OK
 
 
 def cmd_verify(args, cfg):
-    c = tube.validate_chirality(_parse_triple(args.c))
-    sym = tube.tube_symmetry(c)
+    c, sym = _tube(args)
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
     p = _gap_params(c, cfg, args.beta or 0.0)
     report = oracle.compare_spectra(c, sym, args.periods, p,
                                     tol=cfg.tolerance * cfg.gamma)
-    _emit_json({
+    _emit(_json({
         "c": list(c),
         "periods": report.periods,
         "dimension": report.dimension,
         "max_deviation": report.max_deviation,
         "tolerance": report.tolerance,
         "passed": report.passed,
-    }, cfg)
+    }), cfg)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -243,7 +241,7 @@ def cmd_neighbors(args, cfg):
     else:
         report["nearest"] = [list(x) for x in nearest_neighbors(v)]
         report["next_nearest"] = [list(x) for x in next_nearest_neighbors(v)]
-    _emit_json(report, cfg)
+    _emit(_json(report), cfg)
     return EXIT_OK
 
 
@@ -262,7 +260,6 @@ def build_parser():
     common.add_argument("--tol", dest="tolerance", type=float,
                         help="comparison tolerance in units of gamma (default 1e-8)")
     common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), help="report format")
     common.add_argument("--config", help="JSON config file; flags override it")
 
     sub = parser.add_subparsers(dest="command", required=True)

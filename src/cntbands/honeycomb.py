@@ -12,21 +12,9 @@ from dataclasses import dataclass
 
 THETA = (1, 0, 0)
 
-GENERATORS = ("sigma", "rho", "tau")
-
-
-class SiteError(ValueError):
-    """Raised for integer triples that are not honeycomb sites."""
-
 
 def is_site(v):
     return sum(v) in (0, 1)
-
-
-def check_site(v):
-    if not is_site(v):
-        raise SiteError(f"coordinate sum of {v} is {sum(v)}, expected 0 or 1")
-    return tuple(v)
 
 
 def nu(v):
@@ -39,11 +27,6 @@ def nearest_neighbors(v):
     s = nu(v)
     v0, v1, v2 = v
     return ((v0 + s, v1, v2), (v0, v1 + s, v2), (v0, v1, v2 + s))
-
-
-def neighbor(v, j):
-    """Single bonded site v^j, j in {0, 1, 2}."""
-    return nearest_neighbors(v)[j]
 
 
 def next_nearest_neighbors(v):
@@ -116,16 +99,3 @@ def bond_length_scale(bond=1.44):
     if bond <= 0:
         raise ValueError(f"bond length must be positive, got {bond}")
     return bond * math.sqrt(6.0) / 2.0
-
-
-def ball(radius, center=(0, 0, 0)):
-    """All sites within graph distance `radius` of `center` (test helper)."""
-    c0, c1, c2 = center
-    out = []
-    for d0 in range(-radius, radius + 1):
-        for d1 in range(-radius + abs(d0), radius - abs(d0) + 1):
-            for d2 in range(-radius + abs(d0) + abs(d1), radius - abs(d0) - abs(d1) + 1):
-                v = (c0 + d0, c1 + d1, c2 + d2)
-                if is_site(v):
-                    out.append(v)
-    return out

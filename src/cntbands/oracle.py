@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _modulus
+from .bands import _line_k, _modulus
+from .geom import inner
 from .tube import canonical_rep, compose, decompose
 from .honeycomb import nearest_neighbors, nu
 
@@ -47,9 +48,7 @@ def _axial_twist(sym):
     Translating by b shifts the screw power by q' and the rotation index by
     -j; the axial identification below must undo both.
     """
-    num = sym.q * (sym.c[0] * sym.omega[0] + sym.c[1] * sym.omega[1]
-                   + sym.c[2] * sym.omega[2])
-    j, rem = divmod(num, sum(x * x for x in sym.c))
+    j, rem = divmod(sym.q * inner(sym.c, sym.omega), inner(sym.c, sym.c))
     if rem:
         raise AdjacencyError("omega projection on c is not an integer lattice step")
     return j
@@ -129,21 +128,16 @@ def analytic_spectrum(c, sym, periods, p):
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    span = periods * sym.q_prime
-    nc2 = sum(x * x for x in sym.c)
-    nb2 = sum(x * x for x in sym.b)
-    # circumferential condition <k,c> a = 2 pi m; axial closure <k,Pb> a in 2 pi Z
-    y = 2.0 * math.pi * np.arange(span) / (p.a * periods * nb2)
-    values = []
-    for m in range(sym.n):
-        x = 2.0 * math.pi * m / (p.a * nc2)
-        k0 = x * sym.c[0] + y * sym.b[0]
-        k1 = x * sym.c[1] + y * sym.b[1]
-        k2 = x * sym.c[2] + y * sym.b[2]
-        mod = _modulus(k0, k1, k2, p)
-        values.append(p.epsilon + mod)
-        values.append(p.epsilon - mod)
-    return np.sort(np.concatenate(values))
+    # <k,c> a = 2 pi m on line m; axial closure <k,Pb> a in 2 pi Z puts the
+    # screw coordinate at kappa = 2 pi (m j / n + l / P) / a, l < P q', with j
+    # the axial twist.  A 2 pi / a step of kappa only relabels l, so m j is
+    # reduced mod n to keep kappa small.
+    m = np.arange(sym.n)[:, None]
+    l = np.arange(periods * sym.q_prime)
+    twist = _axial_twist(sym) % sym.n
+    kappa = 2.0 * math.pi * (m * twist % sym.n / sym.n + l / periods) / p.a
+    mod = _modulus(*_line_k(sym, m, kappa, p.a), p).ravel()
+    return np.sort(np.concatenate([p.epsilon + mod, p.epsilon - mod]))
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,6 @@ ZIGZAG = "zigzag"
 CHIRAL = "chiral"
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _norm2(u):
-    return _dot(u, u)
-
-
 def validate_chirality(raw):
     """Check a triple against the chirality domain (sum 0, c0 > c1 >= c2)."""
     c = tuple(raw)
@@ -117,7 +109,7 @@ class TubeSymmetry:
 
     def line_spacing(self, a):
         """Distance 2*pi/(a*||c||) between neighboring allowed k-lines."""
-        return 2.0 * math.pi / (a * math.sqrt(_norm2(self.c)))
+        return 2.0 * math.pi / (a * math.sqrt(inner(self.c, self.c)))
 
 
 def _ext_gcd(x, y):
@@ -153,11 +145,11 @@ def _shortest_screw(b, target):
     w0 = (x, y, -x - y)
     hx, hy = q // g, -p // g
     h = (hx, hy, -hx - hy)
-    t_star = -_dot(w0, h) / _dot(h, h)
+    t_star = -inner(w0, h) / inner(h, h)
     best = None
     for t in range(math.floor(t_star) - 2, math.ceil(t_star) + 3):
         w = (w0[0] + t * h[0], w0[1] + t * h[1], w0[2] + t * h[2])
-        key = (_norm2(w), w)
+        key = (inner(w, w), w)
         if best is None or key < best:
             best = key
     return best[1]
@@ -171,11 +163,11 @@ def tube_symmetry(c):
     diffs = (c[1] - c[2], c[2] - c[0], c[0] - c[1])
     R = math.gcd(diffs[0], math.gcd(diffs[1], diffs[2]))
     b = (diffs[0] // R, diffs[1] // R, diffs[2] // R)
-    q, rem = divmod(_norm2(c), R)
+    q, rem = divmod(inner(c, c), R)
     if rem or q % n:
         raise DecompositionError(f"q = ||c||^2/R is not a multiple of n for c={c}")
     q_prime = q // n
-    omega = _shortest_screw(b, _norm2(b) // q_prime)
+    omega = _shortest_screw(b, inner(b, b) // q_prime)
     return TubeSymmetry(c=c, n=n, c_prime=c_prime, R=R, b=b, q=q, q_prime=q_prime, omega=omega)
 
 
@@ -192,7 +184,7 @@ def canonical_rep(v, c):
     Subtracts floor(<v,c>/||c||^2) copies of c, landing the projection on c
     in [0, ||c||^2).  Exact integer arithmetic; equal reps iff same class.
     """
-    j = _dot(v, c) // _norm2(c)
+    j = inner(v, c) // inner(c, c)
     return (v[0] - j * c[0], v[1] - j * c[1], v[2] - j * c[2])
 
 
@@ -226,8 +218,8 @@ def decompose(rep, sym):
         w = (THETA[0] - rep[0], -rep[1], -rep[2])
     else:
         w = tuple(rep)
-    nb2 = _norm2(sym.b)
-    s, rem = divmod(sym.q_prime * _dot(w, sym.b), nb2)
+    nb2 = inner(sym.b, sym.b)
+    s, rem = divmod(sym.q_prime * inner(w, sym.b), nb2)
     if rem:
         raise DecompositionError(f"axial projection of {rep} is not an integer screw power")
     r = (w[0] - s * sym.omega[0], w[1] - s * sym.omega[1], w[2] - s * sym.omega[2])

@@ -13,9 +13,9 @@ import pytest
 
 from cntbands import bands, geom, oracle
 from cntbands.bands import A_DEFAULT as A
-from cntbands.honeycomb import SymmetryWord, apply_symmetry, ball, distance, \
-    nearest_neighbors, nu
+from cntbands.honeycomb import SymmetryWord, apply_symmetry, distance, nearest_neighbors, nu
 from cntbands.tube import compose, decompose, tube_symmetry
+from conftest import ball
 
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
 

@@ -268,19 +268,6 @@ def test_gap_vs_beta_properties():
     assert abs(gaps[0] - gaps[-1]) < 1e-8  # one-quantum periodicity
 
 
-def test_density_of_states():
-    c = (5, 0, -5)
-    sym = tube_symmetry(c)
-    tables = [bands.band_table(c, sym, m, 128, P_UNIFORM) for m in range(sym.n)]
-    counts, edges = bands.density_of_states(tables, 40)
-    assert counts.sum() == 2 * sum(len(t.kappa) for t in tables)
-    assert edges[0] >= -3 - 1e-9 and edges[-1] <= 3 + 1e-9
-    empty_counts, _ = bands.density_of_states([], 10)
-    assert empty_counts.sum() == 0
-    with pytest.raises(ValueError):
-        bands.density_of_states(tables, 0)
-
-
 def test_bloch_phase_well_defined_on_lines():
     c = (4, -1, -3)
     sym = tube_symmetry(c)

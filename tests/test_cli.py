@@ -202,3 +202,12 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 def test_bad_gamma_rejected(capsys):
     assert main(["gap", "--c", "5,0,-5", "--gamma", "-1"]) == 2
+
+
+def test_format_option_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--c", "5,0,-5", "--format", "json"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json"}))
+    assert main(["gap", "--c", "5,0,-5", "--config", str(cfg)]) == 2

@@ -1,0 +1,70 @@
+"""Golden-output regression: CLI stdout pinned by sha256, --out equal to stdout.
+
+Any change to a printed digit, a row, the row order or the JSON layout
+changes a digest.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cntbands.cli import main
+
+GOLDEN = [
+    (["bands", "--c", "4,-2,-2"],
+     "74f4b599a6559f11d8ffce655123c1192a3c78bd31428468f1c73c3d2f270a92"),
+    (["bands", "--c", "5,0,-5"],
+     "3a4c272b573ecb4de75034038407f3f749629adcdb0e624e4530e71e625efc86"),
+    (["bands", "--c", "8,-1,-7"],
+     "4881955aa0f9504ebaf95167106cc2b74f97859b5095b4f2281ae3365ef19717"),
+    (["bands", "--c", "9,-3,-6"],
+     "ee06ce104847dcafe6fa2129a32414c9518ee03dd7860bd812815e70bedf7ef8"),
+    (["gap", "--c", "5,0,-5"],
+     "0d27e0ad917c8a5171ecc8061ee935ecf36f475a9e94f4995ee6d635889a645a"),
+    (["gap", "--c", "4,-1,-3"],
+     "ed82120f5c5e6fb81999efa726ce15be3789f339d0ff5125b0860d9431358109"),
+    (["gap", "--c", "4,-2,-2", "--beta", "0.041"],
+     "5b213dc1cc58555c55b651d58e74c0c525153e503bddc832fb9a759adb3c0118"),
+    (["magsweep", "--c", "4,-2,-2", "--samples", "33", "--resolution", "256"],
+     "d72c82e6f6f724614c84f533186f8477072d864da5b4bde7a5945957fb9a8a75"),
+    (["graphene-path"],
+     "3bd85a979f94924b0873502ce3e1b496ab31f486feffc4c6f0d739cd59fec774"),
+    (["graphene-path", "--path", "K,G,M,K,G", "--samples", "500"],
+     "23c9913cdbfeca9410bd8486d8c7a933ecabbbfa7b8a7b4b1ec8235342ddf349"),
+    (["classify", "--c", "4,-2,-2"],
+     "0e612caa2f793bddfdaf358e7ccc9896ce44be3bc95b099631be75f6df08d553"),
+    (["neighbors", "--v", "0,0,1", "--c", "4,-2,-2"],
+     "fcf4fb81218e6dbe378a5bceb991ad9ecfe3199d0025d6097d3455bed56f9c08"),
+]
+
+VERIFY = ["verify", "--c", "5,0,-5", "--periods", "4"]
+
+
+def stdout_of(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_digest(capsys, argv, digest):
+    assert hashlib.sha256(stdout_of(capsys, argv)).hexdigest() == digest
+
+
+def test_verify_report(capsys):
+    # max_deviation is the rounding-level distance between eigvalsh and the
+    # analytic spectrum; it moves by ulps whenever either side is re-expressed,
+    # so it is bounded here and every other field is pinned.
+    rep = json.loads(stdout_of(capsys, VERIFY))
+    assert rep.pop("max_deviation") < 1e-13
+    assert rep == {"c": [5, 0, -5], "periods": 4, "dimension": 80,
+                   "tolerance": 1e-08, "passed": True}
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in GOLDEN] + [VERIFY],
+                         ids=[" ".join(a) for a, _ in GOLDEN] + [" ".join(VERIFY)])
+def test_out_file_matches_stdout(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout_of(capsys, argv)

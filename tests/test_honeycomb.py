@@ -8,7 +8,6 @@ from cntbands import geom
 from cntbands.honeycomb import (
     SymmetryWord,
     apply_symmetry,
-    ball,
     bond_length_scale,
     distance,
     nearest_neighbors,
@@ -18,6 +17,7 @@ from cntbands.honeycomb import (
     sigma,
     tau,
 )
+from conftest import ball
 
 
 def test_nu():

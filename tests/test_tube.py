@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cntbands import geom
-from cntbands.honeycomb import ball, bond_length_scale
+from cntbands.honeycomb import bond_length_scale
 from cntbands.tube import (
     ARMCHAIR,
     CHIRAL,
@@ -24,6 +24,7 @@ from cntbands.tube import (
     tube_symmetry,
     validate_chirality,
 )
+from conftest import ball
 
 A = bond_length_scale(1.44)
 
