@@ -1,7 +1,7 @@
 """Command-line front end: classify tubes, tabulate bands, sweep flux, verify.
 
 Deterministic CSV/JSON output suitable for regression diffing.  Exit codes:
-0 success, 1 verification failure, 2 invalid input, 3 numerical or I/O
+0 success, 1 verification failure, 2 invalid input, 3 any other
 failure.
 """
 
@@ -34,8 +34,13 @@ class RunConfig:
     out: str = None
 
     def __post_init__(self):
+        for key in ("gamma", "epsilon", "bond_length", "tolerance"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
         if self.bond_length <= 0:
             raise ValueError("bond-length must be positive")
         if self.resolution < 64:
@@ -142,6 +147,8 @@ def cmd_bands(args, cfg):
 
 
 def _gap_params(c, cfg, beta):
+    if not math.isfinite(beta):
+        raise InputError(f"beta must be finite, got {beta}")
     if beta:
         return bands.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
     return bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
@@ -315,11 +322,11 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except (InputError, tube.ChiralityError) as exc:
+    except (InputError, tube.ChiralityError, oracle.DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, ValueError, RuntimeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 is reserved for a failed verification
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -2,11 +2,15 @@
 
 A tube segment of P translational periods, closed with axial periodic
 boundary, has 2*q*P atoms.  We enumerate them exactly (integer reduction
-modulo both Zc and Z(P*b), via the screw/rotation/flip coordinates), wire
-up the three bonds per atom, build the dense Hermitian hopping matrix, and
-diagonalize.  The sorted eigenvalues must reproduce, as a multiset, the
-analytic two-band values taken at the Bloch-quantized points of the
-allowed k-lines.  Agreement to rounding error is the whole point.
+modulo both Zc and Z(P*b), via the screw/rotation/flip coordinates) and
+wire up the three bonds per atom.  The rotation g_c' (translation by
+c' = c/n) maps atoms to atoms and bonds to bonds, so the hopping matrix
+splits into n Hermitian blocks of size 2*q'*P, one per C_n quantum number
+m, indexed by the atoms of rotation index 0.  The blocks use only this
+relabelling, not the screw-line formula under test.  The sorted
+eigenvalues of all blocks must reproduce, as a multiset, the analytic
+two-band values taken at the Bloch-quantized points of the allowed
+k-lines.  Agreement to rounding error is the whole point.
 """
 
 import math
@@ -26,13 +30,17 @@ class AdjacencyError(RuntimeError):
     """Inconsistent bond structure while assembling the Hamiltonian."""
 
 
+class DimensionError(ValueError):
+    """The segment's matrix dimension 2qP exceeds MAX_DIM."""
+
+
 @dataclass(frozen=True)
 class FiniteTube:
     """Atom list and bond table of a P-period tube segment.
 
-    sites[i] is the canonical class representative whose screw coordinate
-    lies in [0, P*q'); bonds[i] lists (neighbor_index, bond_label, nu_sign)
-    for the three bonds leaving atom i.
+    sites[i] is the canonical class representative of the atom (s, m, p),
+    s in [0, P*q'), listed in (p, m, s) order; bonds[i] lists
+    (neighbor_index, bond_label, nu_sign) for the three bonds leaving atom i.
     """
 
     c: tuple
@@ -86,36 +94,67 @@ def build_finite_tube(c, sym, periods):
                       sites=tuple(sites), bonds=tuple(bonds))
 
 
-def build_hamiltonian(tube, p):
-    """Dense Hermitian hopping matrix of the segment.
+def _roots(n):
+    """The n-th roots of unity e^{2 pi i k / n}, k < n, paired exactly.
 
-    Onsite epsilon on the diagonal; the bond (v, v^j) carries gamma_j when
-    the source site is on the sum-0 sublattice and its conjugate otherwise,
-    which makes the matrix equal to its conjugate transpose exactly.
+    root[n - k] is conj(root[k]) bit for bit, root[0] = 1 and root[n/2] = -1,
+    so blocks built from them are exactly Hermitian; real for n <= 2.
     """
-    n = len(tube.sites)
-    gammas = (complex(p.gamma0), complex(p.gamma1), complex(p.gamma2))
-    h = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(h, p.epsilon)
-    degree = [0] * n
-    for i, row in enumerate(tube.bonds):
-        for l, j, sign in row:
-            h[i, l] += gammas[j] if sign == 1 else np.conj(gammas[j])
-            degree[l] += 1
-    if any(d != 3 for d in degree):
+    root = np.exp(2j * math.pi * np.arange(n) / n)
+    root[0] = 1.0
+    root[n // 2 + 1:] = root[1:(n + 1) // 2][::-1].conj()
+    if n % 2 == 0:
+        root[n // 2] = -1.0
+    return root.real if n <= 2 else root
+
+
+def build_hamiltonian(tube, p):
+    """The n Hermitian C_n blocks of the segment's hopping matrix, shape (n, d, d).
+
+    d = 2q'P.  Block m acts on the atoms of rotation index 0, row p*P*q' + s
+    for the atom (s, 0, p).  Onsite epsilon on the diagonal; the bond
+    (v, v^j) carries gamma_j when the source site is on the sum-0 sublattice
+    and its conjugate otherwise, times e^{2 pi i m t / n} when it ends t
+    rotations g_c' away from the orbit representative of its target.  Each
+    block equals its conjugate transpose exactly.  The stack is real exactly
+    when every phase and hopping is (n <= 2, zero flux).
+    """
+    sym = tube.sym
+    n, span = sym.n, tube.periods * sym.q_prime
+    bonds = np.array(tube.bonds)  # (2qP, 3, 3): target, label, nu sign
+    target, label, sign = bonds[..., 0], bonds[..., 1], bonds[..., 2]
+    if np.any(np.bincount(target.ravel(), minlength=len(tube.sites)) != 3):
         raise AdjacencyError("every atom must receive exactly three bonds")
-    if not np.array_equal(h, h.conj().T):
+    gammas = np.array([p.gamma0, p.gamma1, p.gamma2], dtype=complex)
+    real = n <= 2 and not gammas.imag.any()
+    if real:
+        gammas = gammas.real
+    hop = np.where(sign == 1, gammas[label], gammas[label].conj())
+    # build_finite_tube lists the atoms (s, m, p) in (p, m, s) order, so the
+    # orbit representatives (s, 0, p) come in block-row order p*P*q' + s.  The
+    # atom (s, m, p) is its representative moved by m rotations if p = 0 and
+    # by -m if p = 1.
+    rep = np.arange(len(tube.sites)) // span % n == 0
+    to_p, to_m, to_s = np.unravel_index(target[rep], (2, n, span))
+    turns = np.where(to_p == 0, to_m, -to_m)
+    phases = _roots(n)[np.arange(n)[:, None, None] * turns % n]
+    d = 2 * span
+    h = np.zeros((n, d, d), dtype=float if real else complex)
+    h[:, np.arange(d), np.arange(d)] = p.epsilon
+    np.add.at(h, (np.arange(n)[:, None, None], np.arange(d)[:, None], to_p * span + to_s),
+              hop[rep] * phases)
+    if not np.array_equal(h, np.swapaxes(h, -1, -2).conj()):
         raise AdjacencyError("assembled matrix is not exactly Hermitian")
     return h
 
 
 def eigenvalues(h):
-    """All eigenvalues of a Hermitian matrix, ascending."""
+    """All eigenvalues of a Hermitian matrix, or of a stack of them, ascending."""
     h = np.asarray(h)
-    if h.shape[0] > MAX_DIM:
-        raise ValueError(f"matrix dimension {h.shape[0]} exceeds {MAX_DIM}")
+    if h.shape[-1] > MAX_DIM:
+        raise DimensionError(f"matrix dimension {h.shape[-1]} exceeds {MAX_DIM}")
     try:
-        return np.sort(np.linalg.eigvalsh(h))
+        return np.sort(np.linalg.eigvalsh(h), axis=None)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
 
@@ -156,8 +195,11 @@ class SpectrumReport:
 
 def compare_spectra(c, sym, periods, p, tol):
     """Diagonalize the segment and match its spectrum to the analytic one."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if 2 * sym.q * periods > MAX_DIM:
+        raise DimensionError(
+            f"oracle dimension 2qP = {2 * sym.q * periods} exceeds {MAX_DIM}")
     tube = build_finite_tube(c, sym, periods)
     fin = eigenvalues(build_hamiltonian(tube, p))
     ana = analytic_spectrum(c, sym, periods, p)

@@ -1,10 +1,11 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
-from cntbands import bands
+from cntbands import bands, oracle
 from cntbands.bands import A_DEFAULT as A
 from cntbands.cli import main
 from cntbands.tube import canonical_rep, tube_symmetry
@@ -211,3 +212,38 @@ def test_format_option_removed(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "json"}))
     assert main(["gap", "--c", "5,0,-5", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--c", "4,-2,-2", "--tol", "nan"],
+    ["gap", "--c", "5,0,-5", "--gamma", "nan"],
+    ["gap", "--c", "5,0,-5", "--gamma", "inf"],
+    ["gap", "--c", "5,0,-5", "--epsilon", "inf"],
+    ["gap", "--c", "5,0,-5", "--epsilon", "nan"],
+    ["gap", "--c", "5,0,-5", "--bond-length", "nan"],
+    ["gap", "--c", "5,0,-5", "--beta", "nan"],
+    ["verify", "--c", "5,0,-5", "--beta", "inf"],
+    ["verify", "--c", "4,-2,-2", "--tol", "0"],
+    ["verify", "--c", "4,-2,-2", "--tol=-1e-8"],
+])
+def test_invalid_number_rejected(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_oversized_verify_rejected_before_allocating(capsys):
+    t0 = time.perf_counter()
+    assert main(["verify", "--c", "60,59,-119"]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_3_not_1(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(oracle, "compare_spectra", exhausted)
+    assert main(["verify", "--c", "4,-2,-2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: MemoryError")

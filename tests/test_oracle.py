@@ -43,14 +43,28 @@ def test_periods_validation():
         oracle.build_finite_tube((4, -2, -2), sym, 0)
 
 
+def dense_hamiltonian(tube, p):
+    """The full 2qP x 2qP hopping matrix, one bond at a time, as a reference."""
+    gammas = (complex(p.gamma0), complex(p.gamma1), complex(p.gamma2))
+    h = np.zeros((len(tube.sites),) * 2, dtype=complex)
+    np.fill_diagonal(h, p.epsilon)
+    for i, row in enumerate(tube.bonds):
+        for l, j, sign in row:
+            h[i, l] += gammas[j] if sign == 1 else np.conj(gammas[j])
+    assert np.array_equal(h, h.conj().T)
+    return h
+
+
 def test_hamiltonian_uniform_real_symmetric():
-    sym = tube_symmetry((4, -2, -2))
-    tube = oracle.build_finite_tube((4, -2, -2), sym, 2)
+    c = (4, -2, -2)
+    sym = tube_symmetry(c)
+    tube = oracle.build_finite_tube(c, sym, 2)
     h = oracle.build_hamiltonian(tube, P_UNIFORM)
-    assert np.allclose(h.imag, 0.0)
-    assert np.array_equal(h, h.T)
-    # |eps| + 3 gamma of hopping weight per row
-    assert np.abs(h).sum(axis=1) == pytest.approx(np.full(len(tube.sites), 3.0))
+    assert h.shape == (sym.n, 2 * sym.q_prime * 2, 2 * sym.q_prime * 2) == (2, 8, 8)
+    assert np.isrealobj(h)
+    assert np.array_equal(h, np.swapaxes(h, -1, -2))
+    # |eps| + 3 gamma of hopping weight per row of every block
+    assert np.abs(h).sum(axis=-1) == pytest.approx(np.full((2, 8), 3.0))
 
 
 def test_hamiltonian_magnetic_hermitian():
@@ -59,9 +73,36 @@ def test_hamiltonian_magnetic_hermitian():
     tube = oracle.build_finite_tube(c, sym, 2)
     pm = bands.magnetic_params(1.0, 0.2 / A, c, A)
     h = oracle.build_hamiltonian(tube, pm)
+    assert h.shape == (sym.n, 2 * sym.q_prime * 2, 2 * sym.q_prime * 2) == (5, 8, 8)
     assert np.iscomplexobj(h)
-    assert np.array_equal(h, h.conj().T)
+    assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
+    # bonds of one orbit may share an entry, so weigh rows over all blocks:
+    # sum_m |h_m[a, b]|^2 = n sum_t |H[a, t(b)]|^2 = 3 n gamma^2
+    assert (np.abs(h) ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(8, 3.0 * sym.n))
     assert np.isrealobj(oracle.eigenvalues(h))
+
+
+@pytest.mark.parametrize("c", [(4, -1, -3), (2, 0, -2), (4, -2, -2), (3, 0, -3),
+                               (8, -4, -4), (6, -3, -3), (5, 0, -5), (6, 0, -6),
+                               (6, -2, -4), (9, -3, -6)])
+@pytest.mark.parametrize("beta", [0.0, 0.23])
+def test_blocks_match_dense_reference(c, beta):
+    sym = tube_symmetry(c)
+    tube = oracle.build_finite_tube(c, sym, 2)
+    p = bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta else P_UNIFORM
+    h = oracle.build_hamiltonian(tube, p)
+    assert h.shape[0] == sym.n in (1, 2, 3, 4, 5, 6)
+    assert np.isrealobj(h) == (sym.n <= 2 and not beta)
+    ref = np.linalg.eigvalsh(dense_hamiltonian(tube, p))
+    assert np.max(np.abs(oracle.eigenvalues(h) - ref)) < 1e-12
+
+
+def test_oversized_segment_rejected_before_assembly(monkeypatch):
+    c = (60, 59, -119)
+    sym = tube_symmetry(c)
+    monkeypatch.setattr(oracle, "build_finite_tube", None)  # must not be reached
+    with pytest.raises(oracle.DimensionError):
+        oracle.compare_spectra(c, sym, 1, P_UNIFORM, tol=1e-8)
 
 
 def test_eigenvalues_small_cases():
@@ -136,5 +177,6 @@ def test_finite_gap_bounds_continuous_gap():
 
 def test_compare_tolerance_validation():
     sym = tube_symmetry((4, -2, -2))
-    with pytest.raises(ValueError):
-        oracle.compare_spectra((4, -2, -2), sym, 1, P_UNIFORM, tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            oracle.compare_spectra((4, -2, -2), sym, 1, P_UNIFORM, tol=tol)
