@@ -11,6 +11,7 @@ c0 - c1 is a multiple of 3.  An axial magnetic field enters as complex
 hopping phases and acts as a rigid shift k -> k + beta c of the lines.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,8 +41,13 @@ class BandParams:
     a: float = A_DEFAULT
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"scale a must be positive, got {self.a}")
+        if not self.a > 0 or math.isinf(self.a):
+            raise ValueError(f"scale a must be positive and finite, got {self.a}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        for g in (self.gamma0, self.gamma1, self.gamma2):
+            if not cmath.isfinite(g):
+                raise ValueError(f"hoppings must be finite, got {g}")
 
 
 def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
@@ -59,6 +65,8 @@ def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     c = validate_chirality(c)
     return BandParams(
         epsilon=epsilon,

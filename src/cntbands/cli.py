@@ -184,6 +184,8 @@ def cmd_magsweep(args, cfg):
 
 
 def cmd_graphene_path(args, cfg):
+    if args.samples < 2:
+        raise InputError(f"samples must be >= 2, got {args.samples}")
     points = bands.special_points(cfg.a)
     waypoints = {"G": points["Gamma"], "K": points["K"][0], "M": points["M"][0]}
     labels = [s.strip().upper() for s in args.path.split(",")]

@@ -3,14 +3,15 @@
 A tube segment of P translational periods, closed with axial periodic
 boundary, has 2*q*P atoms.  We enumerate them exactly (integer reduction
 modulo both Zc and Z(P*b), via the screw/rotation/flip coordinates) and
-wire up the three bonds per atom.  The rotation g_c' (translation by
-c' = c/n) maps atoms to atoms and bonds to bonds, so the hopping matrix
-splits into n Hermitian blocks of size 2*q'*P, one per C_n quantum number
-m, indexed by the atoms of rotation index 0.  The blocks use only this
-relabelling, not the screw-line formula under test.  The sorted
-eigenvalues of all blocks must reproduce, as a multiset, the analytic
-two-band values taken at the Bloch-quantized points of the allowed
-k-lines.  Agreement to rounding error is the whole point.
+wire up the three bonds per atom.  Translation by c' = c/n and translation
+by the axial period b both map atoms to atoms and bonds to bonds, and they
+generate a group Z_n x Z_P, so the hopping matrix splits into n*P Hermitian
+blocks of size 2*q', one per pair (m, l) of quantum numbers, indexed by the
+atoms (s', 0, p) with s' < q'.  The blocks use only this relabelling, not
+the screw-line formula under test.  The sorted eigenvalues of all blocks
+must reproduce, as a multiset, the analytic two-band values taken at the
+Bloch-quantized points of the allowed k-lines.  Agreement to rounding error
+is the whole point.
 """
 
 import math
@@ -20,8 +21,8 @@ import numpy as np
 
 from .bands import _line_k, _modulus
 from .geom import inner
-from .tube import canonical_rep, compose, decompose
-from .honeycomb import nearest_neighbors, nu
+from .tube import DecompositionError
+from .honeycomb import THETA
 
 MAX_DIM = 4096
 
@@ -38,16 +39,24 @@ class DimensionError(ValueError):
 class FiniteTube:
     """Atom list and bond table of a P-period tube segment.
 
-    sites[i] is the canonical class representative of the atom (s, m, p),
-    s in [0, P*q'), listed in (p, m, s) order; bonds[i] lists
-    (neighbor_index, bond_label, nu_sign) for the three bonds leaving atom i.
+    sites is a (2qP, 3) integer array: row i is the canonical class
+    representative of the atom (s, m, p), s in [0, P*q'), listed in (p, m, s)
+    order.  bonds is a (2qP, 3, 3) integer array: bonds[i, j] is
+    (neighbor_index, j, nu_sign) for the bond v -> v^j leaving atom i.
     """
 
     c: tuple
     sym: object
     periods: int
-    sites: tuple
-    bonds: tuple
+    sites: np.ndarray
+    bonds: np.ndarray
+
+
+def _check_dimension(sym, periods):
+    """Raise DimensionError when the segment's 2qP atoms exceed MAX_DIM."""
+    if 2 * sym.q * periods > MAX_DIM:
+        raise DimensionError(
+            f"oracle dimension 2qP = {2 * sym.q * periods} exceeds {MAX_DIM}")
 
 
 def _axial_twist(sym):
@@ -62,36 +71,51 @@ def _axial_twist(sym):
     return j
 
 
-def _site_key(rep, sym, periods):
-    s, m, p = decompose(rep, sym)
-    span = periods * sym.q_prime
-    shift = s // span
-    return (s - shift * span, (m + shift * periods * _axial_twist(sym)) % sym.n, p)
+def _canonical_reps(v, c):
+    """tube.canonical_rep on an (..., 3) integer array; c has sum 0."""
+    return v - ((v @ c) // (c @ c))[..., None] * c
+
+
+def _decompose(reps, sym):
+    """tube.decompose on an (..., 3) array of representatives, same checks."""
+    p = reps.sum(axis=-1)
+    if not np.isin(p, (0, 1)).all():
+        raise DecompositionError("a representative has coordinate sum outside {0, 1}")
+    w = np.where(p[..., None] == 1, np.array(THETA) - reps, reps)
+    b, omega, c_prime = (np.array(v) for v in (sym.b, sym.omega, sym.c_prime))
+    s, rem = np.divmod(sym.q_prime * (w @ b), b @ b)
+    if rem.any():
+        raise DecompositionError("an axial projection is not an integer screw power")
+    r = w - s[..., None] * omega
+    t, rem = np.divmod(r[..., 0], c_prime[0])
+    if rem.any() or not np.array_equal(r, t[..., None] * c_prime):
+        raise DecompositionError("a residual is not parallel to c_prime")
+    return s, t % sym.n, p
 
 
 def build_finite_tube(c, sym, periods):
     """Enumerate the fundamental domain of the segment and its bonds."""
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    span = periods * sym.q_prime
-    keys = {}
-    sites = []
-    for p in (0, 1):
-        for m in range(sym.n):
-            for s in range(span):
-                rep = compose(s, m, p, sym)
-                keys[(s, m, p)] = len(sites)
-                sites.append(rep)
-    bonds = []
-    for rep in sites:
-        sign = nu(rep)
-        row = []
-        for j, nb in enumerate(nearest_neighbors(rep)):
-            key = _site_key(canonical_rep(nb, sym.c), sym, periods)
-            row.append((keys[key], j, sign))
-        bonds.append(tuple(row))
-    return FiniteTube(c=tuple(sym.c), sym=sym, periods=periods,
-                      sites=tuple(sites), bonds=tuple(bonds))
+    _check_dimension(sym, periods)
+    n, span = sym.n, periods * sym.q_prime
+    cc = np.array(sym.c)
+    # compose(s, m, p): tau^p applied to s omega + m c', reduced mod Zc
+    p, m, s = (a.reshape(-1, 1) for a in np.indices((2, n, span)))
+    x = s * np.array(sym.omega) + m * np.array(sym.c_prime)
+    sites = _canonical_reps(np.where(p == 1, np.array(THETA) - x, x), cc)
+    # the bond v -> v^j adds nu(v) to coordinate j
+    sign = np.where(sites.sum(axis=1) % 2, -1, 1)
+    nbs = _canonical_reps(sites[:, None, :] + sign[:, None, None] * np.eye(3, dtype=int), cc)
+    s, m, p = _decompose(nbs, sym)
+    # wrap the screw power into [0, P q'): (s0 + k P q') omega is s0 omega +
+    # k P b + k P j c', and dropping k P b leaves k P j steps along c'
+    shift = s // span
+    m = (m + shift * periods * _axial_twist(sym)) % n
+    target = (p * n + m) * span + s - shift * span
+    label = np.broadcast_to(np.arange(3), target.shape)
+    bonds = np.stack([target, label, np.broadcast_to(sign[:, None], target.shape)], axis=-1)
+    return FiniteTube(c=tuple(sym.c), sym=sym, periods=periods, sites=sites, bonds=bonds)
 
 
 def _roots(n):
@@ -109,40 +133,44 @@ def _roots(n):
 
 
 def build_hamiltonian(tube, p):
-    """The n Hermitian C_n blocks of the segment's hopping matrix, shape (n, d, d).
+    """The n*P Hermitian (m, l) blocks of the segment's hopping matrix.
 
-    d = 2q'P.  Block m acts on the atoms of rotation index 0, row p*P*q' + s
-    for the atom (s, 0, p).  Onsite epsilon on the diagonal; the bond
-    (v, v^j) carries gamma_j when the source site is on the sum-0 sublattice
-    and its conjugate otherwise, times e^{2 pi i m t / n} when it ends t
-    rotations g_c' away from the orbit representative of its target.  Each
-    block equals its conjugate transpose exactly.  The stack is real exactly
-    when every phase and hopping is (n <= 2, zero flux).
+    Shape (n*P, 2q', 2q'), block m*P + l for m < n, l < P.  Row p*q' + s'
+    is the atom (s', 0, p), s' < q'.  As q' omega = b + j c', the atom
+    (u q' + s', m, p) is that row's atom moved x steps along c' and y along
+    b, with (x, y) = (m + j u, u) for p = 0 and -(m + j u, u) for p = 1.
+    Onsite epsilon on the diagonal; the bond (v, v^j) carries gamma_j when
+    the source site is on the sum-0 sublattice and its conjugate otherwise,
+    times e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its
+    target's row.  Each block equals its conjugate transpose exactly.  The
+    stack is real exactly when every phase and hopping is (n <= 2, P <= 2,
+    zero flux).
     """
     sym = tube.sym
-    n, span = sym.n, tube.periods * sym.q_prime
-    bonds = np.array(tube.bonds)  # (2qP, 3, 3): target, label, nu sign
-    target, label, sign = bonds[..., 0], bonds[..., 1], bonds[..., 2]
+    n, qp, periods = sym.n, sym.q_prime, tube.periods
+    span = periods * qp
+    target, label, sign = np.moveaxis(tube.bonds, -1, 0)
     if np.any(np.bincount(target.ravel(), minlength=len(tube.sites)) != 3):
         raise AdjacencyError("every atom must receive exactly three bonds")
     gammas = np.array([p.gamma0, p.gamma1, p.gamma2], dtype=complex)
-    real = n <= 2 and not gammas.imag.any()
-    if real:
+    if not gammas.imag.any():
         gammas = gammas.real
-    hop = np.where(sign == 1, gammas[label], gammas[label].conj())
     # build_finite_tube lists the atoms (s, m, p) in (p, m, s) order, so the
-    # orbit representatives (s, 0, p) come in block-row order p*P*q' + s.  The
-    # atom (s, m, p) is its representative moved by m rotations if p = 0 and
-    # by -m if p = 1.
-    rep = np.arange(len(tube.sites)) // span % n == 0
-    to_p, to_m, to_s = np.unravel_index(target[rep], (2, n, span))
-    turns = np.where(to_p == 0, to_m, -to_m)
-    phases = _roots(n)[np.arange(n)[:, None, None] * turns % n]
-    d = 2 * span
-    h = np.zeros((n, d, d), dtype=float if real else complex)
-    h[:, np.arange(d), np.arange(d)] = p.epsilon
-    np.add.at(h, (np.arange(n)[:, None, None], np.arange(d)[:, None], to_p * span + to_s),
-              hop[rep] * phases)
+    # rows (s', 0, p), s' < q', are the first q' atoms of each sublattice.
+    rows = (np.arange(2)[:, None] * n * span + np.arange(qp)).ravel()
+    hop = np.where(sign[rows] == 1, gammas[label[rows]], gammas[label[rows]].conj())
+    to_p, to_m, to_s = np.unravel_index(target[rows], (2, n, span))
+    u, to_row = np.divmod(to_s, qp)
+    flip = np.where(to_p == 0, 1, -1)
+    x, y = flip * (to_m + _axial_twist(sym) * u), flip * u
+    m = np.arange(n)[:, None, None, None]
+    l = np.arange(periods)[:, None, None]
+    values = hop * _roots(n)[m * x % n] * _roots(periods)[l * y % periods]
+    d = 2 * qp
+    h = np.zeros((n, periods, d, d), dtype=values.dtype)
+    h[..., np.arange(d), np.arange(d)] = p.epsilon
+    np.add.at(h, (m, l, np.arange(d)[:, None], to_p * qp + to_row), values)
+    h = h.reshape(n * periods, d, d)
     if not np.array_equal(h, np.swapaxes(h, -1, -2).conj()):
         raise AdjacencyError("assembled matrix is not exactly Hermitian")
     return h
@@ -197,9 +225,7 @@ def compare_spectra(c, sym, periods, p, tol):
     """Diagonalize the segment and match its spectrum to the analytic one."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if 2 * sym.q * periods > MAX_DIM:
-        raise DimensionError(
-            f"oracle dimension 2qP = {2 * sym.q * periods} exceeds {MAX_DIM}")
+    _check_dimension(sym, periods)
     tube = build_finite_tube(c, sym, periods)
     fin = eigenvalues(build_hamiltonian(tube, p))
     ana = analytic_spectrum(c, sym, periods, p)

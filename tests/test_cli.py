@@ -141,6 +141,14 @@ def test_graphene_path_bad_label(capsys):
     assert main(["graphene-path", "--path", "G,X"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["-5", "0", "1"])
+def test_graphene_path_too_few_samples(capsys, samples):
+    assert main(["graphene-path", f"--samples={samples}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"samples must be >= 2, got {samples}" in captured.err
+
+
 def test_verify_pass(capsys):
     code, rep = run_json(capsys, ["verify", "--c", "4,-2,-2", "--periods", "6"])
     assert code == 0

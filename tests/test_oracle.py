@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from cntbands import bands, oracle
 from cntbands.bands import A_DEFAULT as A
-from cntbands.tube import tube_symmetry
+from cntbands.honeycomb import nearest_neighbors, nu
+from cntbands.tube import canonical_rep, compose, decompose, tube_symmetry
 
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
 
@@ -20,7 +22,44 @@ def test_site_counts(c, periods, expected):
     sym = tube_symmetry(c)
     tube = oracle.build_finite_tube(c, sym, periods)
     assert len(tube.sites) == expected == 2 * sym.q * periods
-    assert len(set(tube.sites)) == expected
+    assert len(set(map(tuple, tube.sites.tolist()))) == expected
+
+
+def scalar_finite_tube(c, sym, periods):
+    """Sites and bonds of the segment, one atom and one bond at a time, as a reference."""
+    span = periods * sym.q_prime
+    twist = oracle._axial_twist(sym)
+    keys = {}
+    sites = []
+    for p in (0, 1):
+        for m in range(sym.n):
+            for s in range(span):
+                keys[(s, m, p)] = len(sites)
+                sites.append(compose(s, m, p, sym))
+    bonds = []
+    for rep in sites:
+        row = []
+        for j, nb in enumerate(nearest_neighbors(rep)):
+            s, m, p = decompose(canonical_rep(nb, sym.c), sym)
+            shift = s // span
+            key = (s - shift * span, (m + shift * periods * twist) % sym.n, p)
+            row.append((keys[key], j, nu(rep)))
+        bonds.append(row)
+    return sites, bonds
+
+
+@pytest.mark.parametrize("c", [(4, -1, -3), (2, 0, -2), (4, -2, -2), (5, 0, -5),
+                               (7, -1, -6), (6, -2, -4), (9, -3, -6), (7, -3, -4),
+                               (8, -4, -4), (10, -1, -9)])
+@pytest.mark.parametrize("periods", [1, 2, 3])
+def test_array_build_matches_scalar_reference(c, periods):
+    sym = tube_symmetry(c)
+    tube = oracle.build_finite_tube(c, sym, periods)
+    sites, bonds = scalar_finite_tube(c, sym, periods)
+    assert tube.sites.shape == (2 * sym.q * periods, 3)
+    assert tube.bonds.shape == (2 * sym.q * periods, 3, 3)
+    assert tube.sites.tolist() == [list(v) for v in sites]
+    assert tube.bonds.tolist() == [[list(b) for b in row] for row in bonds]
 
 
 def test_three_regular_symmetric_bonds():
@@ -60,11 +99,14 @@ def test_hamiltonian_uniform_real_symmetric():
     sym = tube_symmetry(c)
     tube = oracle.build_finite_tube(c, sym, 2)
     h = oracle.build_hamiltonian(tube, P_UNIFORM)
-    assert h.shape == (sym.n, 2 * sym.q_prime * 2, 2 * sym.q_prime * 2) == (2, 8, 8)
+    assert h.shape == (sym.n * 2, 2 * sym.q_prime, 2 * sym.q_prime) == (4, 4, 4)
     assert np.isrealobj(h)
     assert np.array_equal(h, np.swapaxes(h, -1, -2))
-    # |eps| + 3 gamma of hopping weight per row of every block
-    assert np.abs(h).sum(axis=-1) == pytest.approx(np.full((2, 8), 3.0))
+    # in the (0, 0) block every phase is 1: 3 gamma of hopping weight per row
+    assert np.abs(h[0]).sum(axis=-1) == pytest.approx(np.full(4, 3.0))
+    # bonds of one orbit may share an entry, so weigh rows over all n P blocks:
+    # sum_(m,l) |h_ml[a, b]|^2 = n P sum_t |H[a, t(b)]|^2 = 3 n P gamma^2
+    assert (h ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(4, 3.0 * 4))
 
 
 def test_hamiltonian_magnetic_hermitian():
@@ -73,12 +115,10 @@ def test_hamiltonian_magnetic_hermitian():
     tube = oracle.build_finite_tube(c, sym, 2)
     pm = bands.magnetic_params(1.0, 0.2 / A, c, A)
     h = oracle.build_hamiltonian(tube, pm)
-    assert h.shape == (sym.n, 2 * sym.q_prime * 2, 2 * sym.q_prime * 2) == (5, 8, 8)
+    assert h.shape == (sym.n * 2, 2 * sym.q_prime, 2 * sym.q_prime) == (10, 4, 4)
     assert np.iscomplexobj(h)
     assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
-    # bonds of one orbit may share an entry, so weigh rows over all blocks:
-    # sum_m |h_m[a, b]|^2 = n sum_t |H[a, t(b)]|^2 = 3 n gamma^2
-    assert (np.abs(h) ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(8, 3.0 * sym.n))
+    assert (np.abs(h) ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(4, 3.0 * 10))
     assert np.isrealobj(oracle.eigenvalues(h))
 
 
@@ -88,13 +128,14 @@ def test_hamiltonian_magnetic_hermitian():
 @pytest.mark.parametrize("beta", [0.0, 0.23])
 def test_blocks_match_dense_reference(c, beta):
     sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(c, sym, 2)
     p = bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta else P_UNIFORM
-    h = oracle.build_hamiltonian(tube, p)
-    assert h.shape[0] == sym.n in (1, 2, 3, 4, 5, 6)
-    assert np.isrealobj(h) == (sym.n <= 2 and not beta)
-    ref = np.linalg.eigvalsh(dense_hamiltonian(tube, p))
-    assert np.max(np.abs(oracle.eigenvalues(h) - ref)) < 1e-12
+    for periods in (1, 2, 3):  # P = 3 makes the phases along b complex
+        tube = oracle.build_finite_tube(c, sym, periods)
+        h = oracle.build_hamiltonian(tube, p)
+        assert h.shape == (sym.n * periods, 2 * sym.q_prime, 2 * sym.q_prime)
+        assert np.isrealobj(h) == (sym.n <= 2 and periods <= 2 and not beta)
+        ref = np.linalg.eigvalsh(dense_hamiltonian(tube, p))
+        assert np.max(np.abs(oracle.eigenvalues(h) - ref)) < 1e-12
 
 
 def test_oversized_segment_rejected_before_assembly(monkeypatch):
@@ -103,6 +144,14 @@ def test_oversized_segment_rejected_before_assembly(monkeypatch):
     monkeypatch.setattr(oracle, "build_finite_tube", None)  # must not be reached
     with pytest.raises(oracle.DimensionError):
         oracle.compare_spectra(c, sym, 1, P_UNIFORM, tol=1e-8)
+
+
+def test_oversized_segment_rejected_by_build():
+    c = (60, 59, -119)
+    t0 = time.perf_counter()
+    with pytest.raises(oracle.DimensionError):
+        oracle.build_finite_tube(c, tube_symmetry(c), 1)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_eigenvalues_small_cases():
