@@ -22,6 +22,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 CSV_BLOCK = 4096
+MAX_GRID = 2 ** 22  # bound on the n * resolution band points of bands, gap and magsweep
 
 
 @dataclass
@@ -65,10 +66,18 @@ def _parse_triple(text):
     return parts
 
 
-def _tube(args):
-    """Validated chirality of --c and its symmetry record."""
+def _tube(args, cfg=None):
+    """Validated chirality of --c and its symmetry record.
+
+    Given cfg, rejects a tube whose n lines of cfg.resolution points exceed
+    MAX_GRID, before any line is sampled.
+    """
     c = tube.validate_chirality(_parse_triple(args.c))
-    return c, tube.tube_symmetry(c)
+    sym = tube.tube_symmetry(c)
+    if cfg and sym.n * cfg.resolution > MAX_GRID:
+        raise InputError(f"n * resolution = {sym.n * cfg.resolution} band points "
+                         f"exceed {MAX_GRID}")
+    return c, sym
 
 
 def _load_config(args):
@@ -135,7 +144,7 @@ def cmd_classify(args, cfg):
 
 
 def cmd_bands(args, cfg):
-    c, sym = _tube(args)
+    c, sym = _tube(args, cfg)
     p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
     parts = []
     for m in range(sym.n):
@@ -155,7 +164,7 @@ def _gap_params(c, cfg, beta):
 
 
 def cmd_gap(args, cfg):
-    c, sym = _tube(args)
+    c, sym = _tube(args, cfg)
     beta = args.beta or 0.0
     res = bands.band_gap(c, sym, _gap_params(c, cfg, beta), resolution=cfg.resolution)
     _emit(_json({
@@ -169,7 +178,7 @@ def cmd_gap(args, cfg):
 
 
 def cmd_magsweep(args, cfg):
-    c, sym = _tube(args)
+    c, sym = _tube(args, cfg)
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.periods < 1:

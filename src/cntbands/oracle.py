@@ -1,15 +1,16 @@
 """Independent spectral cross-check against an explicit finite Hamiltonian.
 
 A tube segment of P translational periods, closed with axial periodic
-boundary, has 2*q*P atoms.  We enumerate them exactly (integer reduction
-modulo both Zc and Z(P*b), via the screw/rotation/flip coordinates) and
-wire up the three bonds per atom.  Translation by c' = c/n and translation
-by the axial period b both map atoms to atoms and bonds to bonds, and they
-generate a group Z_n x Z_P, so the hopping matrix splits into n*P Hermitian
-blocks of size 2*q', one per pair (m, l) of quantum numbers, indexed by the
-atoms (s', 0, p) with s' < q'.  The blocks use only this relabelling, not
-the screw-line formula under test.  The sorted eigenvalues of all blocks
-must reproduce, as a multiset, the analytic two-band values taken at the
+boundary, has 2*q*P atoms.  Translation by c' = c/n and translation by the
+axial period b both map atoms to atoms and bonds to bonds, and they generate
+a group Z_n x Z_P that splits the atoms into 2*q' orbits.  We build one
+representative (s', 0, p), s' < q', per orbit and decompose its three
+neighbours exactly (integer reduction modulo Zc via the screw/rotation/flip
+coordinates) into a target orbit and an integer (c', b) offset.  The hopping
+matrix then splits into n*P Hermitian blocks of size 2*q', one per pair
+(m, l) of quantum numbers.  The blocks use only this relabelling, not the
+screw-line formula under test.  The sorted eigenvalues of all blocks must
+reproduce, as a multiset, the analytic two-band values taken at the
 Bloch-quantized points of the allowed k-lines.  Agreement to rounding error
 is the whole point.
 """
@@ -37,18 +38,18 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteTube:
-    """Atom list and bond table of a P-period tube segment.
+    """Orbit representatives and bond table of a P-period tube segment.
 
-    sites is a (2qP, 3) integer array: row i is the canonical class
-    representative of the atom (s, m, p), s in [0, P*q'), listed in (p, m, s)
-    order.  bonds is a (2qP, 3, 3) integer array: bonds[i, j] is
-    (neighbor_index, j, nu_sign) for the bond v -> v^j leaving atom i.
+    The translations by c' and by b split the segment's 2qP atoms into 2q'
+    orbits; row p*q' + s' is the representative (s', 0, p), s' < q'.  sign is
+    the (2q',) array of the rows' nu.  bonds is a (2q', 3, 3) integer array:
+    bonds[r, j] = (row, x, y) for the bond v -> v^j leaving row r, which ends
+    at row's atom moved x steps along c' and y steps along b.
     """
 
-    c: tuple
     sym: object
     periods: int
-    sites: np.ndarray
+    sign: np.ndarray
     bonds: np.ndarray
 
 
@@ -63,7 +64,7 @@ def _axial_twist(sym):
     """Integer j with q' * omega = b + (j/n) * c.
 
     Translating by b shifts the screw power by q' and the rotation index by
-    -j; the axial identification below must undo both.
+    -j; the bond offsets of build_finite_tube account for both.
     """
     j, rem = divmod(sym.q * inner(sym.c, sym.omega), inner(sym.c, sym.c))
     if rem:
@@ -93,29 +94,26 @@ def _decompose(reps, sym):
     return s, t % sym.n, p
 
 
-def build_finite_tube(c, sym, periods):
-    """Enumerate the fundamental domain of the segment and its bonds."""
+def build_finite_tube(sym, periods):
+    """The segment's 2q' orbit representatives and their (row, x, y) bonds."""
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     _check_dimension(sym, periods)
-    n, span = sym.n, periods * sym.q_prime
-    cc = np.array(sym.c)
-    # compose(s, m, p): tau^p applied to s omega + m c', reduced mod Zc
-    p, m, s = (a.reshape(-1, 1) for a in np.indices((2, n, span)))
-    x = s * np.array(sym.omega) + m * np.array(sym.c_prime)
-    sites = _canonical_reps(np.where(p == 1, np.array(THETA) - x, x), cc)
+    qp = sym.q_prime
+    # the rows tau^p (s' omega), s' < q'; nu is +1 on the sum-0 sublattice p = 0
+    p, s = (a.reshape(-1, 1) for a in np.indices((2, qp)))
+    x = s * np.array(sym.omega)
+    v = np.where(p == 1, np.array(THETA) - x, x)
+    sign = 1 - 2 * p.ravel()
     # the bond v -> v^j adds nu(v) to coordinate j
-    sign = np.where(sites.sum(axis=1) % 2, -1, 1)
-    nbs = _canonical_reps(sites[:, None, :] + sign[:, None, None] * np.eye(3, dtype=int), cc)
-    s, m, p = _decompose(nbs, sym)
-    # wrap the screw power into [0, P q'): (s0 + k P q') omega is s0 omega +
-    # k P b + k P j c', and dropping k P b leaves k P j steps along c'
-    shift = s // span
-    m = (m + shift * periods * _axial_twist(sym)) % n
-    target = (p * n + m) * span + s - shift * span
-    label = np.broadcast_to(np.arange(3), target.shape)
-    bonds = np.stack([target, label, np.broadcast_to(sign[:, None], target.shape)], axis=-1)
-    return FiniteTube(c=tuple(sym.c), sym=sym, periods=periods, sites=sites, bonds=bonds)
+    nbs = v[:, None, :] + sign[:, None, None] * np.eye(3, dtype=int)
+    s, m, p = _decompose(_canonical_reps(nbs, np.array(sym.c)), sym)
+    # q' omega = b + j c', so (u q' + s'', m, p) is the row p q' + s'' moved
+    # (m + j u, u) steps along (c', b), mirrored by tau when p = 1
+    u, s = np.divmod(s, qp)
+    flip = 1 - 2 * p
+    bonds = np.stack([p * qp + s, flip * (m + _axial_twist(sym) * u), flip * u], axis=-1)
+    return FiniteTube(sym=sym, periods=periods, sign=sign, bonds=bonds)
 
 
 def _roots(n):
@@ -135,41 +133,30 @@ def _roots(n):
 def build_hamiltonian(tube, p):
     """The n*P Hermitian (m, l) blocks of the segment's hopping matrix.
 
-    Shape (n*P, 2q', 2q'), block m*P + l for m < n, l < P.  Row p*q' + s'
-    is the atom (s', 0, p), s' < q'.  As q' omega = b + j c', the atom
-    (u q' + s', m, p) is that row's atom moved x steps along c' and y along
-    b, with (x, y) = (m + j u, u) for p = 0 and -(m + j u, u) for p = 1.
-    Onsite epsilon on the diagonal; the bond (v, v^j) carries gamma_j when
-    the source site is on the sum-0 sublattice and its conjugate otherwise,
-    times e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its
-    target's row.  Each block equals its conjugate transpose exactly.  The
-    stack is real exactly when every phase and hopping is (n <= 2, P <= 2,
-    zero flux).
+    Shape (n*P, 2q', 2q'), block m*P + l for m < n, l < P, with the rows
+    and bonds of build_finite_tube.  Onsite epsilon on the diagonal; the
+    bond (v, v^j) carries gamma_j when the source site is on the sum-0
+    sublattice and its conjugate otherwise, times e^{2 pi i (m x / n + l y
+    / P)} when it ends at (x, y) from its target's row.  Each block equals
+    its conjugate transpose exactly.  The stack is real exactly when every
+    phase and hopping is (n <= 2, P <= 2, zero flux).
     """
-    sym = tube.sym
-    n, qp, periods = sym.n, sym.q_prime, tube.periods
-    span = periods * qp
-    target, label, sign = np.moveaxis(tube.bonds, -1, 0)
-    if np.any(np.bincount(target.ravel(), minlength=len(tube.sites)) != 3):
+    n, periods = tube.sym.n, tube.periods
+    d = 2 * tube.sym.q_prime
+    row, x, y = np.moveaxis(tube.bonds, -1, 0)
+    # the translations act freely, so an orbit receives as many bonds as each atom in it
+    if np.any(np.bincount(row.ravel(), minlength=d) != 3):
         raise AdjacencyError("every atom must receive exactly three bonds")
     gammas = np.array([p.gamma0, p.gamma1, p.gamma2], dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
-    # build_finite_tube lists the atoms (s, m, p) in (p, m, s) order, so the
-    # rows (s', 0, p), s' < q', are the first q' atoms of each sublattice.
-    rows = (np.arange(2)[:, None] * n * span + np.arange(qp)).ravel()
-    hop = np.where(sign[rows] == 1, gammas[label[rows]], gammas[label[rows]].conj())
-    to_p, to_m, to_s = np.unravel_index(target[rows], (2, n, span))
-    u, to_row = np.divmod(to_s, qp)
-    flip = np.where(to_p == 0, 1, -1)
-    x, y = flip * (to_m + _axial_twist(sym) * u), flip * u
+    hop = np.where(tube.sign[:, None] == 1, gammas, gammas.conj())
     m = np.arange(n)[:, None, None, None]
     l = np.arange(periods)[:, None, None]
     values = hop * _roots(n)[m * x % n] * _roots(periods)[l * y % periods]
-    d = 2 * qp
     h = np.zeros((n, periods, d, d), dtype=values.dtype)
     h[..., np.arange(d), np.arange(d)] = p.epsilon
-    np.add.at(h, (m, l, np.arange(d)[:, None], to_p * qp + to_row), values)
+    np.add.at(h, (m, l, np.arange(d)[:, None], row), values)
     h = h.reshape(n * periods, d, d)
     if not np.array_equal(h, np.swapaxes(h, -1, -2).conj()):
         raise AdjacencyError("assembled matrix is not exactly Hermitian")
@@ -187,7 +174,7 @@ def eigenvalues(h):
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
 
 
-def analytic_spectrum(c, sym, periods, p):
+def analytic_spectrum(sym, periods, p):
     """Zone-folded eigenvalues of the same segment, sorted.
 
     Bloch closure over the axial period quantizes the screw coordinate to
@@ -223,12 +210,13 @@ class SpectrumReport:
 
 def compare_spectra(c, sym, periods, p, tol):
     """Diagonalize the segment and match its spectrum to the analytic one."""
+    if tuple(c) != tuple(sym.c):
+        raise ValueError(f"chirality {tuple(c)} does not match the symmetry of {sym.c}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     _check_dimension(sym, periods)
-    tube = build_finite_tube(c, sym, periods)
-    fin = eigenvalues(build_hamiltonian(tube, p))
-    ana = analytic_spectrum(c, sym, periods, p)
+    fin = eigenvalues(build_hamiltonian(build_finite_tube(sym, periods), p))
+    ana = analytic_spectrum(sym, periods, p)
     if len(fin) != len(ana):
         raise AdjacencyError(
             f"spectrum length mismatch: finite {len(fin)} vs analytic {len(ana)}")

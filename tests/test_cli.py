@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cntbands import bands, oracle
+from cntbands import bands, cli, oracle
 from cntbands.bands import A_DEFAULT as A
 from cntbands.cli import main
 from cntbands.tube import canonical_rep, tube_symmetry
@@ -244,6 +244,27 @@ def test_oversized_verify_rejected_before_allocating(capsys):
     assert main(["verify", "--c", "60,59,-119"]) == 2
     assert time.perf_counter() - t0 < 2.0
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bands", "gap", "magsweep"])
+def test_oversized_grid_rejected_before_sampling(command, capsys):
+    t0 = time.perf_counter()
+    assert main([command, "--c", "1000000,0,-1000000"]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceed" in captured.err
+
+
+@pytest.mark.parametrize("command", ["bands", "gap", "magsweep"])
+def test_grid_budget_is_inclusive(command, monkeypatch, capsys):
+    # (5,0,-5) has n = 5 lines of 64 points: 320 band points
+    argv = [command, "--c", "5,0,-5", "--resolution", "64"]
+    if command == "magsweep":
+        argv += ["--samples", "3"]
+    monkeypatch.setattr(cli, "MAX_GRID", 320)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_GRID", 319)
+    assert main(argv) == 2
 
 
 def test_unexpected_error_exits_3_not_1(monkeypatch, capsys):

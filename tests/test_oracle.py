@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from collections import Counter
@@ -8,25 +9,17 @@ import pytest
 from cntbands import bands, oracle
 from cntbands.bands import A_DEFAULT as A
 from cntbands.honeycomb import nearest_neighbors, nu
-from cntbands.tube import canonical_rep, compose, decompose, tube_symmetry
+from cntbands.tube import DecompositionError, canonical_rep, compose, decompose, tube_symmetry
 
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
 
 
-@pytest.mark.parametrize("c,periods,expected", [
-    ((4, -2, -2), 1, 8),
-    ((5, 0, -5), 2, 40),
-    ((4, -1, -3), 1, 52),
-])
-def test_site_counts(c, periods, expected):
-    sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(c, sym, periods)
-    assert len(tube.sites) == expected == 2 * sym.q * periods
-    assert len(set(map(tuple, tube.sites.tolist()))) == expected
+def scalar_finite_tube(sym, periods):
+    """Sites and bonds of the segment, one atom and one bond at a time, as a reference.
 
-
-def scalar_finite_tube(c, sym, periods):
-    """Sites and bonds of the segment, one atom and one bond at a time, as a reference."""
+    sites lists the 2qP atoms (s, m, p), s < P q', in (p, m, s) order; bonds[i]
+    holds (target index, j, nu) for the bond v -> v^j leaving atom i.
+    """
     span = periods * sym.q_prime
     twist = oracle._axial_twist(sym)
     keys = {}
@@ -41,11 +34,25 @@ def scalar_finite_tube(c, sym, periods):
         row = []
         for j, nb in enumerate(nearest_neighbors(rep)):
             s, m, p = decompose(canonical_rep(nb, sym.c), sym)
+            # (s0 + k P q') omega is s0 omega + k P b + k P j c'; drop the k P b
             shift = s // span
             key = (s - shift * span, (m + shift * periods * twist) % sym.n, p)
             row.append((keys[key], j, nu(rep)))
         bonds.append(row)
     return sites, bonds
+
+
+@pytest.mark.parametrize("c,periods,expected", [
+    ((4, -2, -2), 1, 8),
+    ((5, 0, -5), 2, 40),
+    ((4, -1, -3), 1, 52),
+])
+def test_site_counts(c, periods, expected):
+    sym = tube_symmetry(c)
+    sites, _ = scalar_finite_tube(sym, periods)
+    assert len(sites) == expected == 2 * sym.q * periods
+    assert len(set(sites)) == expected
+    assert oracle.compare_spectra(c, sym, periods, P_UNIFORM, tol=1e-8).dimension == expected
 
 
 @pytest.mark.parametrize("c", [(4, -1, -3), (2, 0, -2), (4, -2, -2), (5, 0, -5),
@@ -54,40 +61,50 @@ def scalar_finite_tube(c, sym, periods):
 @pytest.mark.parametrize("periods", [1, 2, 3])
 def test_array_build_matches_scalar_reference(c, periods):
     sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(c, sym, periods)
-    sites, bonds = scalar_finite_tube(c, sym, periods)
-    assert tube.sites.shape == (2 * sym.q * periods, 3)
-    assert tube.bonds.shape == (2 * sym.q * periods, 3, 3)
-    assert tube.sites.tolist() == [list(v) for v in sites]
-    assert tube.bonds.tolist() == [[list(b) for b in row] for row in bonds]
+    qp = sym.q_prime
+    tube = oracle.build_finite_tube(sym, periods)
+    assert tube.periods == periods
+    assert tube.sign.shape == (2 * qp,)
+    assert tube.bonds.shape == (2 * qp, 3, 3)
+    for r in range(2 * qp):
+        rep = compose(r % qp, 0, r // qp, sym)
+        assert tube.sign[r] == nu(rep)
+        for j, nb in enumerate(nearest_neighbors(rep)):
+            s, _, p = decompose(canonical_rep(nb, sym.c), sym)
+            row, x, y = tube.bonds[r, j].tolist()
+            assert row == p * qp + s % qp
+            # the neighbour is its row's atom moved x steps along c' and y along b
+            moved = [v + x * cp + y * b for v, cp, b in
+                     zip(compose(row % qp, 0, row // qp, sym), sym.c_prime, sym.b)]
+            assert canonical_rep(moved, sym.c) == canonical_rep(nb, sym.c)
 
 
 def test_three_regular_symmetric_bonds():
-    sym = tube_symmetry((5, 0, -5))
-    tube = oracle.build_finite_tube((5, 0, -5), sym, 2)
-    targets = Counter(l for row in tube.bonds for l, _, _ in row)
-    assert all(targets[i] == 3 for i in range(len(tube.sites)))
-    # bond relation is symmetric
-    pairs = Counter()
-    for i, row in enumerate(tube.bonds):
-        for l, _, _ in row:
-            pairs[(i, l)] += 1
-    for (i, l), count in pairs.items():
-        assert pairs[(l, i)] == count
+    for c in [(5, 0, -5), (4, -1, -3), (6, -2, -4)]:
+        sym = tube_symmetry(c)
+        tube = oracle.build_finite_tube(sym, 2)
+        assert np.bincount(tube.bonds[..., 0].ravel()).tolist() == [3] * 2 * sym.q_prime
+        # each bond r -> (row, x, y) has a reverse row -> (r, -x, -y); x counts
+        # steps along c', so it is defined mod n
+        bonds = Counter((r, row, x % sym.n, y)
+                        for r, table in enumerate(tube.bonds.tolist()) for row, x, y in table)
+        for (r, row, x, y), count in bonds.items():
+            assert bonds[(row, r, -x % sym.n, -y)] == count
 
 
 def test_periods_validation():
     sym = tube_symmetry((4, -2, -2))
     with pytest.raises(ValueError):
-        oracle.build_finite_tube((4, -2, -2), sym, 0)
+        oracle.build_finite_tube(sym, 0)
 
 
-def dense_hamiltonian(tube, p):
-    """The full 2qP x 2qP hopping matrix, one bond at a time, as a reference."""
+def dense_hamiltonian(sym, periods, p):
+    """The full 2qP x 2qP hopping matrix of the scalar reference, one bond at a time."""
+    sites, bonds = scalar_finite_tube(sym, periods)
     gammas = (complex(p.gamma0), complex(p.gamma1), complex(p.gamma2))
-    h = np.zeros((len(tube.sites),) * 2, dtype=complex)
+    h = np.zeros((len(sites),) * 2, dtype=complex)
     np.fill_diagonal(h, p.epsilon)
-    for i, row in enumerate(tube.bonds):
+    for i, row in enumerate(bonds):
         for l, j, sign in row:
             h[i, l] += gammas[j] if sign == 1 else np.conj(gammas[j])
     assert np.array_equal(h, h.conj().T)
@@ -97,7 +114,7 @@ def dense_hamiltonian(tube, p):
 def test_hamiltonian_uniform_real_symmetric():
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(c, sym, 2)
+    tube = oracle.build_finite_tube(sym, 2)
     h = oracle.build_hamiltonian(tube, P_UNIFORM)
     assert h.shape == (sym.n * 2, 2 * sym.q_prime, 2 * sym.q_prime) == (4, 4, 4)
     assert np.isrealobj(h)
@@ -112,7 +129,7 @@ def test_hamiltonian_uniform_real_symmetric():
 def test_hamiltonian_magnetic_hermitian():
     c = (5, 0, -5)
     sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(c, sym, 2)
+    tube = oracle.build_finite_tube(sym, 2)
     pm = bands.magnetic_params(1.0, 0.2 / A, c, A)
     h = oracle.build_hamiltonian(tube, pm)
     assert h.shape == (sym.n * 2, 2 * sym.q_prime, 2 * sym.q_prime) == (10, 4, 4)
@@ -130,11 +147,11 @@ def test_blocks_match_dense_reference(c, beta):
     sym = tube_symmetry(c)
     p = bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta else P_UNIFORM
     for periods in (1, 2, 3):  # P = 3 makes the phases along b complex
-        tube = oracle.build_finite_tube(c, sym, periods)
+        tube = oracle.build_finite_tube(sym, periods)
         h = oracle.build_hamiltonian(tube, p)
         assert h.shape == (sym.n * periods, 2 * sym.q_prime, 2 * sym.q_prime)
         assert np.isrealobj(h) == (sym.n <= 2 and periods <= 2 and not beta)
-        ref = np.linalg.eigvalsh(dense_hamiltonian(tube, p))
+        ref = np.linalg.eigvalsh(dense_hamiltonian(sym, periods, p))
         assert np.max(np.abs(oracle.eigenvalues(h) - ref)) < 1e-12
 
 
@@ -150,7 +167,7 @@ def test_oversized_segment_rejected_by_build():
     c = (60, 59, -119)
     t0 = time.perf_counter()
     with pytest.raises(oracle.DimensionError):
-        oracle.build_finite_tube(c, tube_symmetry(c), 1)
+        oracle.build_finite_tube(tube_symmetry(c), 1)
     assert time.perf_counter() - t0 < 2.0
 
 
@@ -177,7 +194,7 @@ def test_eigenvalues_dimension_cap():
 def test_analytic_spectrum_structure():
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    spec = oracle.analytic_spectrum(c, sym, 1, P_UNIFORM)
+    spec = oracle.analytic_spectrum(sym, 1, P_UNIFORM)
     assert len(spec) == 2 * sym.q
     assert spec == pytest.approx(-spec[::-1], abs=1e-12)  # half filling symmetry
     assert spec[0] == pytest.approx(-3.0, abs=1e-12)
@@ -209,7 +226,7 @@ def test_spectrum_equivalence_magnetic():
 def test_finite_antisymmetry():
     c = (4, -1, -3)
     sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(c, sym, 2)
+    tube = oracle.build_finite_tube(sym, 2)
     ev = oracle.eigenvalues(oracle.build_hamiltonian(tube, P_UNIFORM))
     assert ev == pytest.approx(-ev[::-1], abs=1e-10)
 
@@ -218,7 +235,7 @@ def test_finite_gap_bounds_continuous_gap():
     # a discrete sample can only overshoot the continuous minimum
     for c in [(5, 0, -5), (4, -1, -3)]:
         sym = tube_symmetry(c)
-        spec = oracle.analytic_spectrum(c, sym, 5, P_UNIFORM)
+        spec = oracle.analytic_spectrum(sym, 5, P_UNIFORM)
         min_plus = spec[spec > 0].min()
         gap = bands.band_gap(c, sym, P_UNIFORM).gap
         assert min_plus >= gap / 2 - 1e-12
@@ -229,3 +246,40 @@ def test_compare_tolerance_validation():
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError):
             oracle.compare_spectra((4, -2, -2), sym, 1, P_UNIFORM, tol=tol)
+
+
+def test_mismatched_chirality_rejected():
+    sym = tube_symmetry((4, -2, -2))
+    with pytest.raises(ValueError, match="does not match"):
+        oracle.compare_spectra((5, 0, -5), sym, 1, P_UNIFORM, tol=1e-8)
+
+
+def test_redirected_bond_fails_degree_check():
+    tube = oracle.build_finite_tube(tube_symmetry((4, -1, -3)), 2)
+    bonds = tube.bonds.copy()
+    bonds[0, 0, 0] = (bonds[0, 0, 0] + 1) % len(bonds)
+    with pytest.raises(oracle.AdjacencyError, match="three bonds"):
+        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+
+
+def test_shifted_bond_offset_fails_hermitian_check():
+    tube = oracle.build_finite_tube(tube_symmetry((5, 0, -5)), 2)
+    for axis in (1, 2):  # one step further along c', or along b
+        bonds = tube.bonds.copy()
+        bonds[0, 0, axis] += 1
+        with pytest.raises(oracle.AdjacencyError, match="Hermitian"):
+            oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+
+
+def test_inexact_representatives_fail_decomposition():
+    sym = tube_symmetry((4, -2, -2))
+    omega = np.array([compose(1, 0, 0, sym)])
+    with pytest.raises(DecompositionError, match="coordinate sum"):
+        oracle._decompose(np.array([[1, 1, 0]]), sym)
+    # with b doubled, <omega, b> q' / ||b||^2 = 1/2
+    doubled_b = dataclasses.replace(sym, b=tuple(2 * v for v in sym.b))
+    with pytest.raises(DecompositionError, match="integer screw power"):
+        oracle._decompose(omega, doubled_b)
+    skew = dataclasses.replace(sym, c_prime=(2, 0, -2))
+    with pytest.raises(DecompositionError, match="parallel to c_prime"):
+        oracle._decompose(np.array([sym.c_prime]), skew)
