@@ -23,6 +23,7 @@ EXIT_NUMERIC = 3
 
 CSV_BLOCK = 4096
 MAX_GRID = 2 ** 22  # bound on the n * resolution band points of bands, gap and magsweep
+MAX_SWEEP = 2 ** 24  # bound on the betas * n * resolution band points of one magsweep
 
 
 @dataclass
@@ -36,8 +37,15 @@ class RunConfig:
 
     def __post_init__(self):
         for key in ("gamma", "epsilon", "bond_length", "tolerance"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):
+            raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a file name, got {self.out!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.tolerance <= 0:
@@ -185,6 +193,9 @@ def cmd_magsweep(args, cfg):
         raise InputError(f"periods must be >= 1, got {args.periods}")
     period = bands.flux_period(c, cfg.a)
     total = args.periods * (args.samples - 1) + 1
+    if total * sym.n * cfg.resolution > MAX_SWEEP:
+        raise InputError(f"betas * n * resolution = {total * sym.n * cfg.resolution} "
+                         f"band points exceed {MAX_SWEEP}")
     betas = np.linspace(0.0, args.periods * period, total)
     sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas,
                               resolution=cfg.resolution, epsilon=cfg.epsilon)
@@ -195,6 +206,8 @@ def cmd_magsweep(args, cfg):
 def cmd_graphene_path(args, cfg):
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
+    if args.samples > MAX_GRID:
+        raise InputError(f"samples = {args.samples} exceed {MAX_GRID}")
     points = bands.special_points(cfg.a)
     waypoints = {"G": points["Gamma"], "K": points["K"][0], "M": points["M"][0]}
     labels = [s.strip().upper() for s in args.path.split(",")]

@@ -9,10 +9,16 @@ neighbours exactly (integer reduction modulo Zc via the screw/rotation/flip
 coordinates) into a target orbit and an integer (c', b) offset.  The hopping
 matrix then splits into n*P Hermitian blocks of size 2*q', one per pair
 (m, l) of quantum numbers.  The blocks use only this relabelling, not the
-screw-line formula under test.  The sorted eigenvalues of all blocks must
-reproduce, as a multiset, the analytic two-band values taken at the
-Bloch-quantized points of the allowed k-lines.  Agreement to rounding error
-is the whole point.
+screw-line formula under test.
+
+Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
+two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
+[[eps I, T], [T^H, eps I]] for a q' x q' hopping block T, and its
+eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
+only T and takes its singular values, never the 2q' x 2q' block.  The sorted
+values of all blocks must reproduce, as a multiset, the analytic two-band
+values taken at the Bloch-quantized points of the allowed k-lines.
+Agreement to rounding error is the whole point.
 """
 
 import math
@@ -131,22 +137,27 @@ def _roots(n):
 
 
 def build_hamiltonian(tube, p):
-    """The n*P Hermitian (m, l) blocks of the segment's hopping matrix.
+    """The n*P sublattice hopping blocks T of the segment's (m, l) blocks.
 
-    Shape (n*P, 2q', 2q'), block m*P + l for m < n, l < P, with the rows
-    and bonds of build_finite_tube.  Onsite epsilon on the diagonal; the
-    bond (v, v^j) carries gamma_j when the source site is on the sum-0
-    sublattice and its conjugate otherwise, times e^{2 pi i (m x / n + l y
-    / P)} when it ends at (x, y) from its target's row.  Each block equals
-    its conjugate transpose exactly.  The stack is real exactly when every
+    Shape (n*P, q', q'), block m*P + l for m < n, l < P: T[a, b] is the
+    hopping from row a (sublattice p = 0) to row q' + b (p = 1), with the
+    rows and bonds of build_finite_tube.  The (m, l) block of the hopping
+    matrix is [[epsilon I, T], [T^H, epsilon I]]; eigenvalues takes its
+    spectrum from T alone.  The bond (v, v^j) carries gamma_j when the source
+    site is on the sum-0 sublattice and its conjugate otherwise, times
+    e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its target's
+    row.  Both halves are assembled, and the p = 1 rows must equal the
+    conjugate transpose of T exactly.  The stack is real exactly when every
     phase and hopping is (n <= 2, P <= 2, zero flux).
     """
     n, periods = tube.sym.n, tube.periods
-    d = 2 * tube.sym.q_prime
+    qp = tube.sym.q_prime
     row, x, y = np.moveaxis(tube.bonds, -1, 0)
     # the translations act freely, so an orbit receives as many bonds as each atom in it
-    if np.any(np.bincount(row.ravel(), minlength=d) != 3):
+    if np.any(np.bincount(row.ravel(), minlength=2 * qp) != 3):
         raise AdjacencyError("every atom must receive exactly three bonds")
+    if np.any(row // qp == (np.arange(2 * qp) // qp)[:, None]):
+        raise AdjacencyError("a bond joins two atoms of the same sublattice")
     gammas = np.array([p.gamma0, p.gamma1, p.gamma2], dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
@@ -154,24 +165,33 @@ def build_hamiltonian(tube, p):
     m = np.arange(n)[:, None, None, None]
     l = np.arange(periods)[:, None, None]
     values = hop * _roots(n)[m * x % n] * _roots(periods)[l * y % periods]
-    h = np.zeros((n, periods, d, d), dtype=values.dtype)
-    h[..., np.arange(d), np.arange(d)] = p.epsilon
-    np.add.at(h, (m, l, np.arange(d)[:, None], row), values)
-    h = h.reshape(n * periods, d, d)
-    if not np.array_equal(h, np.swapaxes(h, -1, -2).conj()):
+    # row r of h holds the bonds leaving row r; its columns are the other sublattice's rows
+    h = np.zeros((n, periods, 2 * qp, qp), dtype=values.dtype)
+    np.add.at(h, (m, l, np.arange(2 * qp)[:, None], row % qp), values)
+    t = h[:, :, :qp]
+    if not np.array_equal(h[:, :, qp:], np.swapaxes(t, -1, -2).conj()):
         raise AdjacencyError("assembled matrix is not exactly Hermitian")
-    return h
+    return t.reshape(n * periods, qp, qp)
 
 
-def eigenvalues(h):
-    """All eigenvalues of a Hermitian matrix, or of a stack of them, ascending."""
-    h = np.asarray(h)
-    if h.shape[-1] > MAX_DIM:
-        raise DimensionError(f"matrix dimension {h.shape[-1]} exceeds {MAX_DIM}")
+def eigenvalues(t, epsilon):
+    """All eigenvalues of the blocks [[epsilon I, T], [T^H, epsilon I]], ascending.
+
+    t is one square hopping block T or a stack of them.  Each block's
+    eigenvalues are epsilon +- the singular values of its T, computed without
+    forming T T^H, whose eigenvalues would lose half the digits of a small
+    singular value.
+    """
+    t = np.asarray(t)
+    if t.shape[-1] != t.shape[-2]:
+        raise ValueError(f"hopping blocks must be square, got shape {t.shape}")
+    if 2 * t.shape[-1] > MAX_DIM:
+        raise DimensionError(f"matrix dimension {2 * t.shape[-1]} exceeds {MAX_DIM}")
     try:
-        return np.sort(np.linalg.eigvalsh(h), axis=None)
+        sigma = np.linalg.svd(t, compute_uv=False).ravel()
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+        raise RuntimeError(f"singular value decomposition failed to converge: {exc}") from exc
+    return np.sort(np.concatenate([epsilon - sigma, epsilon + sigma]))
 
 
 def analytic_spectrum(sym, periods, p):
@@ -215,7 +235,7 @@ def compare_spectra(c, sym, periods, p, tol):
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     _check_dimension(sym, periods)
-    fin = eigenvalues(build_hamiltonian(build_finite_tube(sym, periods), p))
+    fin = eigenvalues(build_hamiltonian(build_finite_tube(sym, periods), p), p.epsilon)
     ana = analytic_spectrum(sym, periods, p)
     if len(fin) != len(ana):
         raise AdjacencyError(

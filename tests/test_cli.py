@@ -203,6 +203,25 @@ def test_config_file_and_override(tmp_path, capsys):
     assert rep["gap"] == pytest.approx(GAP_5_0_5, abs=1e-6)
 
 
+@pytest.mark.parametrize("values", [
+    {"resolution": 100.5},
+    {"resolution": True},
+    {"gamma": True},
+    {"tolerance": False},
+    {"gamma": "1.0"},
+    {"bond_length": "1.44"},
+    {"out": 5},
+    {"out": ["bands.csv"]},
+], ids=lambda v: "-".join(f"{k}={v[k]!r}" for k in v))
+def test_config_rejects_mistyped_values(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert main(["bands", "--c", "4,-2,-2", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamme": 2.0}))
@@ -253,6 +272,35 @@ def test_oversized_grid_rejected_before_sampling(command, capsys):
     assert time.perf_counter() - t0 < 2.0
     captured = capsys.readouterr()
     assert captured.out == "" and "exceed" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["magsweep", "--c", "5,0,-5", "--samples", "1000000"],
+    ["magsweep", "--c", "5,0,-5", "--periods", "1000000000000"],
+    ["graphene-path", "--samples", "100000000"],
+])
+def test_oversized_sweep_rejected_before_sampling(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceed" in captured.err
+
+
+def test_sweep_budget_is_inclusive(monkeypatch, capsys):
+    # the default sweep of (10,0,-10): 201 betas of n = 10 lines of 4096 points
+    assert 201 * 10 * 4096 <= cli.MAX_SWEEP
+    # 3 betas of (5,0,-5) at resolution 64: 960 band points
+    argv = ["magsweep", "--c", "5,0,-5", "--resolution", "64", "--samples", "3"]
+    monkeypatch.setattr(cli, "MAX_SWEEP", 960)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_SWEEP", 959)
+    assert main(argv) == 2
+    # graphene-path samples 300 points by default
+    monkeypatch.setattr(cli, "MAX_GRID", 300)
+    assert main(["graphene-path"]) == 0
+    monkeypatch.setattr(cli, "MAX_GRID", 299)
+    assert main(["graphene-path"]) == 2
 
 
 @pytest.mark.parametrize("command", ["bands", "gap", "magsweep"])

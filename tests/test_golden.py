@@ -52,7 +52,7 @@ def test_stdout_digest(capsys, argv, digest):
 
 
 def test_verify_report(capsys):
-    # max_deviation is the rounding-level distance between eigvalsh and the
+    # max_deviation is the rounding-level distance between the oracle's and the
     # analytic spectrum; it moves by ulps whenever either side is re-expressed,
     # so it is bounded here and every other field is pinned.
     rep = json.loads(stdout_of(capsys, VERIFY))

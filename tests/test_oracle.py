@@ -111,19 +111,29 @@ def dense_hamiltonian(sym, periods, p):
     return h
 
 
+def assembled_blocks(t, epsilon):
+    """The full blocks [[epsilon I, T], [T^H, epsilon I]] of a stack of hopping blocks T."""
+    diag = np.broadcast_to(epsilon * np.eye(t.shape[-1]), t.shape)
+    return np.concatenate([np.concatenate([diag, t], axis=-1),
+                           np.concatenate([np.swapaxes(t, -1, -2).conj(), diag], axis=-1)],
+                          axis=-2)
+
+
 def test_hamiltonian_uniform_real_symmetric():
     c = (4, -2, -2)
     sym = tube_symmetry(c)
     tube = oracle.build_finite_tube(sym, 2)
-    h = oracle.build_hamiltonian(tube, P_UNIFORM)
-    assert h.shape == (sym.n * 2, 2 * sym.q_prime, 2 * sym.q_prime) == (4, 4, 4)
-    assert np.isrealobj(h)
-    assert np.array_equal(h, np.swapaxes(h, -1, -2))
+    t = oracle.build_hamiltonian(tube, P_UNIFORM)
+    assert t.shape == (sym.n * 2, sym.q_prime, sym.q_prime) == (4, 2, 2)
+    assert np.isrealobj(t)
     # in the (0, 0) block every phase is 1: 3 gamma of hopping weight per row
-    assert np.abs(h[0]).sum(axis=-1) == pytest.approx(np.full(4, 3.0))
+    # of T (a p = 0 atom) and per column (a p = 1 atom)
+    assert np.abs(t[0]).sum(axis=-1) == pytest.approx(np.full(2, 3.0))
+    assert np.abs(t[0]).sum(axis=-2) == pytest.approx(np.full(2, 3.0))
     # bonds of one orbit may share an entry, so weigh rows over all n P blocks:
-    # sum_(m,l) |h_ml[a, b]|^2 = n P sum_t |H[a, t(b)]|^2 = 3 n P gamma^2
-    assert (h ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(4, 3.0 * 4))
+    # sum_(m,l) |T_ml[a, b]|^2 = n P sum_t |H[a, t(b)]|^2 = 3 n P gamma^2
+    assert (t ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(2, 3.0 * 4))
+    assert (t ** 2).sum(axis=(0, 1)) == pytest.approx(np.full(2, 3.0 * 4))
 
 
 def test_hamiltonian_magnetic_hermitian():
@@ -131,12 +141,15 @@ def test_hamiltonian_magnetic_hermitian():
     sym = tube_symmetry(c)
     tube = oracle.build_finite_tube(sym, 2)
     pm = bands.magnetic_params(1.0, 0.2 / A, c, A)
-    h = oracle.build_hamiltonian(tube, pm)
-    assert h.shape == (sym.n * 2, 2 * sym.q_prime, 2 * sym.q_prime) == (10, 4, 4)
-    assert np.iscomplexobj(h)
-    assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
-    assert (np.abs(h) ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(4, 3.0 * 10))
-    assert np.isrealobj(oracle.eigenvalues(h))
+    t = oracle.build_hamiltonian(tube, pm)
+    assert t.shape == (sym.n * 2, sym.q_prime, sym.q_prime) == (10, 2, 2)
+    assert np.iscomplexobj(t)
+    assert (np.abs(t) ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(2, 3.0 * 10))
+    assert (np.abs(t) ** 2).sum(axis=(0, 1)) == pytest.approx(np.full(2, 3.0 * 10))
+    ev = oracle.eigenvalues(t, pm.epsilon)
+    assert np.isrealobj(ev)
+    ref = np.sort(np.linalg.eigvalsh(assembled_blocks(t, pm.epsilon)), axis=None)
+    assert np.max(np.abs(ev - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("c", [(4, -1, -3), (2, 0, -2), (4, -2, -2), (3, 0, -3),
@@ -148,11 +161,11 @@ def test_blocks_match_dense_reference(c, beta):
     p = bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta else P_UNIFORM
     for periods in (1, 2, 3):  # P = 3 makes the phases along b complex
         tube = oracle.build_finite_tube(sym, periods)
-        h = oracle.build_hamiltonian(tube, p)
-        assert h.shape == (sym.n * periods, 2 * sym.q_prime, 2 * sym.q_prime)
-        assert np.isrealobj(h) == (sym.n <= 2 and periods <= 2 and not beta)
+        t = oracle.build_hamiltonian(tube, p)
+        assert t.shape == (sym.n * periods, sym.q_prime, sym.q_prime)
+        assert np.isrealobj(t) == (sym.n <= 2 and periods <= 2 and not beta)
         ref = np.linalg.eigvalsh(dense_hamiltonian(sym, periods, p))
-        assert np.max(np.abs(oracle.eigenvalues(h) - ref)) < 1e-12
+        assert np.max(np.abs(oracle.eigenvalues(t, p.epsilon) - ref)) < 1e-12
 
 
 def test_oversized_segment_rejected_before_assembly(monkeypatch):
@@ -172,23 +185,38 @@ def test_oversized_segment_rejected_by_build():
 
 
 def test_eigenvalues_small_cases():
-    assert oracle.eigenvalues(np.array([[0.5]])) == pytest.approx([0.5])
-    dimer = np.array([[0.0, 0.7], [0.7, 0.0]])
-    assert oracle.eigenvalues(dimer) == pytest.approx([-0.7, 0.7])
+    # one bond between two sites: epsilon +- |gamma|
+    assert oracle.eigenvalues(np.array([[0.7]]), 0.0) == pytest.approx([-0.7, 0.7])
+    assert oracle.eigenvalues(np.array([[-0.7j]]), 0.2) == pytest.approx([-0.5, 0.9])
+    assert oracle.eigenvalues(np.array([[0.0]]), 0.5) == pytest.approx([0.5, 0.5])
+    # a stack is one spectrum
+    assert oracle.eigenvalues(np.array([[[1.0]], [[2.0]]]), 0.0) == pytest.approx(
+        [-2.0, -1.0, 1.0, 2.0])
 
 
 def test_eigenvalues_trace_preserved():
     rng = np.random.default_rng(2)
-    m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-    h = m + m.conj().T
-    ev = oracle.eigenvalues(h)
-    assert ev.sum() == pytest.approx(np.trace(h).real, abs=1e-10 * 40)
-    assert (np.diff(ev) >= 0).all()
+    real = rng.normal(size=(3, 20, 20))
+    cplx = real + 1j * rng.normal(size=(3, 20, 20))
+    rank_six = cplx[..., :6] @ cplx[..., :6, :] / 6.0
+    for t in (real, cplx, rank_six):
+        for epsilon in (0.0, 0.3):
+            h = assembled_blocks(t, epsilon)
+            ev = oracle.eigenvalues(t, epsilon)
+            assert np.max(np.abs(ev - np.sort(np.linalg.eigvalsh(h), axis=None))) < 1e-12
+            assert ev.sum() == pytest.approx(np.trace(h, axis1=-2, axis2=-1).sum().real,
+                                             abs=1e-10 * 120)
+            assert (np.diff(ev) >= 0).all()
+    # a rank-6 block of size 20 has 14 zero singular values: 28 eigenvalues at epsilon
+    assert np.sum(np.abs(oracle.eigenvalues(rank_six[0], 0.3) - 0.3) < 1e-12) == 28
 
 
 def test_eigenvalues_dimension_cap():
-    with pytest.raises(ValueError):
-        oracle.eigenvalues(np.zeros((oracle.MAX_DIM + 1, oracle.MAX_DIM + 1)))
+    half = oracle.MAX_DIM // 2 + 1
+    with pytest.raises(oracle.DimensionError):
+        oracle.eigenvalues(np.broadcast_to(0.0, (half, half)), 0.0)
+    with pytest.raises(ValueError, match="square"):
+        oracle.eigenvalues(np.zeros((2, 3)), 0.0)
 
 
 def test_analytic_spectrum_structure():
@@ -227,8 +255,25 @@ def test_finite_antisymmetry():
     c = (4, -1, -3)
     sym = tube_symmetry(c)
     tube = oracle.build_finite_tube(sym, 2)
-    ev = oracle.eigenvalues(oracle.build_hamiltonian(tube, P_UNIFORM))
+    ev = oracle.eigenvalues(oracle.build_hamiltonian(tube, P_UNIFORM), P_UNIFORM.epsilon)
     assert ev == pytest.approx(-ev[::-1], abs=1e-10)
+
+
+@pytest.mark.parametrize("c,periods,zero_mode", [
+    *[(c, periods, True) for c in [(3, 0, -3), (6, 0, -6), (9, -3, -6)] for periods in (1, 2, 3)],
+    ((4, -2, -2), 3, True), ((7, -2, -5), 3, True),
+    # their Bloch grids miss the K points until P = 3
+    ((4, -2, -2), 1, False), ((4, -2, -2), 2, False),
+    ((7, -2, -5), 1, False), ((7, -2, -5), 2, False),
+])
+def test_zero_modes_where_the_bloch_grid_holds_k(c, periods, zero_mode):
+    sym = tube_symmetry(c)
+    t = oracle.build_hamiltonian(oracle.build_finite_tube(sym, periods), P_UNIFORM)
+    smallest = np.min(np.abs(oracle.eigenvalues(t, 0.0)))
+    if zero_mode:
+        assert smallest < 1e-12
+    else:
+        assert smallest > 0.1
 
 
 def test_finite_gap_bounds_continuous_gap():
@@ -262,6 +307,17 @@ def test_redirected_bond_fails_degree_check():
         oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
 
 
+def test_same_sublattice_bonds_fail_bipartite_check():
+    tube = oracle.build_finite_tube(tube_symmetry((4, -1, -3)), 2)
+    qp = tube.sym.q_prime
+    bonds = tube.bonds.copy()
+    # swap the targets of a p = 0 and a p = 1 row: every degree stays 3
+    bonds[0, 0, 0], bonds[qp, 0, 0] = bonds[qp, 0, 0], bonds[0, 0, 0]
+    assert np.bincount(bonds[..., 0].ravel()).tolist() == [3] * 2 * qp
+    with pytest.raises(oracle.AdjacencyError, match="sublattice"):
+        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+
+
 def test_shifted_bond_offset_fails_hermitian_check():
     tube = oracle.build_finite_tube(tube_symmetry((5, 0, -5)), 2)
     for axis in (1, 2):  # one step further along c', or along b
@@ -269,6 +325,13 @@ def test_shifted_bond_offset_fails_hermitian_check():
         bonds[0, 0, axis] += 1
         with pytest.raises(oracle.AdjacencyError, match="Hermitian"):
             oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+
+
+def test_dropped_block_fails_spectrum_length_check(monkeypatch):
+    build = oracle.build_hamiltonian
+    monkeypatch.setattr(oracle, "build_hamiltonian", lambda tube, p: build(tube, p)[1:])
+    with pytest.raises(oracle.AdjacencyError, match="length mismatch"):
+        oracle.compare_spectra((5, 0, -5), tube_symmetry((5, 0, -5)), 2, P_UNIFORM, tol=1e-8)
 
 
 def test_inexact_representatives_fail_decomposition():
