@@ -93,7 +93,13 @@ def _load_config(args):
     values = {}
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or bytes that are not text
+                raise InputError(f"config file {args.config} is not JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InputError(f"config file {args.config} must hold a JSON object, "
+                             f"got {type(raw).__name__}")
         unknown = set(raw) - set(keys)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")

@@ -15,9 +15,23 @@ Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
 [[eps I, T], [T^H, eps I]] for a q' x q' hopping block T, and its
 eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
-only T and takes its singular values, never the 2q' x 2q' block.  The sorted
-values of all blocks must reproduce, as a multiset, the analytic two-band
-values taken at the Bloch-quantized points of the allowed k-lines.
+only T, never the 2q' x 2q' block.
+
+The involution v -> Theta - v swaps the sublattices: it maps row a, the
+atom a omega, to row q' + a, the atom Theta - a omega, and the bond
+v -> v^j to the bond (Theta - v) -> (Theta - v)^j, with the conjugate
+hopping and the opposite (c', b) offset.  So row q' + a of a block holds
+conj(T[a, b]) in column b, where Hermiticity puts conj(T[b, a]): every T is
+symmetric, T = T^T (the U axis of the tube's line group).  This holds bit
+for bit, because conjugate phases are paired exactly and each entry sums
+its bonds in the same order j.  A real symmetric T with eigenvalues lambda
+has singular values |lambda|, so its block's spectrum is eps +- lambda from
+one eigvalsh of T.  A complex T is complex symmetric, not Hermitian, and
+keeps the singular value decomposition.  T is real exactly when n <= 2,
+P <= 2 and no flux is applied.
+
+The sorted values of all blocks must reproduce, as a multiset, the analytic
+two-band values taken at the Bloch-quantized points of the allowed k-lines.
 Agreement to rounding error is the whole point.
 """
 
@@ -147,8 +161,10 @@ def build_hamiltonian(tube, p):
     site is on the sum-0 sublattice and its conjugate otherwise, times
     e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its target's
     row.  Both halves are assembled, and the p = 1 rows must equal the
-    conjugate transpose of T exactly.  The stack is real exactly when every
-    phase and hopping is (n <= 2, P <= 2, zero flux).
+    conjugate transpose of T exactly.  The Theta flip that pairs the two
+    sublattices' rows makes T symmetric, and T must equal its transpose
+    exactly too.  The stack is real exactly when every phase and hopping is
+    (n <= 2, P <= 2, zero flux).
     """
     n, periods = tube.sym.n, tube.periods
     qp = tube.sym.q_prime
@@ -171,6 +187,8 @@ def build_hamiltonian(tube, p):
     t = h[:, :, :qp]
     if not np.array_equal(h[:, :, qp:], np.swapaxes(t, -1, -2).conj()):
         raise AdjacencyError("assembled matrix is not exactly Hermitian")
+    if not np.array_equal(t, np.swapaxes(t, -1, -2)):
+        raise AdjacencyError("hopping block T is not exactly symmetric")
     return t.reshape(n * periods, qp, qp)
 
 
@@ -178,20 +196,29 @@ def eigenvalues(t, epsilon):
     """All eigenvalues of the blocks [[epsilon I, T], [T^H, epsilon I]], ascending.
 
     t is one square hopping block T or a stack of them.  Each block's
-    eigenvalues are epsilon +- the singular values of its T, computed without
-    forming T T^H, whose eigenvalues would lose half the digits of a small
-    singular value.
+    eigenvalues are epsilon +- the singular values of its T.  A real t must
+    be exactly symmetric, as build_hamiltonian's blocks are: its singular
+    values are then the |eigenvalues| lambda of T, and the spectrum is
+    epsilon +- lambda from one batched eigvalsh, which reads only one
+    triangle of T.  A complex t takes one batched singular value
+    decomposition.  Neither forms T T^H, whose eigenvalues would lose half
+    the digits of a small singular value.
     """
     t = np.asarray(t)
     if t.shape[-1] != t.shape[-2]:
         raise ValueError(f"hopping blocks must be square, got shape {t.shape}")
     if 2 * t.shape[-1] > MAX_DIM:
         raise DimensionError(f"matrix dimension {2 * t.shape[-1]} exceeds {MAX_DIM}")
+    real = np.isrealobj(t)
+    if real and not np.array_equal(t, np.swapaxes(t, -1, -2)):
+        raise ValueError("a real hopping block must be exactly symmetric")
     try:
-        sigma = np.linalg.svd(t, compute_uv=False).ravel()
+        # +-lambda and +-|lambda| are the same multiset
+        half = np.linalg.eigvalsh(t) if real else np.linalg.svd(t, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular value decomposition failed to converge: {exc}") from exc
-    return np.sort(np.concatenate([epsilon - sigma, epsilon + sigma]))
+        raise RuntimeError(f"hopping block spectrum failed to converge: {exc}") from exc
+    half = half.ravel()
+    return np.sort(np.concatenate([epsilon - half, epsilon + half]))
 
 
 def analytic_spectrum(sym, periods, p):

@@ -228,6 +228,21 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert main(["gap", "--c", "5,0,-5", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", ["{bad", "5", "null"])
+def test_config_must_be_a_json_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["gap", "--c", "5,0,-5", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config file")
+
+
+def test_missing_config_is_an_io_failure(tmp_path, capsys):
+    assert main(["gap", "--c", "5,0,-5", "--config", str(tmp_path / "none.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError")
+
+
 def test_bad_gamma_rejected(capsys):
     assert main(["gap", "--c", "5,0,-5", "--gamma", "-1"]) == 2
 

@@ -126,6 +126,7 @@ def test_hamiltonian_uniform_real_symmetric():
     t = oracle.build_hamiltonian(tube, P_UNIFORM)
     assert t.shape == (sym.n * 2, sym.q_prime, sym.q_prime) == (4, 2, 2)
     assert np.isrealobj(t)
+    assert np.array_equal(t, np.swapaxes(t, -1, -2))
     # in the (0, 0) block every phase is 1: 3 gamma of hopping weight per row
     # of T (a p = 0 atom) and per column (a p = 1 atom)
     assert np.abs(t[0]).sum(axis=-1) == pytest.approx(np.full(2, 3.0))
@@ -144,6 +145,9 @@ def test_hamiltonian_magnetic_hermitian():
     t = oracle.build_hamiltonian(tube, pm)
     assert t.shape == (sym.n * 2, sym.q_prime, sym.q_prime) == (10, 2, 2)
     assert np.iscomplexobj(t)
+    # complex symmetric, not Hermitian: the flux makes T != T^H
+    assert np.array_equal(t, np.swapaxes(t, -1, -2))
+    assert not np.array_equal(t, np.swapaxes(t, -1, -2).conj())
     assert (np.abs(t) ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(2, 3.0 * 10))
     assert (np.abs(t) ** 2).sum(axis=(0, 1)) == pytest.approx(np.full(2, 3.0 * 10))
     ev = oracle.eigenvalues(t, pm.epsilon)
@@ -164,6 +168,7 @@ def test_blocks_match_dense_reference(c, beta):
         t = oracle.build_hamiltonian(tube, p)
         assert t.shape == (sym.n * periods, sym.q_prime, sym.q_prime)
         assert np.isrealobj(t) == (sym.n <= 2 and periods <= 2 and not beta)
+        assert np.array_equal(t, np.swapaxes(t, -1, -2))
         ref = np.linalg.eigvalsh(dense_hamiltonian(sym, periods, p))
         assert np.max(np.abs(oracle.eigenvalues(t, p.epsilon) - ref)) < 1e-12
 
@@ -196,10 +201,13 @@ def test_eigenvalues_small_cases():
 
 def test_eigenvalues_trace_preserved():
     rng = np.random.default_rng(2)
-    real = rng.normal(size=(3, 20, 20))
-    cplx = real + 1j * rng.normal(size=(3, 20, 20))
+    r = rng.normal(size=(3, 20, 20))
+    real = r + np.swapaxes(r, -1, -2)
+    rank_six_real = r[..., :6] @ np.swapaxes(r[..., :6], -1, -2) / 6.0
+    rank_six_real = rank_six_real + np.swapaxes(rank_six_real, -1, -2)
+    cplx = r + 1j * rng.normal(size=(3, 20, 20))
     rank_six = cplx[..., :6] @ cplx[..., :6, :] / 6.0
-    for t in (real, cplx, rank_six):
+    for t in (real, rank_six_real, cplx, rank_six):
         for epsilon in (0.0, 0.3):
             h = assembled_blocks(t, epsilon)
             ev = oracle.eigenvalues(t, epsilon)
@@ -208,7 +216,19 @@ def test_eigenvalues_trace_preserved():
                                              abs=1e-10 * 120)
             assert (np.diff(ev) >= 0).all()
     # a rank-6 block of size 20 has 14 zero singular values: 28 eigenvalues at epsilon
-    assert np.sum(np.abs(oracle.eigenvalues(rank_six[0], 0.3) - 0.3) < 1e-12) == 28
+    for t in (rank_six_real, rank_six):
+        assert np.sum(np.abs(oracle.eigenvalues(t[0], 0.3) - 0.3) < 1e-12) == 28
+
+
+def test_eigenvalues_rejects_asymmetric_real_block():
+    # eigvalsh would read one triangle of it and return a wrong spectrum
+    t = np.array([[[0.0, 1.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="symmetric"):
+        oracle.eigenvalues(t, 0.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        oracle.eigenvalues(t[0], 0.0)
+    # a complex block need not be symmetric
+    assert oracle.eigenvalues(t[0].astype(complex), 0.0) == pytest.approx([-2, -1, 1, 2])
 
 
 def test_eigenvalues_dimension_cap():
@@ -325,6 +345,24 @@ def test_shifted_bond_offset_fails_hermitian_check():
         bonds[0, 0, axis] += 1
         with pytest.raises(oracle.AdjacencyError, match="Hermitian"):
             oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+
+
+@pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2)])
+@pytest.mark.parametrize("axis", [1, 2])  # along c', or along b
+def test_shifted_bond_pair_fails_symmetric_check(c, axis):
+    tube = oracle.build_finite_tube(tube_symmetry(c), 2)
+    n, qp = tube.sym.n, tube.sym.q_prime
+    bonds = tube.bonds.copy()
+    # a bond row 0 -> row q' + k, k != 0, and its reverse row q' + k -> row 0
+    j = next(j for j in range(3) if bonds[0, j, 0] != qp)
+    target, x, y = bonds[0, j].tolist()
+    rev = next(i for i, (row, xr, yr) in enumerate(bonds[target].tolist())
+               if (row, xr % n, yr) == (0, -x % n, -y))
+    # moving both ends keeps the pair Hermitian and every degree at 3
+    bonds[0, j, axis] += 1
+    bonds[target, rev, axis] -= 1
+    with pytest.raises(oracle.AdjacencyError, match="symmetric"):
+        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
 
 
 def test_dropped_block_fails_spectrum_length_check(monkeypatch):
