@@ -222,8 +222,11 @@ def cmd_graphene_path(args, cfg):
             raise InputError(f"unknown path label {lab!r}; use G, K, M")
     if len(labels) < 2:
         raise InputError("path needs at least two labels")
-    p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
     segs = list(zip(labels[:-1], labels[1:]))
+    for la, lb in segs:
+        if la == lb:
+            raise InputError(f"path repeats label {la!r}: a segment needs two distinct ends")
+    p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
     lengths = [math.dist(waypoints[a], waypoints[b]) for a, b in segs]
     total_len = sum(lengths)
     parts = []
@@ -248,9 +251,11 @@ def cmd_verify(args, cfg):
     c, sym = _tube(args)
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
+    tol = cfg.tolerance * cfg.gamma
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance * gamma = {tol} must be positive and finite")
     p = _gap_params(c, cfg, args.beta or 0.0)
-    report = oracle.compare_spectra(c, sym, args.periods, p,
-                                    tol=cfg.tolerance * cfg.gamma)
+    report = oracle.compare_spectra(c, sym, args.periods, p, tol=tol)
     _emit(_json({
         "c": list(c),
         "periods": report.periods,
@@ -269,6 +274,9 @@ def cmd_neighbors(args, cfg):
     report = {"v": list(v), "nu": nu(v)}
     if args.c:
         c = tube.validate_chirality(_parse_triple(args.c))
+        if max(map(abs, v + c)) > tube.MAX_COORD:
+            raise InputError(f"with --c, coordinates of --v and --c must lie within "
+                             f"+-{tube.MAX_COORD}")
         report["c"] = list(c)
         rep = tube.canonical_rep(v, c)
         report["class"] = list(rep)

@@ -42,8 +42,7 @@ import numpy as np
 
 from .bands import _line_k, _modulus
 from .geom import inner
-from .tube import DecompositionError
-from .honeycomb import THETA
+from .tube import canonical_rep, compose, decompose
 
 MAX_DIM = 4096
 
@@ -92,42 +91,18 @@ def _axial_twist(sym):
     return j
 
 
-def _canonical_reps(v, c):
-    """tube.canonical_rep on an (..., 3) integer array; c has sum 0."""
-    return v - ((v @ c) // (c @ c))[..., None] * c
-
-
-def _decompose(reps, sym):
-    """tube.decompose on an (..., 3) array of representatives, same checks."""
-    p = reps.sum(axis=-1)
-    if not np.isin(p, (0, 1)).all():
-        raise DecompositionError("a representative has coordinate sum outside {0, 1}")
-    w = np.where(p[..., None] == 1, np.array(THETA) - reps, reps)
-    b, omega, c_prime = (np.array(v) for v in (sym.b, sym.omega, sym.c_prime))
-    s, rem = np.divmod(sym.q_prime * (w @ b), b @ b)
-    if rem.any():
-        raise DecompositionError("an axial projection is not an integer screw power")
-    r = w - s[..., None] * omega
-    t, rem = np.divmod(r[..., 0], c_prime[0])
-    if rem.any() or not np.array_equal(r, t[..., None] * c_prime):
-        raise DecompositionError("a residual is not parallel to c_prime")
-    return s, t % sym.n, p
-
-
 def build_finite_tube(sym, periods):
     """The segment's 2q' orbit representatives and their (row, x, y) bonds."""
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     _check_dimension(sym, periods)
     qp = sym.q_prime
-    # the rows tau^p (s' omega), s' < q'; nu is +1 on the sum-0 sublattice p = 0
-    p, s = (a.reshape(-1, 1) for a in np.indices((2, qp)))
-    x = s * np.array(sym.omega)
-    v = np.where(p == 1, np.array(THETA) - x, x)
-    sign = 1 - 2 * p.ravel()
+    # the rows (s', 0, p), s' < q'; nu is +1 on the sum-0 sublattice p = 0
+    p, s = np.indices((2, qp)).reshape(2, -1)
+    sign = 1 - 2 * p
     # the bond v -> v^j adds nu(v) to coordinate j
-    nbs = v[:, None, :] + sign[:, None, None] * np.eye(3, dtype=int)
-    s, m, p = _decompose(_canonical_reps(nbs, np.array(sym.c)), sym)
+    nbs = compose(s, 0, p, sym)[:, None, :] + sign[:, None, None] * np.eye(3, dtype=int)
+    s, m, p = decompose(canonical_rep(nbs, sym.c), sym)
     # q' omega = b + j c', so (u q' + s'', m, p) is the row p q' + s'' moved
     # (m + j u, u) steps along (c', b), mirrored by tau when p = 1
     u, s = np.divmod(s, qp)

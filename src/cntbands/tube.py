@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .geom import inner
-from .honeycomb import THETA, nearest_neighbors
+from .honeycomb import THETA, nearest_neighbors, next_nearest_neighbors
 
 
 class ChiralityError(ValueError):
@@ -32,6 +34,8 @@ class ChiralityError(ValueError):
 class DecompositionError(RuntimeError):
     """Internal consistency failure while decomposing a class."""
 
+
+MAX_COORD = 2 ** 30  # coordinate bound that keeps canonical_rep's int64 arithmetic exact
 
 ARMCHAIR = "armchair"
 ZIGZAG = "zigzag"
@@ -182,25 +186,31 @@ def canonical_rep(v, c):
     """Canonical representative of the class v + Zc.
 
     Subtracts floor(<v,c>/||c||^2) copies of c, landing the projection on c
-    in [0, ||c||^2).  Exact integer arithmetic; equal reps iff same class.
+    in [0, ||c||^2); equal reps iff same class.  v is one triple, giving a
+    tuple of Python ints, or an (..., 3) integer array, giving an array.
+    The arithmetic is int64 and wraps silently on overflow.  It is exact
+    when every coordinate of v and c lies within +-MAX_COORD = 2**30: the
+    result then has norm below 2.3 * 2**30, and <u,c> stays below 2**63
+    for it and for each of its nearest and next-nearest neighbours u.
     """
-    j = inner(v, c) // inner(c, c)
-    return (v[0] - j * c[0], v[1] - j * c[1], v[2] - j * c[2])
+    v, c = np.asarray(v, dtype=np.int64), np.asarray(c)
+    rep = v - ((v @ c) // (c @ c))[..., None] * c
+    return tuple(rep.tolist()) if rep.ndim == 1 else rep
+
+
+def _flip(v, p):
+    """tau^p: the sublattice flip v -> Theta - v where p is 1, v where p is 0."""
+    return np.where(p[..., None] == 1, np.subtract(THETA, v), v)
 
 
 def class_neighbors(rep, c):
     """Canonical representatives of the three bonded classes."""
-    return tuple(canonical_rep(nb, c) for nb in nearest_neighbors(rep))
+    return tuple(map(tuple, canonical_rep(nearest_neighbors(rep), c).tolist()))
 
 
 def class_next_nearest_neighbors(rep, c):
-    """The six next-to-nearest classes, via double neighbor application."""
-    out = []
-    for i, vi in enumerate(nearest_neighbors(rep)):
-        for j, vij in enumerate(nearest_neighbors(vi)):
-            if i != j:
-                out.append(canonical_rep(vij, c))
-    return tuple(out)
+    """The six next-to-nearest classes, in the order of next_nearest_neighbors."""
+    return tuple(map(tuple, canonical_rep(next_nearest_neighbors(rep), c).tolist()))
 
 
 def decompose(rep, sym):
@@ -209,36 +219,39 @@ def decompose(rep, sym):
     p is the coordinate sum of the representative; s comes from the exact
     axial projection; the residual must be an integer multiple of c_prime,
     reduced mod n to give m.  A non-integer s or a skew residual means the
-    inputs are inconsistent and raises DecompositionError.
+    inputs are inconsistent and raises DecompositionError.  rep is one
+    triple, giving Python ints, or an (..., 3) array, giving three arrays.
     """
-    p = sum(rep)
-    if p not in (0, 1):
-        raise DecompositionError(f"representative {rep} has coordinate sum {p}")
-    if p:
-        w = (THETA[0] - rep[0], -rep[1], -rep[2])
-    else:
-        w = tuple(rep)
-    nb2 = inner(sym.b, sym.b)
-    s, rem = divmod(sym.q_prime * inner(w, sym.b), nb2)
-    if rem:
-        raise DecompositionError(f"axial projection of {rep} is not an integer screw power")
-    r = (w[0] - s * sym.omega[0], w[1] - s * sym.omega[1], w[2] - s * sym.omega[2])
-    t, rem = divmod(r[0], sym.c_prime[0])
-    if rem or r != (t * sym.c_prime[0], t * sym.c_prime[1], t * sym.c_prime[2]):
-        raise DecompositionError(f"residual {r} of {rep} is not parallel to c_prime")
-    return (s, t % sym.n, p)
+    rep = np.asarray(rep, dtype=np.int64)
+    p = rep.sum(axis=-1)
+    if not ((p == 0) | (p == 1)).all():
+        raise DecompositionError("a representative has coordinate sum outside {0, 1}")
+    w = _flip(rep, p)
+    b, omega, c_prime = (np.array(x) for x in (sym.b, sym.omega, sym.c_prime))
+    s, rem = np.divmod(sym.q_prime * (w @ b), b @ b)
+    if rem.any():
+        raise DecompositionError("an axial projection is not an integer screw power")
+    r = w - s[..., None] * omega
+    t, rem = np.divmod(r[..., 0], c_prime[0])
+    if rem.any() or not np.array_equal(r, t[..., None] * c_prime):
+        raise DecompositionError("a residual is not parallel to c_prime")
+    out = (s, t % sym.n, p)
+    return tuple(int(x) for x in out) if rep.ndim == 1 else out
 
 
 def compose(s, m, p, sym):
-    """Canonical representative of tau^p g_omega^s g_c'^m applied to [0,0,0]."""
-    if not 0 <= m < sym.n:
+    """Canonical representative of tau^p g_omega^s g_c'^m applied to [0,0,0].
+
+    s, m and p are ints, giving one triple, or broadcastable integer
+    arrays, giving an (..., 3) array.
+    """
+    s, m, p = np.asarray(s), np.asarray(m), np.asarray(p)
+    if np.any((m < 0) | (m >= sym.n)):
         raise ValueError(f"m must lie in [0, {sym.n}), got {m}")
-    if p not in (0, 1):
+    if np.any((p != 0) & (p != 1)):
         raise ValueError(f"p must be 0 or 1, got {p}")
-    x = tuple(s * sym.omega[i] + m * sym.c_prime[i] for i in range(3))
-    if p:
-        x = (THETA[0] - x[0], -x[1], -x[2])
-    return canonical_rep(x, sym.c)
+    x = s[..., None] * np.array(sym.omega) + m[..., None] * np.array(sym.c_prime)
+    return canonical_rep(_flip(x, p), sym.c)
 
 
 def irrep_character(m, kappa, sym, a, generator):

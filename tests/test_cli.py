@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from cntbands import bands, cli, oracle
+from cntbands import bands, cli, oracle, tube
 from cntbands.bands import A_DEFAULT as A
 from cntbands.cli import main
+from cntbands.honeycomb import nearest_neighbors, next_nearest_neighbors
 from cntbands.tube import canonical_rep, tube_symmetry
 
 GAP_5_0_5 = 0.7639320225002102
@@ -141,6 +142,13 @@ def test_graphene_path_bad_label(capsys):
     assert main(["graphene-path", "--path", "G,X"]) == 2
 
 
+@pytest.mark.parametrize("path", ["G,G", "K,M,M"])
+def test_graphene_path_repeated_label(capsys, path):
+    assert main(["graphene-path", "--path", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeats label" in captured.err
+
+
 @pytest.mark.parametrize("samples", ["-5", "0", "1"])
 def test_graphene_path_too_few_samples(capsys, samples):
     assert main(["graphene-path", f"--samples={samples}"]) == 2
@@ -172,6 +180,14 @@ def test_verify_fails_at_impossible_tolerance(capsys):
     assert rep["passed"] is False
 
 
+@pytest.mark.parametrize("tol,gamma", [("1e300", "1e300"), ("1e-300", "1e-300")])
+def test_verify_rejects_tolerance_out_of_range(capsys, tol, gamma):
+    # the product overflows to inf or underflows to 0
+    assert main(["verify", "--c", "5,0,-5", "--tol", tol, "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "positive and finite" in captured.err
+
+
 def test_neighbors(capsys):
     code, rep = run_json(capsys, ["neighbors", "--v", "0,0,0"])
     assert code == 0
@@ -191,6 +207,45 @@ def test_neighbors_with_chirality(capsys):
 
 def test_neighbors_invalid_site(capsys):
     assert main(["neighbors", "--v", "1,1,0"]) == 2
+
+
+def python_class(v, c):
+    """Canonical representative of v + Zc in Python ints, which never overflow."""
+    j = sum(x * y for x, y in zip(v, c)) // sum(x * x for x in c)
+    return [x - j * y for x, y in zip(v, c)]
+
+
+@pytest.mark.parametrize("v,c", [
+    ((2 ** 30, 1, -2 ** 30), (2 ** 30, 0, -2 ** 30)),
+    ((2 ** 30, -2 ** 30, 0), (2 ** 30, -2 ** 29, -2 ** 29)),
+    ((-2 ** 30, 2 ** 30, 1), (4, -2, -2)),
+    ((1, 0, 0), (2 ** 30, -1, 1 - 2 ** 30)),
+])
+def test_neighbors_exact_at_coordinate_bound(capsys, v, c):
+    assert max(map(abs, v + c)) == tube.MAX_COORD
+    code, rep = run_json(capsys, ["neighbors", "--v=" + ",".join(map(str, v)),
+                                  "--c=" + ",".join(map(str, c))])
+    assert code == 0
+    rep_v = python_class(v, c)
+    assert rep["class"] == rep_v
+    assert rep["nearest"] == [python_class(x, c) for x in nearest_neighbors(rep_v)]
+    assert rep["next_nearest"] == [python_class(x, c) for x in next_nearest_neighbors(rep_v)]
+
+
+@pytest.mark.parametrize("v,c", [
+    ((2 ** 30 + 1, 0, -2 ** 30), (4, -2, -2)),
+    ((1, 0, 0), (2 ** 30 + 1, 0, -2 ** 30 - 1)),
+    ((2 ** 62, -2 ** 62, 0), (4, -2, -2)),
+    ((10 ** 20, -10 ** 20, 0), (4, -2, -2)),
+])
+def test_neighbors_beyond_coordinate_bound_rejected(capsys, v, c):
+    assert main(["neighbors", "--v=" + ",".join(map(str, v)),
+                 "--c=" + ",".join(map(str, c))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "within" in captured.err
+    # without --c only Python ints are involved, and the bound does not apply
+    code, rep = run_json(capsys, ["neighbors", "--v=" + ",".join(map(str, v))])
+    assert code == 0 and rep["nearest"] == [list(x) for x in nearest_neighbors(v)]
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -36,6 +36,13 @@ GOLDEN = [
      "0e612caa2f793bddfdaf358e7ccc9896ce44be3bc95b099631be75f6df08d553"),
     (["neighbors", "--v", "0,0,1", "--c", "4,-2,-2"],
      "fcf4fb81218e6dbe378a5bceb991ad9ecfe3199d0025d6097d3455bed56f9c08"),
+    (["neighbors", "--v", "0,0,0", "--c", "9,-3,-6"],
+     "1f7318e29029ddf0c21ca76aee3611933a164a65431e659b903ddc4a8bcc58e3"),
+    (["neighbors", "--v", "20,-3,-16", "--c", "7,-2,-5"],
+     "cfacb5f4afdb29b3b853adad3d56534c72acc6e581dcc5ff5447182fa85aa248"),
+    # every coordinate at the bound tube.MAX_COORD = 2**30
+    (["neighbors", "--v", "1073741824,1,-1073741824", "--c", "1073741824,0,-1073741824"],
+     "36edb4715d11e5ce75ce57067bafd2105be0e4e79ee80f8c2ab4c0f79179d4bc"),
 ]
 
 VERIFY = ["verify", "--c", "5,0,-5", "--periods", "4"]

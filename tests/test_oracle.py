@@ -14,31 +14,40 @@ from cntbands.tube import DecompositionError, canonical_rep, compose, decompose,
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
 
 
+def segment_key(v, sym, periods):
+    """Canonical representative of v modulo c and the segment's period P b.
+
+    c and b are orthogonal, so reducing along P b and then along c gives
+    every atom of the closed segment one key.
+    """
+    pb = [periods * x for x in sym.b]
+    k = sum(x * y for x, y in zip(v, pb)) // sum(x * x for x in pb)
+    return canonical_rep([x - k * y for x, y in zip(v, pb)], sym.c)
+
+
+def segment_atoms(sym, periods):
+    """The segment's 2qP atoms (s, m, p), s < P q', in (p, m, s) order, by segment_key."""
+    atoms = {}
+    for p in (0, 1):
+        for m in range(sym.n):
+            for s in range(periods * sym.q_prime):
+                atoms[segment_key(compose(s, m, p, sym), sym, periods)] = (s, m, p)
+    assert len(atoms) == 2 * sym.q * periods
+    return atoms
+
+
 def scalar_finite_tube(sym, periods):
     """Sites and bonds of the segment, one atom and one bond at a time, as a reference.
 
     sites lists the 2qP atoms (s, m, p), s < P q', in (p, m, s) order; bonds[i]
-    holds (target index, j, nu) for the bond v -> v^j leaving atom i.
+    holds (target index, j, nu) for the bond v -> v^j leaving atom i.  Targets
+    are looked up by segment_key, not decomposed.
     """
-    span = periods * sym.q_prime
-    twist = oracle._axial_twist(sym)
-    keys = {}
-    sites = []
-    for p in (0, 1):
-        for m in range(sym.n):
-            for s in range(span):
-                keys[(s, m, p)] = len(sites)
-                sites.append(compose(s, m, p, sym))
-    bonds = []
-    for rep in sites:
-        row = []
-        for j, nb in enumerate(nearest_neighbors(rep)):
-            s, m, p = decompose(canonical_rep(nb, sym.c), sym)
-            # (s0 + k P q') omega is s0 omega + k P b + k P j c'; drop the k P b
-            shift = s // span
-            key = (s - shift * span, (m + shift * periods * twist) % sym.n, p)
-            row.append((keys[key], j, nu(rep)))
-        bonds.append(row)
+    atoms = segment_atoms(sym, periods)
+    index = {key: i for i, key in enumerate(atoms)}
+    sites = [compose(s, m, p, sym) for s, m, p in atoms.values()]
+    bonds = [[(index[segment_key(nb, sym, periods)], j, nu(rep))
+              for j, nb in enumerate(nearest_neighbors(rep))] for rep in sites]
     return sites, bonds
 
 
@@ -63,6 +72,7 @@ def test_array_build_matches_scalar_reference(c, periods):
     sym = tube_symmetry(c)
     qp = sym.q_prime
     tube = oracle.build_finite_tube(sym, periods)
+    atoms = segment_atoms(sym, periods)
     assert tube.periods == periods
     assert tube.sign.shape == (2 * qp,)
     assert tube.bonds.shape == (2 * qp, 3, 3)
@@ -70,7 +80,8 @@ def test_array_build_matches_scalar_reference(c, periods):
         rep = compose(r % qp, 0, r // qp, sym)
         assert tube.sign[r] == nu(rep)
         for j, nb in enumerate(nearest_neighbors(rep)):
-            s, _, p = decompose(canonical_rep(nb, sym.c), sym)
+            # the key's s differs from the neighbour's own by a multiple of P q'
+            s, _, p = atoms[segment_key(nb, sym, periods)]
             row, x, y = tube.bonds[r, j].tolist()
             assert row == p * qp + s % qp
             # the neighbour is its row's atom moved x steps along c' and y along b
@@ -376,11 +387,11 @@ def test_inexact_representatives_fail_decomposition():
     sym = tube_symmetry((4, -2, -2))
     omega = np.array([compose(1, 0, 0, sym)])
     with pytest.raises(DecompositionError, match="coordinate sum"):
-        oracle._decompose(np.array([[1, 1, 0]]), sym)
+        decompose(np.array([[1, 1, 0]]), sym)
     # with b doubled, <omega, b> q' / ||b||^2 = 1/2
     doubled_b = dataclasses.replace(sym, b=tuple(2 * v for v in sym.b))
     with pytest.raises(DecompositionError, match="integer screw power"):
-        oracle._decompose(omega, doubled_b)
+        decompose(omega, doubled_b)
     skew = dataclasses.replace(sym, c_prime=(2, 0, -2))
     with pytest.raises(DecompositionError, match="parallel to c_prime"):
-        oracle._decompose(np.array([sym.c_prime]), skew)
+        decompose(np.array([sym.c_prime]), skew)

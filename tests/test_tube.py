@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,6 +209,51 @@ def test_round_trips(c):
         rep = canonical_rep(v, c)
         s, m, p = decompose(rep, sym)
         assert compose(s, m, p, sym) == rep
+
+
+small = st.integers(-40, 40)
+
+
+@given(c=st.sampled_from(all_chiralities(9)),
+       sites=st.lists(st.tuples(small, small, st.integers(0, 1)), min_size=1, max_size=8))
+def test_stack_matches_single_triples(c, sites):
+    sym = tube_symmetry(c)
+    v = np.array([(v0, v1, p - v0 - v1) for v0, v1, p in sites])
+    reps = canonical_rep(v, c)
+    assert isinstance(reps, np.ndarray) and reps.shape == v.shape
+    assert reps.tolist() == [list(canonical_rep(x, c)) for x in v.tolist()]
+    s, m, p = decompose(reps, sym)
+    assert np.stack([s, m, p], axis=-1).tolist() == \
+        [list(decompose(x, sym)) for x in reps.tolist()]
+    assert compose(s, m, p, sym).tolist() == \
+        [list(compose(*x, sym)) for x in zip(s.tolist(), m.tolist(), p.tolist())]
+    # any leading shape is kept
+    assert canonical_rep(v[None], c).tolist() == [reps.tolist()]
+    assert [x.tolist() for x in decompose(reps[None], sym)] == \
+        [[x.tolist()] for x in (s, m, p)]
+    assert compose(s[None], m[None], p[None], sym).tolist() == [reps.tolist()]
+
+
+def test_single_triple_gives_python_ints():
+    c = (7, -2, -5)
+    sym = tube_symmetry(c)
+    rep = canonical_rep((20, -3, -16), c)
+    outs = [rep, decompose(rep, sym), compose(3, 0, 1, sym),
+            *class_neighbors(rep, c), *class_next_nearest_neighbors(rep, c)]
+    for out in outs:
+        assert type(out) is tuple and len(out) == 3
+        assert all(type(x) is int for x in out)
+    assert json.loads(json.dumps(outs)) == [list(x) for x in outs]
+
+
+def test_compose_stack_rejects_out_of_range():
+    sym = tube_symmetry((5, 0, -5))
+    s = np.arange(4)
+    for m in ([0, 1, 5, 2], [0, -1, 0, 0]):
+        with pytest.raises(ValueError, match="m must"):
+            compose(s, np.array(m), 0, sym)
+    with pytest.raises(ValueError, match="p must"):
+        compose(s, 0, np.array([0, 1, 2, 1]), sym)
 
 
 def test_irrep_character():
