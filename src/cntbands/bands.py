@@ -25,6 +25,10 @@ A_DEFAULT = bond_length_scale(1.44)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# bound on |beta| in flux periods: each phase beta c_j a is then below 2^10 pi
+# rad and rounds by less than 1e-12 rad
+MAX_FLUX_PERIODS = 2 ** 10
+
 
 class SingularPointError(ValueError):
     """Gradient requested at a conical point (E(k) = epsilon)."""
@@ -65,9 +69,8 @@ def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
     c = validate_chirality(c)
+    check_beta(beta, c, a)
     return BandParams(
         epsilon=epsilon,
         gamma0=gamma * np.exp(1j * beta * c[0] * a),
@@ -301,6 +304,19 @@ def band_gap(c, sym, p, resolution=4096):
 def flux_period(c, a=A_DEFAULT):
     """Aharonov-Bohm period 2 pi / (a ||c||^2) of the field parameter beta."""
     return 2.0 * math.pi / (a * inner(c, c))
+
+
+def check_beta(beta, c, a=A_DEFAULT):
+    """Raise ValueError unless beta is finite and within MAX_FLUX_PERIODS flux periods.
+
+    Beyond that bound the phases beta c_j a lose digits to rounding; far
+    beyond it beta and beta plus a flux period are the same double.
+    """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if abs(beta) > MAX_FLUX_PERIODS * flux_period(c, a):
+        raise ValueError(f"|beta| = {abs(beta)} exceeds {MAX_FLUX_PERIODS} flux periods "
+                         f"of {flux_period(c, a)}")
 
 
 def gap_vs_beta(c, sym, gamma, a, beta_grid, resolution=4096, epsilon=0.0):

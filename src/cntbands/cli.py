@@ -52,6 +52,16 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.bond_length <= 0:
             raise ValueError("bond-length must be positive")
+        # squares of lengths and wave vectors (distances, inner products) must not
+        # overflow or underflow to zero
+        wave = 2.0 * math.pi / self.a
+        if not (0 < self.a * self.a < math.inf and 0 < wave * wave < math.inf):
+            raise ValueError(f"bond-length {self.bond_length} gives a scale a = {self.a}: "
+                             f"the squares of a and 2 pi / a must be positive and finite")
+        # the largest band value; gaps, tables and spectra stay below it
+        if not math.isfinite(abs(self.epsilon) + 3.0 * self.gamma):
+            raise ValueError(f"|epsilon| + 3 gamma = {abs(self.epsilon) + 3.0 * self.gamma} "
+                             f"must be finite")
         if self.resolution < 64:
             raise ValueError("resolution must be >= 64")
 
@@ -169,9 +179,15 @@ def cmd_bands(args, cfg):
     return EXIT_OK
 
 
+def _check_beta(beta, c, cfg):
+    try:
+        bands.check_beta(beta, c, cfg.a)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _gap_params(c, cfg, beta):
-    if not math.isfinite(beta):
-        raise InputError(f"beta must be finite, got {beta}")
+    _check_beta(beta, c, cfg)
     if beta:
         return bands.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
     return bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
@@ -202,6 +218,7 @@ def cmd_magsweep(args, cfg):
     if total * sym.n * cfg.resolution > MAX_SWEEP:
         raise InputError(f"betas * n * resolution = {total * sym.n * cfg.resolution} "
                          f"band points exceed {MAX_SWEEP}")
+    _check_beta(args.periods * period, c, cfg)
     betas = np.linspace(0.0, args.periods * period, total)
     sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas,
                               resolution=cfg.resolution, epsilon=cfg.epsilon)

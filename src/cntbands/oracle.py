@@ -30,6 +30,16 @@ one eigvalsh of T.  A complex T is complex symmetric, not Hermitian, and
 keeps the singular value decomposition.  T is real exactly when n <= 2,
 P <= 2 and no flux is applied.
 
+With real hoppings every phase of block (-m mod n, -l mod P) is the exact
+conjugate of the same phase of block (m, l), so T_{-m,-l} = conj(T_{m,l})
+bit for bit (time reversal pairs the Bloch irreps of the line group) and
+the two blocks share their singular values.  compare_spectra checks that
+pairing exactly and diagonalizes one block per pair, counting its values
+twice.  A block with 2m = 0 mod n and 2l = 0 mod P is its own partner: its
+T must be exactly real, and it takes eigvalsh even when the stack is complex.
+Under flux the hoppings are complex, no block has a partner, and every
+block is diagonalized.
+
 The sorted values of all blocks must reproduce, as a multiset, the analytic
 two-band values taken at the Bloch-quantized points of the allowed k-lines.
 Agreement to rounding error is the whole point.
@@ -196,6 +206,41 @@ def eigenvalues(t, epsilon):
     return np.sort(np.concatenate([epsilon - half, epsilon + half]))
 
 
+def _paired_spectrum(t, n, periods, real, epsilon):
+    """eigenvalues(t, epsilon) of build_hamiltonian's stack, one block per conjugate pair.
+
+    With real hoppings (real is true) block m*P + l of an n*P stack is
+    paired with block (-m mod n)*P + (-l mod P), which must be its exact
+    conjugate: one of them is diagonalized and its values counted twice.  A
+    block that is its own partner must then be exactly real, and takes
+    eigvalsh.  Under flux, or for a stack whose length is not n*P (left to
+    compare_spectra's length check), every block is its own partner and the
+    whole stack goes to eigenvalues unchanged.
+    """
+    index = np.arange(len(t))
+    partner = index
+    paired = real and len(t) == n * periods
+    if paired:
+        m, l = np.divmod(index, periods)
+        partner = -m % n * periods + -l % periods
+    lower = index < partner
+    pair = t[lower]
+    if not np.array_equal(t[partner[lower]], pair.conj()):
+        raise AdjacencyError("blocks (m, l) and (-m, -l) are not exactly conjugate")
+    own = index == partner
+    # a real stack (n <= 2, P <= 2) has only own blocks and goes on uncopied
+    blocks = t if own.all() else t[own]
+    if paired and np.iscomplexobj(blocks):
+        if blocks.imag.any():
+            raise AdjacencyError("a self-conjugate block (2m = 0 mod n, 2l = 0 mod P) "
+                                 "is not exactly real")
+        blocks = blocks.real
+    parts = [eigenvalues(blocks, epsilon)]
+    if len(pair):
+        parts += [eigenvalues(pair, epsilon)] * 2
+    return np.sort(np.concatenate(parts))
+
+
 def analytic_spectrum(sym, periods, p):
     """Zone-folded eigenvalues of the same segment, sorted.
 
@@ -237,7 +282,9 @@ def compare_spectra(c, sym, periods, p, tol):
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     _check_dimension(sym, periods)
-    fin = eigenvalues(build_hamiltonian(build_finite_tube(sym, periods), p), p.epsilon)
+    t = build_hamiltonian(build_finite_tube(sym, periods), p)
+    real = not np.iscomplex([p.gamma0, p.gamma1, p.gamma2]).any()
+    fin = _paired_spectrum(t, sym.n, periods, real, p.epsilon)
     ana = analytic_spectrum(sym, periods, p)
     if len(fin) != len(ana):
         raise AdjacencyError(

@@ -328,6 +328,64 @@ def test_invalid_number_rejected(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_beta_bounded_by_flux_periods(monkeypatch, capsys):
+    c = (4, -2, -2)
+    bound = bands.MAX_FLUX_PERIODS * bands.flux_period(c, A)
+    beyond = math.nextafter(bound, math.inf)
+    for beta in (bound, -bound):
+        # a whole number of flux periods: the metallic tube stays gapless
+        code, rep = run_json(capsys, ["gap", "--c", "4,-2,-2", "--beta", repr(beta)])
+        assert code == 0 and rep["gap"] < 1e-9
+        assert main(["verify", "--c", "4,-2,-2", "--periods", "3", "--beta", repr(beta)]) == 0
+        capsys.readouterr()
+        for command in ("gap", "verify"):
+            over = repr(math.copysign(beyond, beta))
+            assert main([command, "--c", "4,-2,-2", "--beta", over]) == 2
+            assert "flux periods" in capsys.readouterr().err
+    bands.magnetic_params(1.0, bound, c, A)  # at the bound: accepted
+    with pytest.raises(ValueError, match="flux periods"):
+        bands.magnetic_params(1.0, beyond, c, A)
+    assert main(["gap", "--c", "4,-2,-2", "--beta", "1e300"]) == 2
+    assert main(["magsweep", "--c", "4,-2,-2", "--periods", "1025", "--samples", "2"]) == 2
+    # magsweep's last beta is periods flux periods
+    argv = ["magsweep", "--c", "5,0,-5", "--resolution", "64", "--samples", "2"]
+    monkeypatch.setattr(bands, "MAX_FLUX_PERIODS", 2)
+    assert main(argv + ["--periods", "2"]) == 0
+    assert main(argv + ["--periods", "3"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--c", "4,-2,-2", "--gamma", "1e308"],
+    ["verify", "--c", "4,-2,-2", "--gamma", "1e308"],
+    ["bands", "--c", "4,-2,-2", "--epsilon=-1.7976931348623157e308", "--gamma", "1e300"],
+])
+def test_overflowing_band_energies_rejected(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
+def test_largest_finite_band_energies_accepted(capsys):
+    # |epsilon| + 3 gamma = 1.5e308: every printed number stays finite
+    code, rep = run_json(capsys, ["verify", "--c", "4,-2,-2", "--gamma", "5e307"])
+    assert code == 0 and rep["passed"]
+    code, rep = run_json(capsys, ["gap", "--c", "5,0,-5", "--gamma", "5e307"])
+    assert code == 0 and rep["gap"] == pytest.approx(GAP_5_0_5 * 5e307)
+
+
+@pytest.mark.parametrize("command", [["classify", "--c", "4,-2,-2"], ["bands", "--c", "4,-2,-2"],
+                                     ["gap", "--c", "4,-2,-2"], ["graphene-path"]])
+def test_bond_length_scale_bounded(command, capsys):
+    # a subnormal bond length: 2 pi / a overflows; 1e-300: (2 pi / a)^2 does
+    for bond in ("1e-320", "1e-300", "3e-308", "1e155"):
+        assert main(command + ["--bond-length", bond, "--resolution", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bond-length" in captured.err
+    assert main(command + ["--bond-length", "4e-154", "--resolution", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
 def test_oversized_verify_rejected_before_allocating(capsys):
     t0 = time.perf_counter()
     assert main(["verify", "--c", "60,59,-119"]) == 2

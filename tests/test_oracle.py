@@ -383,6 +383,50 @@ def test_dropped_block_fails_spectrum_length_check(monkeypatch):
         oracle.compare_spectra((5, 0, -5), tube_symmetry((5, 0, -5)), 2, P_UNIFORM, tol=1e-8)
 
 
+@pytest.mark.parametrize("c,block,delta,match", [
+    ((5, 0, -5), 2, 1e-3, "conjugate"),   # (m, l) = (1, 0), whose partner is (4, 0)
+    ((5, 0, -5), 8, 1e-3j, "conjugate"),  # that partner
+    ((5, 0, -5), 1, 1e-3j, "real"),       # (0, 1) is its own partner
+    ((4, -2, -2), 3, 1e-3j, "real"),      # (1, 1) of a real stack
+])
+def test_broken_time_reversal_fails_pairing_check(monkeypatch, c, block, delta, match):
+    build = oracle.build_hamiltonian
+
+    def perturbed(tube, p):
+        t = build(tube, p).astype(complex)
+        t[block, 0, 0] += delta
+        return t
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", perturbed)
+    with pytest.raises(oracle.AdjacencyError, match=match):
+        oracle.compare_spectra(c, tube_symmetry(c), 2, P_UNIFORM, tol=1e-8)
+
+
+SWEEP_DIM = 600  # 286 of the 456 (c, P); bounds the dense spectra's time
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.23])
+@pytest.mark.parametrize("periods", [1, 2, 3, 4])
+def test_paired_spectrum_matches_full_stack(periods, beta):
+    for c in [(c0, c1, -c0 - c1) for c0 in range(1, 13) for c1 in range(-c0, c0)
+              if c0 > c1 >= -c0 - c1]:
+        sym = tube_symmetry(c)
+        if 2 * sym.q * periods > SWEEP_DIM:
+            continue
+        p = (bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta
+             else bands.uniform_params(1.0, 0.1, A))
+        t = oracle.build_hamiltonian(oracle.build_finite_tube(sym, periods), p)
+        full = oracle.eigenvalues(t, p.epsilon)
+        paired = oracle.compare_spectra(c, sym, periods, p, tol=1e-8).finite
+        if beta:
+            # under flux no block has a partner: every block is diagonalized as before
+            assert np.array_equal(paired, full)
+        else:
+            m, l = np.divmod(np.arange(len(t)), periods)
+            assert np.array_equal(t[-m % sym.n * periods + -l % periods], t.conj())
+            assert np.max(np.abs(paired - full)) < 1e-12
+
+
 def test_inexact_representatives_fail_decomposition():
     sym = tube_symmetry((4, -2, -2))
     omega = np.array([compose(1, 0, 0, sym)])
