@@ -9,6 +9,8 @@ gap is twice the minimum of the modulus over that family; it vanishes
 exactly when the lines pass through the conical K points, i.e. when
 c0 - c1 is a multiple of 3.  An axial magnetic field enters as complex
 hopping phases and acts as a rigid shift k -> k + beta c of the lines.
+The gap search samples no grid: it starts on the two lines next to each
+zero of the hopping sum (a Dirac point, moved rigidly to K - beta c by flux).
 """
 
 import cmath
@@ -24,6 +26,8 @@ from .tube import validate_chirality
 A_DEFAULT = bond_length_scale(1.44)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 64  # band_gap's bracket shrinks by 0.618^64 ~ 4e-14
+HALF_K_DISTANCE = math.sqrt(2.0) * math.pi / 3.0  # a |K - K'| / 2 for neighbouring K, K'
 
 # bound on |beta| in flux periods: each phase beta c_j a is then below 2^10 pi
 # rad and rounds by less than 1e-12 rad
@@ -182,25 +186,40 @@ def _line_modulus(sym, m, kappa, p):
     return _modulus(*_line_k(sym, m, np.asarray(kappa, dtype=float), p.a), p)
 
 
+def _hopping_zeros(p):
+    """The two k at which the phasors gamma_j e^{i k_j a} close a triangle.
+
+    Law of cosines on the moduli, divided by their maximum so that squares
+    cannot overflow; one sign of the turns per zero.  Clipping the cosines
+    to [-1, 1] puts both k on the aligned minimum when no triangle closes.
+    Uniform hoppings give K, K'; magnetic ones K - beta c, K' - beta c.
+    """
+    gammas = np.array([p.gamma0, p.gamma1, p.gamma2])
+    r = np.abs(gammas) / np.max(np.abs(gammas))
+    if not np.all(r > 0):
+        raise ValueError(f"hoppings must be nonzero, got {tuple(gammas.tolist())}")
+    r1, r2 = np.roll(r, -1), np.roll(r, -2)
+    with np.errstate(divide="ignore", over="ignore"):
+        cos = (r2 * r2 - r * r - r1 * r1) / (2.0 * r * r1)
+    _, turn12, turn20 = np.arccos(np.clip(cos, -1.0, 1.0))
+    phase = np.angle(gammas) - np.angle(gammas[2])
+    # phasor angles k_j a + arg gamma_j measured from phasor 2, one per sign of the turns
+    ks = [(np.array([s * turn20, -s * turn12, 0.0]) - phase) / p.a for s in (1.0, -1.0)]
+    return [tuple((k - k.mean()).tolist()) for k in ks]
+
+
 def k_point_projections(c, sym, a=A_DEFAULT):
     """(m, kappa) coordinates of the K points that lie on allowed lines.
 
-    Empty for semiconducting tubes.  Projections are deduplicated within
-    1e-9 of a kappa period.
+    Empty for semiconducting tubes.  Each kappa before reduction is zero or
+    at least 2 pi q' / (3 a) from zero, so it never rounds up to the period.
     """
-    period = kappa_period(sym, a)
     found = []
-    for kp in special_points(a)["K"]:
-        m_real = inner(kp, c) * a / (2.0 * math.pi)
-        m_int = round(m_real)
-        if abs(m_real - m_int) > 1e-9:
-            continue
-        m = m_int % sym.n
-        kappa = (sym.q_prime * inner(kp, sym.omega)) % period
-        if kappa >= period:
-            kappa -= period
-        if not any(mm == m and abs(kk - kappa) < 1e-9 * period for mm, kk in found):
-            found.append((m, kappa))
+    for kp in _hopping_zeros(uniform_params(a=a)):
+        m = inner(kp, c) * a / (2.0 * math.pi)
+        if abs(m - round(m)) <= 1e-9:
+            kappa = sym.q_prime * inner(kp, sym.omega) % kappa_period(sym, a)
+            found.append((round(m) % sym.n, kappa))
     return found
 
 
@@ -243,60 +262,44 @@ class GapResult:
     metallic_by_theorem: bool
 
 
-def _golden_min(f, lo, hi, tol):
-    """Golden-section minimum of a unimodal f on [lo, hi] to width tol."""
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def band_gap(c, sym, p, resolution=4096):
+def band_gap(c, sym, p, resolution=None):
     """Minimize the modulus over all n allowed lines; gap is twice the minimum.
 
-    Coarse uniform scan per line (plus injected exact K projections),
-    refined by golden-section search around the best bracket to a kappa
-    width of 1e-10 periods.  The metallicity verdict from the counting rule
-    is computed independently and reported alongside.
+    Seeds: for each hopping zero K, with m = <K, c> a / 2 pi, the point of
+    line M = floor(m), floor(m) + 1 nearest K.  One golden-section search in
+    t, k = seed + t b / ||b||, over all four; t = 0 is scored too, which makes
+    metallic gaps exact.  argmin_m is M mod n.  The counting-rule verdict is
+    computed independently.  resolution is ignored (no grid is sampled);
+    benchmarks/workloads.py still passes it.
     """
-    if resolution < 64:
-        raise ValueError(f"resolution must be >= 64, got {resolution}")
     c = validate_chirality(c)
-    period = kappa_period(sym, p.a)
-    step = period / resolution
-    injected = k_point_projections(c, sym, p.a)
-    best = None  # (modulus, m, kappa)
-    for m in range(sym.n):
-        grid = period * np.arange(resolution) / resolution
-        mod = _line_modulus(sym, m, grid, p)
-        i = int(np.argmin(mod))
+    step = 2.0 * math.pi / (p.a * inner(c, c))  # x distance between neighbouring lines
+    seeds, lines = [], []
+    for kz in _hopping_zeros(p):
+        m = inner(kz, c) * p.a / (2.0 * math.pi)
+        for line in (math.floor(m), math.floor(m) + 1):
+            seeds.append(np.add(kz, (line - m) * step * np.array(c, dtype=float)))
+            lines.append(line)
+    seeds = np.array(seeds)
+    axis = np.array(sym.b, dtype=float) / math.sqrt(inner(sym.b, sym.b))
 
-        def f(kappa, m=m):
-            return float(_line_modulus(sym, m, kappa, p))
+    def modulus(t):
+        return _modulus(*np.moveaxis(seeds + t[..., None] * axis, -1, 0), p)
 
-        kappa_ref, val_ref = _golden_min(f, grid[i] - step, grid[i] + step,
-                                         1e-10 * period)
-        cand = [(val_ref, m, kappa_ref % period)]
-        for mm, kk in injected:
-            if mm == m:
-                cand.append((f(kk), m, kk))
-        line_best = min(cand)
-        if best is None or line_best < best:
-            best = line_best
-    val, m, kappa = best
+    lo = np.full(len(seeds), -HALF_K_DISTANCE / p.a)
+    hi = -lo
+    for _ in range(GOLDEN_STEPS):
+        inner_pts = np.array([hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)])
+        f_left, f_right = modulus(inner_pts)
+        left = f_left < f_right
+        lo, hi = np.where(left, lo, inner_pts[0]), np.where(left, inner_pts[1], hi)
+    t = np.array([np.zeros(len(seeds)), (lo + hi) / 2.0])
+    vals = modulus(t)
+    j, i = np.unravel_index(np.argmin(vals), vals.shape)
     return GapResult(
-        gap=2.0 * val,
-        argmin_k=line_k(c, sym, m, kappa % period, p.a),
-        argmin_m=m,
+        gap=2.0 * float(vals[j, i]),
+        argmin_k=tuple(float(x) for x in seeds[i] + t[j, i] * axis),
+        argmin_m=lines[i] % sym.n,
         metallic_by_theorem=(c[0] - c[1]) % 3 == 0,
     )
 
@@ -319,10 +322,10 @@ def check_beta(beta, c, a=A_DEFAULT):
                          f"of {flux_period(c, a)}")
 
 
-def gap_vs_beta(c, sym, gamma, a, beta_grid, resolution=4096, epsilon=0.0):
+def gap_vs_beta(c, sym, gamma, a, beta_grid, epsilon=0.0):
     """Band gap as a function of the axial field parameter beta."""
     out = []
     for beta in beta_grid:
         p = magnetic_params(gamma, beta, c, a, epsilon=epsilon)
-        out.append((float(beta), band_gap(c, sym, p, resolution=resolution).gap))
+        out.append((float(beta), band_gap(c, sym, p).gap))
     return out

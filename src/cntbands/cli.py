@@ -22,8 +22,8 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 CSV_BLOCK = 4096
-MAX_GRID = 2 ** 22  # bound on the n * resolution band points of bands, gap and magsweep
-MAX_SWEEP = 2 ** 24  # bound on the betas * n * resolution band points of one magsweep
+MAX_GRID = 2 ** 22  # bound on the n * resolution band points of bands
+MAX_BETAS = 2 ** 14  # bound on the betas of one magsweep: about a minute at ~3 ms a gap
 
 
 @dataclass
@@ -84,18 +84,12 @@ def _parse_triple(text):
     return parts
 
 
-def _tube(args, cfg=None):
-    """Validated chirality of --c and its symmetry record.
-
-    Given cfg, rejects a tube whose n lines of cfg.resolution points exceed
-    MAX_GRID, before any line is sampled.
-    """
+def _tube(args, max_coord=math.inf):
+    """Validated chirality of --c, no coordinate beyond max_coord, and its symmetry record."""
     c = tube.validate_chirality(_parse_triple(args.c))
-    sym = tube.tube_symmetry(c)
-    if cfg and sym.n * cfg.resolution > MAX_GRID:
-        raise InputError(f"n * resolution = {sym.n * cfg.resolution} band points "
-                         f"exceed {MAX_GRID}")
-    return c, sym
+    if max(map(abs, c)) > max_coord:
+        raise InputError(f"coordinates of --c must lie within +-{max_coord}")
+    return c, tube.tube_symmetry(c)
 
 
 def _load_config(args):
@@ -168,7 +162,10 @@ def cmd_classify(args, cfg):
 
 
 def cmd_bands(args, cfg):
-    c, sym = _tube(args, cfg)
+    c, sym = _tube(args)
+    if sym.n * cfg.resolution > MAX_GRID:  # before any line is sampled
+        raise InputError(f"n * resolution = {sym.n * cfg.resolution} band points "
+                         f"exceed {MAX_GRID}")
     p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
     parts = []
     for m in range(sym.n):
@@ -194,9 +191,10 @@ def _gap_params(c, cfg, beta):
 
 
 def cmd_gap(args, cfg):
-    c, sym = _tube(args, cfg)
+    # at MAX_COORD the gap search keeps 22 bits of the fraction of <K, c> a / 2 pi
+    c, sym = _tube(args, tube.MAX_COORD)
     beta = args.beta or 0.0
-    res = bands.band_gap(c, sym, _gap_params(c, cfg, beta), resolution=cfg.resolution)
+    res = bands.band_gap(c, sym, _gap_params(c, cfg, beta))
     _emit(_json({
         "gap": res.gap,
         "argmin_m": res.argmin_m,
@@ -208,20 +206,18 @@ def cmd_gap(args, cfg):
 
 
 def cmd_magsweep(args, cfg):
-    c, sym = _tube(args, cfg)
+    c, sym = _tube(args, tube.MAX_COORD)
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
     period = bands.flux_period(c, cfg.a)
     total = args.periods * (args.samples - 1) + 1
-    if total * sym.n * cfg.resolution > MAX_SWEEP:
-        raise InputError(f"betas * n * resolution = {total * sym.n * cfg.resolution} "
-                         f"band points exceed {MAX_SWEEP}")
+    if total > MAX_BETAS:
+        raise InputError(f"periods * (samples - 1) + 1 = {total} betas exceed {MAX_BETAS}")
     _check_beta(args.periods * period, c, cfg)
     betas = np.linspace(0.0, args.periods * period, total)
-    sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas,
-                              resolution=cfg.resolution, epsilon=cfg.epsilon)
+    sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas, epsilon=cfg.epsilon)
     _emit(_csv(("beta", "gap"), "%.12g,%.12g\n", np.array(sweep)), cfg)
     return EXIT_OK
 
@@ -318,7 +314,7 @@ def build_parser():
     common.add_argument("--bond-length", dest="bond_length", type=float,
                         help="C-C bond length in Angstrom (default 1.44)")
     common.add_argument("--resolution", type=int,
-                        help="kappa samples per band line (default 4096)")
+                        help="kappa samples per band line of bands (default 4096)")
     common.add_argument("--tol", dest="tolerance", type=float,
                         help="comparison tolerance in units of gamma (default 1e-8)")
     common.add_argument("--out", help="output file (default stdout)")

@@ -1,4 +1,7 @@
+import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from cntbands.bands import A_DEFAULT as A
 from cntbands.tube import tube_symmetry
 
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
 def k_images(point, a):
@@ -207,8 +211,10 @@ def test_band_gap_examples():
     assert res.gap == pytest.approx(GAP_5_0_5, abs=1e-6)
     assert res.gap == pytest.approx(
         2 * bands.graphene_E(res.argmin_k, 1.0, A), abs=1e-9)
-    with pytest.raises(ValueError):
-        bands.band_gap((5, 0, -5), tube_symmetry((5, 0, -5)), P_UNIFORM, resolution=32)
+    # the search samples no grid: resolution is accepted and ignored
+    for resolution in (32, 4096, 2 ** 20):
+        assert bands.band_gap((5, 0, -5), tube_symmetry((5, 0, -5)), P_UNIFORM,
+                              resolution=resolution) == res
 
 
 def test_argmin_near_k_point():
@@ -261,7 +267,7 @@ def test_gap_vs_beta_properties():
     sym = tube_symmetry(c)
     period = bands.flux_period(c, A)
     betas = [0.0, 0.25 * period, period]
-    sweep = bands.gap_vs_beta(c, sym, 1.0, A, betas, resolution=1024)
+    sweep = bands.gap_vs_beta(c, sym, 1.0, A, betas)
     gaps = [g for _, g in sweep]
     assert gaps[0] < 1e-9  # metallic at zero flux
     assert all(g >= 0 for g in gaps)
@@ -303,19 +309,158 @@ def test_params_reject_non_finite(make):
         make()
 
 
-# Known band_gap defects (fixed-resolution scan), pinned so that the fix shows.
-@pytest.mark.xfail(strict=True, reason="grid misses the basin of a large chiral tube")
+# Defects of the former fixed-resolution scan, which missed these minima.
 def test_band_gap_large_chiral_tube():
-    # benchmarks/reference.json; resolution 2^18 gives the same value
+    # benchmarks/reference.json; a resolution 2^18 scan gives the same value
     c = (56, 55, -111)
     res = bands.band_gap(c, tube_symmetry(c), P_UNIFORM)
     assert res.gap == pytest.approx(0.0377322484, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="grid misses the minimum near the end of the flux period")
 def test_band_gap_near_end_of_flux_period():
     # resolutions 2^16, 2^18 and 2^20 all give 0.01186417783055612 +- 1e-16
     c = (4, 1, -5)
     p = bands.magnetic_params(1.0, 0.995 * bands.flux_period(c, A), c, A)
     res = bands.band_gap(c, tube_symmetry(c), p)
     assert res.gap == pytest.approx(0.0118641778306, abs=1e-9)
+
+
+def scanned_gap(sym, p, points=2 ** 16, zooms=3):
+    """Twice the least modulus over all n lines, found without band_gap.
+
+    A grid of `points` kappa values on every line, then `zooms` rounds of
+    1025 points within one grid step of each line's best point.
+    """
+    m, rows = np.arange(sym.n)[:, None], np.arange(sym.n)
+    step = bands.kappa_period(sym, p.a) / points
+    kappa = np.broadcast_to(np.arange(points) * step, (sym.n, points))
+    for _ in range(zooms + 1):
+        vals = bands._line_modulus(sym, m, kappa, p)
+        kappa = kappa[rows, np.argmin(vals, axis=-1)][:, None] + np.linspace(-step, step, 1025)
+        step /= 512
+    return 2.0 * float(vals.min())
+
+
+def test_band_gap_matches_reference_table():
+    """Over 500 tubes of the reference table: at least 4 of each rotation order n."""
+    table = {tuple(r[:3]): r[3] for r in json.loads(REFERENCE.read_text())["survey"]}
+    by_order = {}
+    for c in sorted(table):
+        by_order.setdefault(math.gcd(c[0], c[1]), []).append(c)
+    sample = [c for group in by_order.values()
+              for c in group[::max(1, len(group) // (4 + len(group) // 50))]]
+    assert len(sample) >= 500 and len(by_order) == 120
+    start = time.perf_counter()
+    for c in sample:
+        res = bands.band_gap(c, tube_symmetry(c), P_UNIFORM)
+        assert res.gap == pytest.approx(table[c], abs=1e-6), c
+        if res.metallic_by_theorem:  # the seed on the line through K is scored itself
+            assert res.gap <= 1e-14, c
+    assert time.perf_counter() - start < 3.0
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_band_gap_matches_dense_scan(case):
+    """Flux within +-3 periods (even cases), unequal complex hoppings (odd cases)."""
+    rng = np.random.default_rng(case)
+    c = [(4, -2, -2), (5, 0, -5), (4, 1, -5), (7, -3, -4), (6, 0, -6), (8, -3, -5)][case // 2]
+    sym = tube_symmetry(c)
+    if case % 2 == 0:
+        beta = rng.uniform(-3.0, 3.0) * bands.flux_period(c, A)
+        p = bands.magnetic_params(1.0, beta, c, A)
+    else:
+        g = rng.uniform(0.3, 1.5, 3) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
+        if case == 1:  # 1.5 > 0.5 + 0.4: the phasors cannot close a triangle
+            g = np.array([1.5, 0.5, 0.4]) * g / np.abs(g)
+        p = bands.BandParams(gamma0=g[0], gamma1=g[1], gamma2=g[2], a=A)
+    res = bands.band_gap(c, sym, p)
+    assert res.gap == pytest.approx(scanned_gap(sym, p), abs=1e-12)
+    line = geom.inner(res.argmin_k, c) * A / (2 * math.pi)
+    assert line == pytest.approx(round(line), abs=1e-12) and round(line) % sym.n == res.argmin_m
+    assert res.gap == pytest.approx(2 * bands.dispersion(res.argmin_k, p)[1], abs=1e-14)
+
+
+def zigzag_gap(n):
+    """2 min_m |1 + 2 cos(pi m / N)|, the gap of the zigzag tube (N, 0, -N).
+
+    With pi m / N = 2 pi / 3 + d, 1 + 2 cos(pi m / N) = 2 sin^2(d / 2) - sqrt(3) sin d,
+    which keeps its relative precision when N is large and the gap tiny.
+    """
+    m0 = round(2 * n / 3)
+    d = [math.pi * (3 * m - 2 * n) / (3 * n) for m in (m0 - 1, m0, m0 + 1)]
+    return 2 * min(abs(2 * math.sin(x / 2) ** 2 - math.sqrt(3) * math.sin(x)) for x in d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 100, 1001, 2 ** 20 + 1, 2 ** 29, 2 ** 30])
+def test_zigzag_gap_closed_form(n):
+    """(N, 0, -N) has lines at k0 - k2 = 2 pi m / (N a)."""
+    res = bands.band_gap((n, 0, -n), tube_symmetry((n, 0, -n)), P_UNIFORM)
+    if n % 3 == 0:
+        assert res.gap <= 1e-12
+    else:
+        # the modulus is evaluated to about 1e-16 absolute: 1e-7 relative at N = 2^30
+        assert res.gap == pytest.approx(zigzag_gap(n), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("zero", ["gamma0", "gamma1", "gamma2"])
+def test_zero_hopping_rejected(zero):
+    p = bands.BandParams(**{zero: 0.0})
+    with pytest.raises(ValueError, match="nonzero"):
+        bands.band_gap((5, 0, -5), tube_symmetry((5, 0, -5)), p)
+
+
+def test_argmin_within_half_a_line_of_a_hopping_zero():
+    rng = np.random.default_rng(29)
+    for c in [(5, 0, -5), (4, -1, -3), (7, -1, -6), (11, -4, -7), (20, -9, -11), (56, 55, -111)]:
+        sym = tube_symmetry(c)
+        for beta in [0.0] + list(rng.uniform(-3, 3, 3) * bands.flux_period(c, A)):
+            p = bands.magnetic_params(1.0, beta, c, A)
+            res = bands.band_gap(c, sym, p)
+            k = np.array(res.argmin_k)
+            dist = min(math.sqrt(geom.inner(k - img, k - img))
+                       for z in bands._hopping_zeros(p) for img in k_images(z, A))
+            assert dist < 0.5 * sym.line_spacing(A), (c, beta)
+
+
+def test_band_gap_of_a_huge_chiral_tube():
+    # one kappa period is 2.1e13 here, so no absolute kappa width is resolvable; the
+    # search runs a fixed number of steps in the O(1) displacement t.  The former scan printed 0.0686; 2.0943940551953813e-06 is a
+    # 50-digit minimum along the winning line.
+    c = (1000001, 1000000, -2000001)
+    start = time.perf_counter()
+    res = bands.band_gap(c, tube_symmetry(c), P_UNIFORM)
+    assert time.perf_counter() - start < 1.0
+    assert res.gap == pytest.approx(2.0943940551953813e-06, rel=1e-8)
+    assert res.gap == pytest.approx(2 * bands.dispersion(res.argmin_k, P_UNIFORM)[1], abs=1e-15)
+
+
+def test_band_gap_goes_through_no_kappa(monkeypatch):
+    # a minimizer just below kappa = 0 would wrap to exactly one period, which
+    # line_k rejects: the search reports its point without a kappa round trip
+    def unused(*args, **kwargs):
+        raise AssertionError("band_gap must not map through kappa")
+
+    monkeypatch.setattr(bands, "line_k", unused)
+    monkeypatch.setattr(bands, "kappa_period", unused)
+    for c in [(4, -2, -2), (5, 0, -5), (4, 1, -5)]:
+        p = bands.magnetic_params(1.0, 0.999 * bands.flux_period(c, A), c, A)
+        assert bands.band_gap(c, tube_symmetry(c), p).gap >= 0
+
+
+def test_k_point_projections_lie_within_one_period():
+    # each unreduced kappa is zero or at least 2 pi q' / (3 a) from zero, so `% period`
+    # never rounds a tiny negative kappa up to the period; K and K' give distinct
+    # projections, so none needs deduplicating
+    for a in (A, 1.0, 0.37, 5.9):
+        for c0 in range(2, 25):
+            for c1 in range(-(c0 // 2), c0):
+                c = (c0, c1, -c0 - c1)
+                if (c0 - c1) % 3 or not c1 >= c[2]:
+                    continue
+                sym = tube_symmetry(c)
+                proj = bands.k_point_projections(c, sym, a)
+                assert len(set(proj)) == len(proj) == 2, c
+                for m, kappa in proj:
+                    assert 0 <= kappa < bands.kappa_period(sym, a)
+                    k = bands.line_k(c, sym, m, kappa, a)
+                    assert bands.dispersion(k, bands.uniform_params(a=a))[1] < 1e-12

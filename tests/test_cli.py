@@ -393,7 +393,7 @@ def test_oversized_verify_rejected_before_allocating(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["bands", "gap", "magsweep"])
+@pytest.mark.parametrize("command", ["bands"])
 def test_oversized_grid_rejected_before_sampling(command, capsys):
     t0 = time.perf_counter()
     assert main([command, "--c", "1000000,0,-1000000"]) == 2
@@ -416,13 +416,17 @@ def test_oversized_sweep_rejected_before_sampling(argv, capsys):
 
 
 def test_sweep_budget_is_inclusive(monkeypatch, capsys):
-    # the default sweep of (10,0,-10): 201 betas of n = 10 lines of 4096 points
-    assert 201 * 10 * 4096 <= cli.MAX_SWEEP
-    # 3 betas of (5,0,-5) at resolution 64: 960 band points
-    argv = ["magsweep", "--c", "5,0,-5", "--resolution", "64", "--samples", "3"]
-    monkeypatch.setattr(cli, "MAX_SWEEP", 960)
+    # the default sweep: 201 betas, whatever the tube
+    assert 201 <= cli.MAX_BETAS
+    argv = ["magsweep", "--c", "5,0,-5", "--samples", str(cli.MAX_BETAS + 1)]
+    assert main(argv) == 2
+    assert "exceed" in capsys.readouterr().err
+    # 2 periods of 3 samples: 2 * (3 - 1) + 1 = 5 betas
+    argv = ["magsweep", "--c", "5,0,-5", "--periods", "2", "--samples", "3"]
+    monkeypatch.setattr(cli, "MAX_BETAS", 5)
     assert main(argv) == 0
-    monkeypatch.setattr(cli, "MAX_SWEEP", 959)
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 5
+    monkeypatch.setattr(cli, "MAX_BETAS", 4)
     assert main(argv) == 2
     # graphene-path samples 300 points by default
     monkeypatch.setattr(cli, "MAX_GRID", 300)
@@ -431,16 +435,43 @@ def test_sweep_budget_is_inclusive(monkeypatch, capsys):
     assert main(["graphene-path"]) == 2
 
 
-@pytest.mark.parametrize("command", ["bands", "gap", "magsweep"])
+@pytest.mark.parametrize("command", ["bands"])
 def test_grid_budget_is_inclusive(command, monkeypatch, capsys):
     # (5,0,-5) has n = 5 lines of 64 points: 320 band points
     argv = [command, "--c", "5,0,-5", "--resolution", "64"]
-    if command == "magsweep":
-        argv += ["--samples", "3"]
     monkeypatch.setattr(cli, "MAX_GRID", 320)
     assert main(argv) == 0
     monkeypatch.setattr(cli, "MAX_GRID", 319)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("c", ["1073741825,0,-1073741825", "1073741824,1,-1073741825"])
+def test_gap_coordinate_bound(c, capsys):
+    # one past tube.MAX_COORD = 2**30: rejected before any gap is searched
+    for command in (["gap"], ["magsweep", "--samples", "2"]):
+        t0 = time.perf_counter()
+        assert main(command + ["--c", c]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(tube.MAX_COORD) in captured.err
+
+
+def test_gap_at_coordinate_bound(capsys):
+    # the zigzag (N, 0, -N) at N = MAX_COORD: gap 2 min_m |1 + 2 cos(pi m / N)|
+    n = tube.MAX_COORD
+    # pi m / N = 2 pi / 3 + d at m = 715827883: 1 + 2 cos = 2 sin^2(d / 2) - sqrt(3) sin d
+    d = math.pi * (3 * 715827883 - 2 * n) / (3 * n)
+    want = 2 * abs(2 * math.sin(d / 2) ** 2 - math.sqrt(3) * math.sin(d))
+    code, rep = run_json(capsys, ["gap", "--c", f"{n},0,-{n}"])
+    assert code == 0 and rep["gap"] == pytest.approx(want, abs=1e-15)
+    assert main(["magsweep", "--c", f"{n},0,-{n}", "--samples", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == pytest.approx([want, want], abs=1e-15)
+    # a chiral tube at the bound: its gap is the modulus at the reported point
+    code, rep = run_json(capsys, ["gap", "--c", f"{n - 1},1,-{n}"])
+    assert code == 0 and 0 < rep["gap"] < 1e-8
+    p = bands.uniform_params(1.0, 0.0, A)
+    assert rep["gap"] == pytest.approx(2 * bands.dispersion(rep["argmin_k"], p)[1], abs=1e-15)
 
 
 def test_unexpected_error_exits_3_not_1(monkeypatch, capsys):

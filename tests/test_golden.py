@@ -21,13 +21,13 @@ GOLDEN = [
     (["bands", "--c", "9,-3,-6"],
      "ee06ce104847dcafe6fa2129a32414c9518ee03dd7860bd812815e70bedf7ef8"),
     (["gap", "--c", "5,0,-5"],
-     "0d27e0ad917c8a5171ecc8061ee935ecf36f475a9e94f4995ee6d635889a645a"),
+     "26bd8c655829376e94b82cc79b8621ffebda42593e48f3723aaa4fd3f84c8d80"),
     (["gap", "--c", "4,-1,-3"],
-     "ed82120f5c5e6fb81999efa726ce15be3789f339d0ff5125b0860d9431358109"),
+     "77c14d0679c4897acb29c35733206d25720dcfe888657609843f7038db743731"),
     (["gap", "--c", "4,-2,-2", "--beta", "0.041"],
-     "5b213dc1cc58555c55b651d58e74c0c525153e503bddc832fb9a759adb3c0118"),
+     "5e8bbde7e0fe94d3afebade121cd3dee7295bef5825a7a3ca8add13256b6f38a"),
     (["magsweep", "--c", "4,-2,-2", "--samples", "33", "--resolution", "256"],
-     "d72c82e6f6f724614c84f533186f8477072d864da5b4bde7a5945957fb9a8a75"),
+     "1e7fb40ccde72814d910db23d8c15b9ae1bc46b07239ed60e2c73843525e8cf7"),
     (["graphene-path"],
      "3bd85a979f94924b0873502ce3e1b496ab31f486feffc4c6f0d739cd59fec774"),
     (["graphene-path", "--path", "K,G,M,K,G", "--samples", "500"],
