@@ -5,7 +5,7 @@ data, zone-folded band structure with magnetic flux, and a finite-matrix
 spectral cross-check.
 """
 
-from .geom import canonical_coords, embed, inner
+from .geom import embed, inner
 from .honeycomb import (
     SymmetryWord,
     apply_symmetry,
@@ -24,7 +24,6 @@ from .tube import (
     compose,
     decompose,
     diameter,
-    irrep_character,
     tube_class,
     tube_symmetry,
     validate_chirality,
@@ -38,11 +37,8 @@ from .bands import (
     dispersion,
     flux_period,
     gap_vs_beta,
-    gradient,
     graphene_E,
-    in_brillouin,
     is_metallic,
-    line_k,
     magnetic_params,
     special_points,
     uniform_params,

@@ -34,10 +34,6 @@ HALF_K_DISTANCE = math.sqrt(2.0) * math.pi / 3.0  # a |K - K'| / 2 for neighbour
 MAX_FLUX_PERIODS = 2 ** 10
 
 
-class SingularPointError(ValueError):
-    """Gradient requested at a conical point (E(k) = epsilon)."""
-
-
 @dataclass(frozen=True)
 class BandParams:
     """Onsite energy, complex hoppings, and length scale of the model."""
@@ -112,12 +108,6 @@ def graphene_E(k, gamma=1.0, a=A_DEFAULT):
     return gamma * math.sqrt(max(s, 0.0))
 
 
-def in_brillouin(k, a=A_DEFAULT):
-    """Closed hexagonal Brillouin zone: all |k_i| <= 2 pi / (3 a)."""
-    bound = 2.0 * math.pi / (3.0 * a)
-    return all(-bound <= ki <= bound for ki in k)
-
-
 def special_points(a=A_DEFAULT):
     """Gamma, the six K vertices, and the six M edge midpoints of the zone."""
     u = 2.0 * math.pi / (3.0 * a)
@@ -129,24 +119,6 @@ def special_points(a=A_DEFAULT):
     return {"Gamma": (0.0, 0.0, 0.0), "K": ks, "M": ms}
 
 
-def gradient(k, p):
-    """Analytic gradient of the upper band, as a sum-zero triple.
-
-    d|f|/dk_j = a Re(i conj(f) gamma_j e^{i k_j a}) / |f|; reduces to the
-    sine-quotient formula for uniform real hoppings.  Undefined where the
-    modulus vanishes (conical points).
-    """
-    gammas = (p.gamma0, p.gamma1, p.gamma2)
-    terms = [g * np.exp(1j * ki * p.a) for g, ki in zip(gammas, k)]
-    f = sum(terms)
-    scale = sum(abs(g) for g in gammas)
-    if abs(f) < 1e-12 * scale:
-        raise SingularPointError(f"dispersion is not differentiable at k={tuple(k)}")
-    g = [p.a * (1j * np.conj(f) * t).real / abs(f) for t in terms]
-    mean = sum(g) / 3.0
-    return tuple(gi - mean for gi in g)
-
-
 def is_metallic(c):
     """Zone-folding criterion: the tube conducts iff c0 - c1 is in 3Z."""
     c = validate_chirality(c)
@@ -156,18 +128,6 @@ def is_metallic(c):
 def kappa_period(sym, a=A_DEFAULT):
     """Length 2 pi q' / a of one screw-coordinate period of a band line."""
     return 2.0 * math.pi * sym.q_prime / a
-
-
-def line_k(c, sym, m, kappa, a=A_DEFAULT):
-    """The allowed-line point with <k,c> = 2 pi m / a and <k,omega> = kappa/q'.
-
-    Unique in span{c, b}; returned as a sum-zero triple.
-    """
-    if not 0 <= m < sym.n:
-        raise ValueError(f"m must lie in [0, {sym.n}), got {m}")
-    if not 0.0 <= kappa < kappa_period(sym, a):
-        raise ValueError(f"kappa {kappa} outside [0, 2 pi q'/a)")
-    return _line_k(sym, m, kappa, a)
 
 
 def _line_k(sym, m, kappa, a):
@@ -300,7 +260,7 @@ def band_gap(c, sym, p, resolution=None):
         gap=2.0 * float(vals[j, i]),
         argmin_k=tuple(float(x) for x in seeds[i] + t[j, i] * axis),
         argmin_m=lines[i] % sym.n,
-        metallic_by_theorem=(c[0] - c[1]) % 3 == 0,
+        metallic_by_theorem=is_metallic(c),
     )
 
 

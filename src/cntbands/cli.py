@@ -62,8 +62,6 @@ class RunConfig:
         if not math.isfinite(abs(self.epsilon) + 3.0 * self.gamma):
             raise ValueError(f"|epsilon| + 3 gamma = {abs(self.epsilon) + 3.0 * self.gamma} "
                              f"must be finite")
-        if self.resolution < 64:
-            raise ValueError("resolution must be >= 64")
 
     @property
     def a(self):
@@ -163,6 +161,8 @@ def cmd_classify(args, cfg):
 
 def cmd_bands(args, cfg):
     c, sym = _tube(args)
+    if cfg.resolution < 64:
+        raise InputError("resolution must be >= 64")
     if sym.n * cfg.resolution > MAX_GRID:  # before any line is sampled
         raise InputError(f"n * resolution = {sym.n * cfg.resolution} band points "
                          f"exceed {MAX_GRID}")

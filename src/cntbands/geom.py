@@ -20,17 +20,6 @@ E0 = (2.0 / SQRT6, 0.0)
 E1 = (-1.0 / SQRT6, 1.0 / SQRT2)
 E2 = (-1.0 / SQRT6, -1.0 / SQRT2)
 
-TRIAD = (E0, E1, E2)
-
-
-def canonical_coords(v):
-    """Canonical coordinates (<v,e0>, <v,e1>, <v,e2>) of a plane vector.
-
-    The result sums to zero (up to rounding).
-    """
-    x, y = v
-    return tuple(x * ex + y * ey for ex, ey in TRIAD)
-
 
 def embed(u):
     """Map a coordinate triple back to the plane: sum_i u_i e_i.
@@ -60,8 +49,3 @@ def inner(u, v):
     if s == 0:
         return dot
     return dot - s / 3.0
-
-
-def norm(u):
-    """Euclidean length of the plane vector represented by the triple."""
-    return math.sqrt(inner(u, u))

@@ -12,7 +12,6 @@ generator omega, and the counts q, q' that organize atoms into the
 (s, m, p) coordinates: screw power, rotation power, sublattice flip.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -253,19 +252,3 @@ def compose(s, m, p, sym):
     x = s[..., None] * np.array(sym.omega) + m[..., None] * np.array(sym.c_prime)
     return canonical_rep(_flip(x, p), sym.c)
 
-
-def irrep_character(m, kappa, sym, a, generator):
-    """Character of a line representation on a symmetry generator.
-
-    exp(-i 2 pi m / n) on the rotation g_c'; exp(-i kappa a / q') on the
-    screw g_omega.  kappa must lie in [0, 2 pi q'/a).
-    """
-    if not 0 <= m < sym.n:
-        raise ValueError(f"m must lie in [0, {sym.n}), got {m}")
-    if not 0.0 <= kappa < 2.0 * math.pi * sym.q_prime / a:
-        raise ValueError(f"kappa {kappa} outside [0, 2 pi q'/a)")
-    if generator == "g_c_prime":
-        return cmath.exp(-2j * math.pi * m / sym.n)
-    if generator == "g_omega":
-        return cmath.exp(-1j * kappa * a / sym.q_prime)
-    raise ValueError(f"unknown generator {generator!r}")

@@ -1,0 +1,52 @@
+"""Every public function or class has a caller in the program or the benchmark.
+
+Callers are found by parsing the package modules (not the __init__ re-exports)
+and the benchmark scripts (not their tests): a name counts as used when it
+appears there as a Name or an Attribute.  A definition used only by tests
+either earns a place in KEPT, with its reason, or goes.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cntbands"
+MODULES = ("geom", "honeycomb", "tube", "bands", "oracle", "cli")
+
+KEPT = {
+    "geom.embed": "the triad reconstruction sum u_i e_i, the paper's plane model",
+    "honeycomb.distance": "the graph metric of the paper, checked by the acceptance suite",
+    "honeycomb.apply_symmetry": "applies the paper's isometry words, checked by the "
+                                "acceptance suite",
+    "bands.graphene_E": "the closed-form sheet dispersion, the acceptance tests' "
+                        "independent referee",
+}
+
+
+def used_names():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [p for p in (ROOT / "benchmarks").glob("*.py") if p.name != "test_bench.py"]
+    names = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def public_definitions():
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield f"{module}.{node.name}", node.name
+
+
+def test_every_public_definition_has_a_caller():
+    used = used_names()
+    uncalled = {key for key, name in public_definitions() if name not in used}
+    assert uncalled - set(KEPT) == set(), "public, called only by tests"
+    assert set(KEPT) - uncalled == set(), "KEPT but now called, or no longer defined"

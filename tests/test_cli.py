@@ -445,6 +445,33 @@ def test_grid_budget_is_inclusive(command, monkeypatch, capsys):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--c", "5,0,-5"],
+    ["magsweep", "--c", "5,0,-5", "--samples", "2"],
+    ["verify", "--c", "5,0,-5"],
+    ["classify", "--c", "5,0,-5"],
+    ["neighbors", "--v", "0,0,1"],
+    ["graphene-path"],
+], ids=lambda argv: argv[0])
+def test_resolution_ignored_outside_bands(argv, tmp_path, capsys):
+    # only bands samples a grid; every other command accepts --resolution and ignores it
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--resolution", "10"]) == 0
+    assert capsys.readouterr().out == plain
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolution": 10}))
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_bands_resolution_bound(capsys):
+    assert main(["bands", "--c", "5,0,-5", "--resolution", "63"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "resolution must be >= 64" in captured.err
+    assert main(["bands", "--c", "5,0,-5", "--resolution", "64"]) == 0
+
+
 @pytest.mark.parametrize("c", ["1073741825,0,-1073741825", "1073741824,1,-1073741825"])
 def test_gap_coordinate_bound(c, capsys):
     # one past tube.MAX_COORD = 2**30: rejected before any gap is searched

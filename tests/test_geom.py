@@ -10,19 +10,9 @@ TOL = 1e-12
 coord = st.floats(-1e3, 1e3, allow_nan=False)
 
 
-def test_canonical_coords_zero():
-    assert geom.canonical_coords((0.0, 0.0)) == (0.0, 0.0, 0.0)
-
-
-def test_canonical_coords_unit_x():
-    u = geom.canonical_coords((1.0, 0.0))
-    expect = (2 / math.sqrt(6), -1 / math.sqrt(6), -1 / math.sqrt(6))
-    assert u == pytest.approx(expect, abs=TOL)
-
-
-def test_canonical_coords_unit_y():
-    u = geom.canonical_coords((0.0, 1.0))
-    assert u == pytest.approx((0.0, 1 / math.sqrt(2), -1 / math.sqrt(2)), abs=TOL)
+def coords(v):
+    """Projections (<v,e0>, <v,e1>, <v,e2>) of a plane vector onto the triad."""
+    return tuple(v[0] * ex + v[1] * ey for ex, ey in (geom.E0, geom.E1, geom.E2))
 
 
 def test_embed_zero_and_e0():
@@ -48,7 +38,7 @@ def test_inner_diagonal_annihilates_sum_zero(a, b):
 @given(a=coord, b=coord)
 def test_round_trip(a, b):
     t = (a, b, -a - b)
-    back = geom.canonical_coords(geom.embed(t))
+    back = coords(geom.embed(t))
     scale = max(1.0, abs(a), abs(b))
     assert back == pytest.approx(t, abs=TOL * scale)
 
@@ -56,8 +46,8 @@ def test_round_trip(a, b):
 @given(vx=coord, vy=coord, ux=coord, uy=coord)
 def test_coherence_identities(vx, vy, ux, uy):
     v, u = (vx, vy), (ux, uy)
-    cv = geom.canonical_coords(v)
-    cu = geom.canonical_coords(u)
+    cv = coords(v)
+    cu = coords(u)
     scale = max(1.0, vx * vx + vy * vy, ux * ux + uy * uy)
     # reconstruction
     rec = geom.embed(cv)
@@ -77,6 +67,3 @@ def test_shift_invariance(a, b, c, d, alpha):
     assert geom.inner(shifted, v) == pytest.approx(geom.inner(u, v),
                                                    abs=1e-9 * scale * scale)
 
-
-def test_norm_matches_embedding():
-    assert geom.norm((1, -1, 0)) == pytest.approx(math.sqrt(2), abs=TOL)

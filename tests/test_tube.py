@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 from itertools import product
@@ -21,7 +20,6 @@ from cntbands.tube import (
     compose,
     decompose,
     diameter,
-    irrep_character,
     tube_class,
     tube_symmetry,
     validate_chirality,
@@ -255,21 +253,3 @@ def test_compose_stack_rejects_out_of_range():
     with pytest.raises(ValueError, match="p must"):
         compose(s, 0, np.array([0, 1, 2, 1]), sym)
 
-
-def test_irrep_character():
-    sym = tube_symmetry((4, -2, -2))
-    assert irrep_character(0, 0.0, sym, A, "g_c_prime") == 1
-    assert irrep_character(0, 0.0, sym, A, "g_omega") == 1
-    assert irrep_character(1, 0.0, sym, A, "g_c_prime") == pytest.approx(-1, abs=1e-12)
-    kappa = 0.37 * 2 * math.pi * sym.q_prime / A
-    assert irrep_character(1, kappa, sym, A, "g_c_prime") ** sym.n == \
-        pytest.approx(1.0, abs=1e-12)
-    # q' screw steps accumulate to one pure-translation phase
-    assert irrep_character(0, kappa, sym, A, "g_omega") ** sym.q_prime == \
-        pytest.approx(cmath.exp(-1j * kappa * A), abs=1e-12)
-    with pytest.raises(ValueError):
-        irrep_character(2, 0.0, sym, A, "g_c_prime")
-    with pytest.raises(ValueError):
-        irrep_character(0, -0.1, sym, A, "g_omega")
-    with pytest.raises(ValueError):
-        irrep_character(0, 0.0, sym, A, "g_sigma")
