@@ -231,6 +231,12 @@ def band_gap(c, sym, p, resolution=None):
     metallic gaps exact.  argmin_m is M mod n.  The counting-rule verdict is
     computed independently.  resolution is ignored (no grid is sampled);
     benchmarks/workloads.py still passes it.
+
+    The search rests on two assumptions: the global minimum lies on one of
+    the lines M that bracket a hopping zero, and each seed's bracket
+    |t| <= HALF_K_DISTANCE / a holds one minimum, the one golden-section
+    search converges to.  benchmarks/reference.json, the gaps of all 10 860
+    tubes with c0 <= 120, is their test.
     """
     c = validate_chirality(c)
     step = 2.0 * math.pi / (p.a * inner(c, c))  # x distance between neighbouring lines

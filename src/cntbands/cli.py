@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bands, oracle, tube
+from .geom import inner
 from .honeycomb import bond_length_scale, is_site, nearest_neighbors, next_nearest_neighbors, nu
 
 EXIT_OK = 0
@@ -87,6 +88,10 @@ def _tube(args, max_coord=math.inf):
     c = tube.validate_chirality(_parse_triple(args.c))
     if max(map(abs, c)) > max_coord:
         raise InputError(f"coordinates of --c must lie within +-{max_coord}")
+    # lengths, line spacings and flux periods are floats of ||c||^2
+    if inner(c, c) > sys.float_info.max:
+        raise InputError(f"the squared norm of --c exceeds the float range "
+                         f"{sys.float_info.max:.6g}")
     return c, tube.tube_symmetry(c)
 
 
@@ -264,6 +269,7 @@ def cmd_verify(args, cfg):
     c, sym = _tube(args)
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
+    oracle._check_dimension(sym, args.periods)  # before the hoppings are built
     tol = cfg.tolerance * cfg.gamma
     if not 0 < tol < math.inf:
         raise InputError(f"tolerance * gamma = {tol} must be positive and finite")

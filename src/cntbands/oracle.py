@@ -15,7 +15,12 @@ Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
 [[eps I, T], [T^H, eps I]] for a q' x q' hopping block T, and its
 eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
-only T, never the 2q' x 2q' block.
+only T, never the 2q' x 2q' block.  The p = 1 rows are assembled into a
+stack of their own, compared exactly with T^H and freed before any block
+is diagonalized.  So while the blocks are diagonalized only T and LAPACK's
+working copy are alive: verify holds at most two stacks of
+n*P*q'^2*itemsize bytes at once (16 MB for (25,-7,-18), P = 1), plus one
+byte per entry for the boolean of an exact check.
 
 The involution v -> Theta - v swaps the sublattices: it maps row a, the
 atom a omega, to row q' + a, the atom Theta - a omega, and the bond
@@ -46,7 +51,7 @@ Agreement to rounding error is the whole point.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,11 +150,13 @@ def build_hamiltonian(tube, p):
     spectrum from T alone.  The bond (v, v^j) carries gamma_j when the source
     site is on the sum-0 sublattice and its conjugate otherwise, times
     e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its target's
-    row.  Both halves are assembled, and the p = 1 rows must equal the
-    conjugate transpose of T exactly.  The Theta flip that pairs the two
-    sublattices' rows makes T symmetric, and T must equal its transpose
-    exactly too.  The stack is real exactly when every phase and hopping is
-    (n <= 2, P <= 2, zero flux).
+    row.  The two halves are assembled apart, each entry summing its bonds
+    in the order j: the p = 1 rows must equal the conjugate transpose of T
+    exactly, and are freed before T is returned, so the returned stack owns
+    its buffer and no other stack stays alive.  The Theta flip that pairs
+    the two sublattices' rows makes T symmetric, and T must equal its
+    transpose exactly too.  The stack is real exactly when every phase and
+    hopping is (n <= 2, P <= 2, zero flux).
     """
     n, periods = tube.sym.n, tube.periods
     qp = tube.sym.q_prime
@@ -166,15 +173,22 @@ def build_hamiltonian(tube, p):
     m = np.arange(n)[:, None, None, None]
     l = np.arange(periods)[:, None, None]
     values = hop * _roots(n)[m * x % n] * _roots(periods)[l * y % periods]
-    # row r of h holds the bonds leaving row r; its columns are the other sublattice's rows
-    h = np.zeros((n, periods, 2 * qp, qp), dtype=values.dtype)
-    np.add.at(h, (m, l, np.arange(2 * qp)[:, None], row % qp), values)
-    t = h[:, :, :qp]
-    if not np.array_equal(h[:, :, qp:], np.swapaxes(t, -1, -2).conj()):
+    block = m * periods + l
+    rows = np.arange(qp)[:, None]
+    # row r of a half holds the bonds leaving row r, summed in bond order j; its
+    # columns are the other sublattice's rows
+    t = np.zeros((n * periods, qp, qp), dtype=values.dtype)
+    np.add.at(t, (block, rows, row[:qp] % qp), values[..., :qp, :])
+    back = np.zeros_like(t)
+    np.add.at(back, (block, rows, row[qp:] % qp), values[..., qp:, :])
+    # conjugating the p = 1 rows in place spares a conjugate copy of T
+    np.conjugate(back, out=back)
+    if not np.array_equal(back, np.swapaxes(t, -1, -2)):
         raise AdjacencyError("assembled matrix is not exactly Hermitian")
+    del back
     if not np.array_equal(t, np.swapaxes(t, -1, -2)):
         raise AdjacencyError("hopping block T is not exactly symmetric")
-    return t.reshape(n * periods, qp, qp)
+    return t
 
 
 def eigenvalues(t, epsilon):
@@ -206,8 +220,8 @@ def eigenvalues(t, epsilon):
     return np.sort(np.concatenate([epsilon - half, epsilon + half]))
 
 
-def _paired_spectrum(t, n, periods, real, epsilon):
-    """eigenvalues(t, epsilon) of build_hamiltonian's stack, one block per conjugate pair.
+def _paired_spectrum(t, n, periods, real):
+    """eigenvalues(t, 0) of build_hamiltonian's stack, one block per conjugate pair.
 
     With real hoppings (real is true) block m*P + l of an n*P stack is
     paired with block (-m mod n)*P + (-l mod P), which must be its exact
@@ -225,8 +239,11 @@ def _paired_spectrum(t, n, periods, real, epsilon):
         partner = -m % n * periods + -l % periods
     lower = index < partner
     pair = t[lower]
-    if not np.array_equal(t[partner[lower]], pair.conj()):
+    partners = t[partner[lower]]
+    np.conjugate(partners, out=partners)  # in place: no third copy of half the stack
+    if not np.array_equal(partners, pair):
         raise AdjacencyError("blocks (m, l) and (-m, -l) are not exactly conjugate")
+    del partners
     own = index == partner
     # a real stack (n <= 2, P <= 2) has only own blocks and goes on uncopied
     blocks = t if own.all() else t[own]
@@ -235,9 +252,9 @@ def _paired_spectrum(t, n, periods, real, epsilon):
             raise AdjacencyError("a self-conjugate block (2m = 0 mod n, 2l = 0 mod P) "
                                  "is not exactly real")
         blocks = blocks.real
-    parts = [eigenvalues(blocks, epsilon)]
+    parts = [eigenvalues(blocks, 0.0)]
     if len(pair):
-        parts += [eigenvalues(pair, epsilon)] * 2
+        parts += [eigenvalues(pair, 0.0)] * 2
     return np.sort(np.concatenate(parts))
 
 
@@ -276,7 +293,13 @@ class SpectrumReport:
 
 
 def compare_spectra(c, sym, periods, p, tol):
-    """Diagonalize the segment and match its spectrum to the analytic one."""
+    """Diagonalize the segment and match its spectrum to the analytic one.
+
+    Both spectra are epsilon plus their values at epsilon = 0, and the
+    deviation is taken between the latter: at large |epsilon| the sum would
+    round the difference away.  Rounding is monotone, so epsilon + x keeps
+    the order and bits of the sorted spectra taken at epsilon.
+    """
     if tuple(c) != tuple(sym.c):
         raise ValueError(f"chirality {tuple(c)} does not match the symmetry of {sym.c}")
     if not tol > 0:
@@ -284,12 +307,12 @@ def compare_spectra(c, sym, periods, p, tol):
     _check_dimension(sym, periods)
     t = build_hamiltonian(build_finite_tube(sym, periods), p)
     real = not np.iscomplex([p.gamma0, p.gamma1, p.gamma2]).any()
-    fin = _paired_spectrum(t, sym.n, periods, real, p.epsilon)
-    ana = analytic_spectrum(sym, periods, p)
+    fin = _paired_spectrum(t, sym.n, periods, real)
+    ana = analytic_spectrum(sym, periods, replace(p, epsilon=0.0))
     if len(fin) != len(ana):
         raise AdjacencyError(
             f"spectrum length mismatch: finite {len(fin)} vs analytic {len(ana)}")
     dev = float(np.max(np.abs(fin - ana)))
     return SpectrumReport(c=tuple(sym.c), periods=periods, dimension=len(fin),
-                          finite=fin, analytic=ana, max_deviation=dev,
-                          tolerance=tol, passed=dev < tol)
+                          finite=p.epsilon + fin, analytic=p.epsilon + ana,
+                          max_deviation=dev, tolerance=tol, passed=dev < tol)

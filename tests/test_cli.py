@@ -393,6 +393,22 @@ def test_oversized_verify_rejected_before_allocating(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_verify_checks_dimension_before_hoppings(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_gap_params", None)  # must not be reached
+    assert main(["verify", "--c", "60,59,-119"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "bands", "verify"])
+def test_squared_norm_beyond_float_rejected(command, capsys):
+    # ||c||^2 is about 2e310: its float lengths would overflow
+    c = f"{10 ** 155},1,{-10 ** 155 - 1}"
+    assert main([command, "--c", c]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "float range" in captured.err
+
+
 @pytest.mark.parametrize("command", ["bands"])
 def test_oversized_grid_rejected_before_sampling(command, capsys):
     t0 = time.perf_counter()

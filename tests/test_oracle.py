@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -182,6 +183,23 @@ def test_blocks_match_dense_reference(c, beta):
         assert np.array_equal(t, np.swapaxes(t, -1, -2))
         ref = np.linalg.eigvalsh(dense_hamiltonian(sym, periods, p))
         assert np.max(np.abs(oracle.eigenvalues(t, p.epsilon) - ref)) < 1e-12
+
+
+def test_hopping_stack_holds_one_buffer():
+    # the p = 1 rows are checked and freed: only T stays allocated
+    tube = oracle.build_finite_tube(tube_symmetry((14, 1, -15)), 1)
+    tracemalloc.start()
+    try:
+        t = oracle.build_hamiltonian(tube, P_UNIFORM)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.shape == (1, 422, 422)
+    root = t
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == t.nbytes
+    assert current <= 1.25 * t.nbytes
 
 
 def test_oversized_segment_rejected_before_assembly(monkeypatch):
@@ -400,6 +418,41 @@ def test_broken_time_reversal_fails_pairing_check(monkeypatch, c, block, delta, 
     monkeypatch.setattr(oracle, "build_hamiltonian", perturbed)
     with pytest.raises(oracle.AdjacencyError, match=match):
         oracle.compare_spectra(c, tube_symmetry(c), 2, P_UNIFORM, tol=1e-8)
+
+
+def test_perturbed_block_fails_at_any_epsilon(monkeypatch):
+    # at epsilon = 1e20, epsilon +- 1e-3 rounds to epsilon: the deviation is
+    # taken between the spectra at epsilon = 0
+    build = oracle.build_hamiltonian
+
+    def perturbed(tube, p):
+        t = build(tube, p)
+        t[0, 0, 0] += 1e-3
+        return t
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", perturbed)
+    c = (4, -2, -2)
+    reports = [oracle.compare_spectra(c, tube_symmetry(c), 2, bands.uniform_params(1.0, eps, A),
+                                      tol=1e-8) for eps in (0.0, 1e20)]
+    assert [r.passed for r in reports] == [False, False]
+    assert reports[0].max_deviation == reports[1].max_deviation > 1e-4
+    assert np.array_equal(reports[1].finite, 1e20 + reports[0].finite)
+
+
+def test_compare_spectra_calls_layers_through_module(monkeypatch):
+    # benchmarks/spans.py attributes time to each layer by wrapping these attributes
+    calls = Counter()
+    for name in ("build_finite_tube", "build_hamiltonian", "eigenvalues", "analytic_spectrum"):
+        def counted(*args, _name=name, _func=getattr(oracle, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    for c, beta in (((5, 0, -5), 0.0), ((4, -1, -3), 0.2)):
+        p = bands.magnetic_params(1.0, beta / A, c, A) if beta else P_UNIFORM
+        assert oracle.compare_spectra(c, tube_symmetry(c), 2, p, tol=1e-8).passed
+    assert calls["build_finite_tube"] == calls["build_hamiltonian"] == 2
+    assert calls["analytic_spectrum"] == 2
+    assert calls["eigenvalues"] >= 2
 
 
 SWEEP_DIM = 600  # 286 of the 456 (c, P); bounds the dense spectra's time
