@@ -21,7 +21,7 @@ import numpy as np
 
 from .geom import inner
 from .honeycomb import bond_length_scale
-from .tube import validate_chirality
+from .tube import is_metallic, validate_chirality
 
 A_DEFAULT = bond_length_scale(1.44)
 
@@ -117,12 +117,6 @@ def special_points(a=A_DEFAULT):
     ks = tuple(p for b in k_base for p in (b, tuple(-x for x in b)))
     ms = tuple(p for b in m_base for p in (b, tuple(-x for x in b)))
     return {"Gamma": (0.0, 0.0, 0.0), "K": ks, "M": ms}
-
-
-def is_metallic(c):
-    """Zone-folding criterion: the tube conducts iff c0 - c1 is in 3Z."""
-    c = validate_chirality(c)
-    return (c[0] - c[1]) % 3 == 0
 
 
 def kappa_period(sym, a=A_DEFAULT):

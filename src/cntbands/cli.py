@@ -3,6 +3,11 @@
 Deterministic CSV/JSON output suitable for regression diffing.  Exit codes:
 0 success, 1 verification failure, 2 invalid input, 3 any other
 failure.
+
+Each command imports only what it computes with, so start-up costs no more
+than the command needs: `classify`, and `neighbors` without --c, run on
+integer arithmetic without numpy; `bands` and numpy load for the commands
+that evaluate bands, and `oracle` for `verify` alone.
 """
 
 import argparse
@@ -11,9 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from . import bands, oracle, tube
+from . import tube
 from .geom import inner
 from .honeycomb import bond_length_scale, is_site, nearest_neighbors, next_nearest_neighbors, nu
 
@@ -86,12 +89,12 @@ def _parse_triple(text):
 def _tube(args, max_coord=math.inf):
     """Validated chirality of --c, no coordinate beyond max_coord, and its symmetry record."""
     c = tube.validate_chirality(_parse_triple(args.c))
-    if max(map(abs, c)) > max_coord:
-        raise InputError(f"coordinates of --c must lie within +-{max_coord}")
     # lengths, line spacings and flux periods are floats of ||c||^2
     if inner(c, c) > sys.float_info.max:
         raise InputError(f"the squared norm of --c exceeds the float range "
                          f"{sys.float_info.max:.6g}")
+    if max(map(abs, c)) > max_coord:
+        raise InputError(f"coordinates of --c must lie within +-{max_coord}")
     return c, tube.tube_symmetry(c)
 
 
@@ -159,13 +162,18 @@ def cmd_classify(args, cfg):
         "omega": list(sym.omega),
         "delta": sym.line_spacing(cfg.a),
         "diameter_angstrom": tube.diameter(c, cfg.a),
-        "metallic": bands.is_metallic(c),
+        "metallic": tube.is_metallic(c),
     }), cfg)
     return EXIT_OK
 
 
 def cmd_bands(args, cfg):
-    c, sym = _tube(args)
+    import numpy as np
+
+    from . import bands
+
+    # beyond MAX_COORD the kappa grid of 2 pi q' / a can overflow the float range
+    c, sym = _tube(args, tube.MAX_COORD)
     if cfg.resolution < 64:
         raise InputError("resolution must be >= 64")
     if sym.n * cfg.resolution > MAX_GRID:  # before any line is sampled
@@ -182,6 +190,8 @@ def cmd_bands(args, cfg):
 
 
 def _check_beta(beta, c, cfg):
+    from . import bands
+
     try:
         bands.check_beta(beta, c, cfg.a)
     except ValueError as exc:
@@ -189,6 +199,8 @@ def _check_beta(beta, c, cfg):
 
 
 def _gap_params(c, cfg, beta):
+    from . import bands
+
     _check_beta(beta, c, cfg)
     if beta:
         return bands.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
@@ -196,6 +208,8 @@ def _gap_params(c, cfg, beta):
 
 
 def cmd_gap(args, cfg):
+    from . import bands
+
     # at MAX_COORD the gap search keeps 22 bits of the fraction of <K, c> a / 2 pi
     c, sym = _tube(args, tube.MAX_COORD)
     beta = args.beta or 0.0
@@ -211,6 +225,10 @@ def cmd_gap(args, cfg):
 
 
 def cmd_magsweep(args, cfg):
+    import numpy as np
+
+    from . import bands
+
     c, sym = _tube(args, tube.MAX_COORD)
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
@@ -228,6 +246,10 @@ def cmd_magsweep(args, cfg):
 
 
 def cmd_graphene_path(args, cfg):
+    import numpy as np
+
+    from . import bands
+
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.samples > MAX_GRID:
@@ -266,15 +288,20 @@ def cmd_graphene_path(args, cfg):
 
 
 def cmd_verify(args, cfg):
+    from . import oracle
+
     c, sym = _tube(args)
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
-    oracle._check_dimension(sym, args.periods)  # before the hoppings are built
     tol = cfg.tolerance * cfg.gamma
     if not 0 < tol < math.inf:
         raise InputError(f"tolerance * gamma = {tol} must be positive and finite")
-    p = _gap_params(c, cfg, args.beta or 0.0)
-    report = oracle.compare_spectra(c, sym, args.periods, p, tol=tol)
+    try:
+        oracle._check_dimension(sym, args.periods)  # before the hoppings are built
+        p = _gap_params(c, cfg, args.beta or 0.0)
+        report = oracle.compare_spectra(c, sym, args.periods, p, tol=tol)
+    except oracle.DimensionError as exc:
+        raise InputError(str(exc)) from exc
     _emit(_json({
         "c": list(c),
         "periods": report.periods,
@@ -379,7 +406,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except (InputError, tube.ChiralityError, oracle.DimensionError) as exc:
+    except (InputError, tube.ChiralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # exit 1 is reserved for a failed verification

@@ -10,13 +10,15 @@ From c alone the module derives the tube's symmetry data: the rotation
 order n = gcd(c), the shortest pure translation b, the helical (screw)
 generator omega, and the counts q, q' that organize atoms into the
 (s, m, p) coordinates: screw power, rotation power, sublattice flip.
+
+The symmetry data are Python integers.  Only the array kernels
+(canonical_rep, decompose, compose) import numpy, so that classifying a
+tube does not load it.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import permutations
-
-import numpy as np
 
 from .geom import inner
 from .honeycomb import THETA, nearest_neighbors, next_nearest_neighbors
@@ -174,6 +176,12 @@ def tube_symmetry(c):
     return TubeSymmetry(c=c, n=n, c_prime=c_prime, R=R, b=b, q=q, q_prime=q_prime, omega=omega)
 
 
+def is_metallic(c):
+    """Zone-folding criterion: the tube conducts iff c0 - c1 is in 3Z."""
+    c = validate_chirality(c)
+    return (c[0] - c[1]) % 3 == 0
+
+
 def diameter(c, a):
     """Tube diameter ||c|| * a / pi in the units of a (Angstrom for a physical a)."""
     if a <= 0:
@@ -192,6 +200,8 @@ def canonical_rep(v, c):
     result then has norm below 2.3 * 2**30, and <u,c> stays below 2**63
     for it and for each of its nearest and next-nearest neighbours u.
     """
+    import numpy as np
+
     v, c = np.asarray(v, dtype=np.int64), np.asarray(c)
     rep = v - ((v @ c) // (c @ c))[..., None] * c
     return tuple(rep.tolist()) if rep.ndim == 1 else rep
@@ -199,6 +209,8 @@ def canonical_rep(v, c):
 
 def _flip(v, p):
     """tau^p: the sublattice flip v -> Theta - v where p is 1, v where p is 0."""
+    import numpy as np
+
     return np.where(p[..., None] == 1, np.subtract(THETA, v), v)
 
 
@@ -221,6 +233,8 @@ def decompose(rep, sym):
     inputs are inconsistent and raises DecompositionError.  rep is one
     triple, giving Python ints, or an (..., 3) array, giving three arrays.
     """
+    import numpy as np
+
     rep = np.asarray(rep, dtype=np.int64)
     p = rep.sum(axis=-1)
     if not ((p == 0) | (p == 1)).all():
@@ -244,6 +258,8 @@ def compose(s, m, p, sym):
     s, m and p are ints, giving one triple, or broadcastable integer
     arrays, giving an (..., 3) array.
     """
+    import numpy as np
+
     s, m, p = np.asarray(s), np.asarray(m), np.asarray(p)
     if np.any((m < 0) | (m >= sym.n)):
         raise ValueError(f"m must lie in [0, {sym.n}), got {m}")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cntbands import bands, geom
+from cntbands import bands, geom, tube
 from cntbands.bands import A_DEFAULT as A
 from cntbands.tube import tube_symmetry
 
@@ -184,9 +184,9 @@ def test_argmin_near_k_point():
 
 
 def test_is_metallic():
-    assert bands.is_metallic((4, -2, -2))
-    assert not bands.is_metallic((5, 0, -5))
-    assert not bands.is_metallic((4, -1, -3))
+    assert tube.is_metallic((4, -2, -2))
+    assert not tube.is_metallic((5, 0, -5))
+    assert not tube.is_metallic((4, -1, -3))
 
 
 def test_magnetic_params_zero_field():

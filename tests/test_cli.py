@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from cntbands.honeycomb import nearest_neighbors, next_nearest_neighbors
 from cntbands.tube import canonical_rep, tube_symmetry
 
 GAP_5_0_5 = 0.7639320225002102
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_json(capsys, argv):
@@ -499,6 +504,23 @@ def test_gap_coordinate_bound(c, capsys):
         assert captured.out == "" and str(tube.MAX_COORD) in captured.err
 
 
+@pytest.mark.parametrize("c,code", [
+    # ||c||^2 = 1.62e308 fits a float; the kappa period 2 pi q' / a does not
+    pytest.param(f"{9 * 10 ** 153},1,{-9 * 10 ** 153 - 1}", 2, id="9e153"),
+    pytest.param("1073741824,1,-1073741825", 2, id="past-bound"),  # tube.MAX_COORD = 2**30
+    pytest.param("1073741824,-1,-1073741823", 0, id="at-bound"),
+])
+def test_bands_coordinate_bound(c, code, capsys):
+    assert main(["bands", "--c", c, "--resolution", "64"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert str(tube.MAX_COORD) in captured.err
+    else:
+        assert len(captured.out.splitlines()) == 1 + 64
+        assert "nan" not in captured.out and "inf" not in captured.out
+
+
 def test_gap_at_coordinate_bound(capsys):
     # the zigzag (N, 0, -N) at N = MAX_COORD: gap 2 min_m |1 + 2 cos(pi m / N)|
     n = tube.MAX_COORD
@@ -526,3 +548,54 @@ def test_unexpected_error_exits_3_not_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: MemoryError")
+
+
+def test_verify_dimension_error_is_input_error(monkeypatch, capsys):
+    def oversized(*args, **kwargs):
+        raise oracle.DimensionError("matrix dimension 8192 exceeds 4096")
+
+    monkeypatch.setattr(oracle, "compare_spectra", oversized)
+    assert main(["verify", "--c", "4,-2,-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: matrix dimension")
+
+
+def modules_after(statement, *argv):
+    """Names in sys.modules after a fresh interpreter runs statement, sys.argv[1:] = argv."""
+    code = f"import sys\n{statement}\nprint(*sys.modules, file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return set(proc.stderr.split())
+
+
+def modules_after_main(*argv):
+    return modules_after("from cntbands.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+
+
+@pytest.mark.parametrize("argv", [["classify", "--c", "7,-3,-4"], ["neighbors", "--v", "0,0,1"]],
+                         ids=lambda argv: argv[0])
+def test_integer_commands_run_without_numpy(argv):
+    loaded = modules_after_main(*argv)
+    assert "cntbands.tube" in loaded and "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--c", "5,0,-5"],
+    ["bands", "--c", "5,0,-5", "--resolution", "64"],
+    ["gap", "--c", "5,0,-5"],
+    ["magsweep", "--c", "5,0,-5", "--samples", "2"],
+    ["graphene-path", "--samples", "8"],
+    ["verify", "--c", "5,0,-5"],
+    ["neighbors", "--v", "0,0,1", "--c", "4,-2,-2"],
+], ids=lambda argv: argv[0])
+def test_only_verify_loads_the_oracle(argv):
+    loaded = modules_after_main(*argv)
+    assert "cntbands.cli" in loaded
+    assert ("cntbands.oracle" in loaded) == (argv[0] == "verify")
+
+
+def test_package_import_loads_no_module():
+    loaded = modules_after("import cntbands")
+    assert "cntbands" in loaded
+    assert {name for name in loaded if name.startswith("cntbands.")} == set()
