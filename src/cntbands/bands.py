@@ -11,13 +11,18 @@ c0 - c1 is a multiple of 3.  An axial magnetic field enters as complex
 hopping phases and acts as a rigid shift k -> k + beta c of the lines.
 The gap search samples no grid: it starts on the two lines next to each
 zero of the hopping sum (a Dirac point, moved rigidly to K - beta c by flux).
+
+A band line needs only three phasors a point, so band tables are computed
+in Python floats and loading this module does not load numpy.  The gap
+search, the flux hoppings and the vectorized modulus the oracle uses import
+numpy inside their bodies.
 """
 
 import cmath
 import math
+from array import array
+from bisect import bisect
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geom import inner
 from .honeycomb import bond_length_scale
@@ -67,6 +72,8 @@ def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
     With these parameters the dispersion at k equals the zero-field
     dispersion at k + beta c.
     """
+    import numpy as np
+
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     c = validate_chirality(c)
@@ -82,6 +89,8 @@ def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
 
 def _modulus(k0, k1, k2, p):
     """|gamma0 e^{i k0 a} + gamma1 e^{i k1 a} + gamma2 e^{i k2 a}|, vectorized."""
+    import numpy as np
+
     f = (p.gamma0 * np.exp(1j * np.asarray(k0) * p.a)
          + p.gamma1 * np.exp(1j * np.asarray(k1) * p.a)
          + p.gamma2 * np.exp(1j * np.asarray(k2) * p.a))
@@ -124,20 +133,36 @@ def kappa_period(sym, a=A_DEFAULT):
     return 2.0 * math.pi * sym.q_prime / a
 
 
-def _line_k(sym, m, kappa, a):
-    """Components of k = x c + y b on line m at screw coordinate kappa.
+def _line(sym, m, a):
+    """Line m as its point x c and the map kappa -> y: its points are k = x c + y b.
 
-    The one formula for a point of the allowed-line family; m and kappa
-    broadcast as arrays.
+    The one formula for the allowed-line family; m, and the kappa the map
+    takes, may be arrays.
     """
     x = 2.0 * math.pi * m / (a * inner(sym.c, sym.c))
-    y = (kappa - x * sym.q_prime * inner(sym.c, sym.omega)) / inner(sym.b, sym.b)
-    return tuple(x * ci + y * bi for ci, bi in zip(sym.c, sym.b))
+    shift, bb = x * sym.q_prime * inner(sym.c, sym.omega), inner(sym.b, sym.b)
+    return tuple(x * ci for ci in sym.c), lambda kappa: (kappa - shift) / bb
 
 
-def _line_modulus(sym, m, kappa, p):
-    """Hopping-sum modulus along line m at screw coordinates kappa (array)."""
-    return _modulus(*_line_k(sym, m, np.asarray(kappa, dtype=float), p.a), p)
+def _line_k(sym, m, kappa, a):
+    """Components of k = x c + y b on line m at screw coordinate kappa; arrays broadcast."""
+    origin, to_y = _line(sym, m, a)
+    y = to_y(kappa)
+    return tuple(o + y * bi for o, bi in zip(origin, sym.b))
+
+
+def _line_moduli(origin, direction, ts, p):
+    """_modulus at k = origin + t direction for each t of ts, in Python floats.
+
+    The phases and sums are formed in _modulus's order; rect(1, k a) is the
+    cos + i sin that numpy's exp(1j k a) gives.  abs, libm's hypot, rounds
+    apart from numpy's complex abs in the last bit of a few values.
+    """
+    (o0, o1, o2), (d0, d1, d2) = origin, direction
+    g0, g1, g2 = complex(p.gamma0), complex(p.gamma1), complex(p.gamma2)
+    a, rect = p.a, cmath.rect
+    return array("d", (abs(g0 * rect(1.0, (o0 + t * d0) * a) + g1 * rect(1.0, (o1 + t * d1) * a)
+                           + g2 * rect(1.0, (o2 + t * d2) * a)) for t in ts))
 
 
 def _hopping_zeros(p):
@@ -148,6 +173,8 @@ def _hopping_zeros(p):
     to [-1, 1] puts both k on the aligned minimum when no triangle closes.
     Uniform hoppings give K, K'; magnetic ones K - beta c, K' - beta c.
     """
+    import numpy as np
+
     gammas = np.array([p.gamma0, p.gamma1, p.gamma2])
     r = np.abs(gammas) / np.max(np.abs(gammas))
     if not np.all(r > 0):
@@ -162,6 +189,12 @@ def _hopping_zeros(p):
     return [tuple((k - k.mean()).tolist()) for k in ks]
 
 
+def _k_points(a):
+    """K, K' = +-(t, -t, 0) / a, t = acos(-1/2): _hopping_zeros of uniform hoppings, bit for bit."""
+    t = math.acos(-0.5)
+    return [(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]
+
+
 def k_point_projections(c, sym, a=A_DEFAULT):
     """(m, kappa) coordinates of the K points that lie on allowed lines.
 
@@ -169,7 +202,7 @@ def k_point_projections(c, sym, a=A_DEFAULT):
     at least 2 pi q' / (3 a) from zero, so it never rounds up to the period.
     """
     found = []
-    for kp in _hopping_zeros(uniform_params(a=a)):
+    for kp in _k_points(a):
         m = inner(kp, c) * a / (2.0 * math.pi)
         if abs(m - round(m)) <= 1e-9:
             kappa = sym.q_prime * inner(kp, sym.omega) % kappa_period(sym, a)
@@ -179,13 +212,13 @@ def k_point_projections(c, sym, a=A_DEFAULT):
 
 @dataclass(frozen=True)
 class BandTable:
-    """Sampled conduction/valence pair of one m-band."""
+    """Sampled conduction/valence pair of one m-band, as columns of doubles."""
 
     c: tuple
     m: int
-    kappa: np.ndarray
-    E_minus: np.ndarray
-    E_plus: np.ndarray
+    kappa: array
+    E_minus: array
+    E_plus: array
 
 
 def band_table(c, sym, m, samples, p):
@@ -197,13 +230,17 @@ def band_table(c, sym, m, samples, p):
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     period = kappa_period(sym, p.a)
-    grid = period * np.arange(samples) / samples
-    extra = [kk for mm, kk in k_point_projections(c, sym, p.a)
-             if mm == m and np.min(np.abs(grid - kk)) > 1e-9 * period]
-    kappa = np.sort(np.concatenate([grid, np.array(extra)])) if extra else grid
-    mod = _line_modulus(sym, m, kappa, p)
+    kappa = array("d", (period * i / samples for i in range(samples)))
+    for mm, kk in k_point_projections(c, sym, p.a):
+        if mm == m:
+            i = bisect(kappa, kk)  # kappa[i - 1] <= kk < kappa[i], as kappa[0] = 0 <= kk
+            if all(abs(g - kk) > 1e-9 * period for g in kappa[i - 1:i + 1]):
+                kappa.insert(i, kk)
+    origin, to_y = _line(sym, m, p.a)
+    mod = _line_moduli(origin, sym.b, map(to_y, kappa), p)
     return BandTable(c=tuple(c), m=m, kappa=kappa,
-                     E_minus=p.epsilon - mod, E_plus=p.epsilon + mod)
+                     E_minus=array("d", (p.epsilon - v for v in mod)),
+                     E_plus=array("d", (p.epsilon + v for v in mod)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +269,8 @@ def band_gap(c, sym, p, resolution=None):
     search converges to.  benchmarks/reference.json, the gaps of all 10 860
     tubes with c0 <= 120, is their test.
     """
+    import numpy as np
+
     c = validate_chirality(c)
     step = 2.0 * math.pi / (p.a * inner(c, c))  # x distance between neighbouring lines
     seeds, lines = [], []

@@ -5,9 +5,9 @@ Deterministic CSV/JSON output suitable for regression diffing.  Exit codes:
 failure.
 
 Each command imports only what it computes with, so start-up costs no more
-than the command needs: `classify`, and `neighbors` without --c, run on
-integer arithmetic without numpy; `bands` and numpy load for the commands
-that evaluate bands, and `oracle` for `verify` alone.
+than the command needs: `classify` and `neighbors` run on integer
+arithmetic, `bands` and `graphene-path` on Python floats; numpy loads for
+the gap search of `gap` and `magsweep`, and `oracle` for `verify` alone.
 """
 
 import argparse
@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain, islice, repeat
 
 from . import tube
 from .geom import inner
@@ -137,15 +138,15 @@ def _json(obj):
     return (json.dumps(obj, indent=2) + "\n",)
 
 
-def _csv(header, row_format, table):
-    """CSV chunks of a 2-D array: each block of rows formatted in one pass.
+def _csv(header, row_format, rows):
+    """CSV chunks of an iterable of row tuples: each block of rows formatted in one pass.
 
     Blocks bound the memory held by formatting to CSV_BLOCK rows.
     """
     yield ",".join(header) + "\n"
-    for i in range(0, len(table), CSV_BLOCK):
-        block = table[i:i + CSV_BLOCK]
-        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+    rows = iter(rows)
+    while block := list(islice(rows, CSV_BLOCK)):
+        yield (row_format * len(block)) % tuple(chain.from_iterable(block))
 
 
 def cmd_classify(args, cfg):
@@ -168,8 +169,6 @@ def cmd_classify(args, cfg):
 
 
 def cmd_bands(args, cfg):
-    import numpy as np
-
     from . import bands
 
     # beyond MAX_COORD the kappa grid of 2 pi q' / a can overflow the float range
@@ -180,12 +179,13 @@ def cmd_bands(args, cfg):
         raise InputError(f"n * resolution = {sym.n * cfg.resolution} band points "
                          f"exceed {MAX_GRID}")
     p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
-    parts = []
-    for m in range(sym.n):
-        t = bands.band_table(c, sym, m, cfg.resolution, p)
-        parts.append(np.column_stack([np.full(len(t.kappa), m), t.kappa, t.E_minus, t.E_plus]))
-    _emit(_csv(("m", "kappa", "E_minus", "E_plus"), "%d,%.12g,%.12g,%.12g\n",
-               np.vstack(parts)), cfg)
+
+    def rows():  # one line's table at a time
+        for m in range(sym.n):
+            t = bands.band_table(c, sym, m, cfg.resolution, p)
+            yield from zip(repeat(m), t.kappa, t.E_minus, t.E_plus)
+
+    _emit(_csv(("m", "kappa", "E_minus", "E_plus"), "%d,%.12g,%.12g,%.12g\n", rows()), cfg)
     return EXIT_OK
 
 
@@ -241,13 +241,11 @@ def cmd_magsweep(args, cfg):
     _check_beta(args.periods * period, c, cfg)
     betas = np.linspace(0.0, args.periods * period, total)
     sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas, epsilon=cfg.epsilon)
-    _emit(_csv(("beta", "gap"), "%.12g,%.12g\n", np.array(sweep)), cfg)
+    _emit(_csv(("beta", "gap"), "%.12g,%.12g\n", sweep), cfg)
     return EXIT_OK
 
 
 def cmd_graphene_path(args, cfg):
-    import numpy as np
-
     from . import bands
 
     if args.samples < 2:
@@ -269,21 +267,24 @@ def cmd_graphene_path(args, cfg):
     p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
     lengths = [math.dist(waypoints[a], waypoints[b]) for a, b in segs]
     total_len = sum(lengths)
-    parts = []
-    arc = 0.0
-    for (la, lb), seg_len in zip(segs, lengths):
-        start = np.array(waypoints[la])
-        end = np.array(waypoints[lb])
-        count = max(2, round(args.samples * seg_len / total_len))
-        ts = np.linspace(0.0, 1.0, count)
-        if parts:
-            ts = ts[1:]  # segment start already emitted
-        k = start + ts[:, None] * (end - start)
-        mod = bands._modulus(*k.T, p)
-        parts.append(np.column_stack([arc + ts * seg_len, k, p.epsilon - mod, p.epsilon + mod]))
-        arc += seg_len
+
+    def rows():
+        arc = 0.0
+        for j, ((la, lb), seg_len) in enumerate(zip(segs, lengths)):
+            start = waypoints[la]
+            direction = tuple(e - s for s, e in zip(start, waypoints[lb]))
+            count = max(2, round(args.samples * seg_len / total_len))
+            # numpy's linspace(0, 1, count): i * (1 / (count - 1)), ending at exactly 1
+            ts = [i * (1.0 / (count - 1)) for i in range(count - 1)] + [1.0]
+            if j:
+                ts = ts[1:]  # segment start already emitted
+            for t, mod in zip(ts, bands._line_moduli(start, direction, ts, p)):
+                yield (arc + t * seg_len, *(s + t * d for s, d in zip(start, direction)),
+                       p.epsilon - mod, p.epsilon + mod)
+            arc += seg_len
+
     _emit(_csv(("arclength", "k0", "k1", "k2", "E_minus", "E_plus"), "%.12g," * 5 + "%.12g\n",
-               np.vstack(parts)), cfg)
+               rows()), cfg)
     return EXIT_OK
 
 

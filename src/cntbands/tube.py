@@ -11,9 +11,10 @@ order n = gcd(c), the shortest pure translation b, the helical (screw)
 generator omega, and the counts q, q' that organize atoms into the
 (s, m, p) coordinates: screw power, rotation power, sublattice flip.
 
-The symmetry data are Python integers.  Only the array kernels
-(canonical_rep, decompose, compose) import numpy, so that classifying a
-tube does not load it.
+The symmetry data are Python integers, and so is the class of one site
+and of its neighbours.  Only the array kernels (canonical_rep of a stack,
+decompose, compose), which the oracle runs, import numpy, so that
+classifying a tube, listing neighbours or tabulating bands does not load it.
 """
 
 import math
@@ -193,13 +194,17 @@ def canonical_rep(v, c):
     """Canonical representative of the class v + Zc.
 
     Subtracts floor(<v,c>/||c||^2) copies of c, landing the projection on c
-    in [0, ||c||^2); equal reps iff same class.  v is one triple, giving a
-    tuple of Python ints, or an (..., 3) integer array, giving an array.
-    The arithmetic is int64 and wraps silently on overflow.  It is exact
-    when every coordinate of v and c lies within +-MAX_COORD = 2**30: the
-    result then has norm below 2.3 * 2**30, and <u,c> stays below 2**63
-    for it and for each of its nearest and next-nearest neighbours u.
+    in [0, ||c||^2); equal reps iff same class.  v is one triple (a tuple
+    or list), reduced in Python ints, which never overflow, or an (..., 3)
+    integer array, giving an array.  The array arithmetic is int64 and wraps
+    silently on overflow.  It is exact when every coordinate of v and c lies
+    within +-MAX_COORD = 2**30: the result then has norm below 2.3 * 2**30,
+    and <u,c> stays below 2**63 for it and for each of its nearest and
+    next-nearest neighbours u.
     """
+    if isinstance(v, (tuple, list)):
+        j = sum(x * y for x, y in zip(v, c)) // sum(y * y for y in c)
+        return tuple(x - j * y for x, y in zip(v, c))
     import numpy as np
 
     v, c = np.asarray(v, dtype=np.int64), np.asarray(c)
@@ -216,12 +221,12 @@ def _flip(v, p):
 
 def class_neighbors(rep, c):
     """Canonical representatives of the three bonded classes."""
-    return tuple(map(tuple, canonical_rep(nearest_neighbors(rep), c).tolist()))
+    return tuple(canonical_rep(u, c) for u in nearest_neighbors(rep))
 
 
 def class_next_nearest_neighbors(rep, c):
     """The six next-to-nearest classes, in the order of next_nearest_neighbors."""
-    return tuple(map(tuple, canonical_rep(next_nearest_neighbors(rep), c).tolist()))
+    return tuple(canonical_rep(u, c) for u in next_nearest_neighbors(rep))
 
 
 def decompose(rep, sym):

@@ -1,9 +1,9 @@
 """Every public function or class has a caller in the program or the benchmark.
 
-Callers are found by parsing the package modules (not the __init__ re-exports)
-and the benchmark scripts (not their tests): a name counts as used when it
-appears there as a Name or an Attribute.  A definition used only by tests
-either earns a place in KEPT, with its reason, or goes.
+Callers are found by parsing every package module and the benchmark scripts
+(not their tests): a name counts as used when it appears there as a Name or
+an Attribute.  A definition used only by tests either earns a place in KEPT,
+with its reason, or goes.
 """
 
 import ast
@@ -24,7 +24,7 @@ KEPT = {
 
 
 def used_names():
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources = list(PACKAGE.glob("*.py"))
     sources += [p for p in (ROOT / "benchmarks").glob("*.py") if p.name != "test_bench.py"]
     names = set()
     for path in sources:

@@ -136,15 +136,37 @@ def test_band_table():
     sym = tube_symmetry(c)
     tables = [bands.band_table(c, sym, m, 256, P_UNIFORM) for m in range(sym.n)]
     assert len(tables) == sym.n
-    touched = min(float(t.E_plus.min()) for t in tables)
+    touched = min(min(t.E_plus) for t in tables)
     assert touched < 1e-9  # a band reaches zero at the injected K projection
     for t in tables:
         assert len(t.kappa) == len(t.E_plus) == len(t.E_minus)
-        assert (t.E_plus >= 0).all() and (t.E_minus <= 0).all()
-        assert (np.abs(t.E_plus) <= 3 + 1e-12).all()
-        assert (np.abs(t.E_minus) <= 3 + 1e-12).all()
+        assert all(e >= 0 for e in t.E_plus) and all(e <= 0 for e in t.E_minus)
+        assert all(abs(e) <= 3 + 1e-12 for e in t.E_plus)
+        assert all(abs(e) <= 3 + 1e-12 for e in t.E_minus)
     with pytest.raises(ValueError):
         bands.band_table(c, sym, 0, 1, P_UNIFORM)
+
+
+@pytest.mark.parametrize("c", [(4, -2, -2), (7, -3, -4), (8, -1, -7)])
+@pytest.mark.parametrize("params", ["uniform", "flux", "epsilon"])
+def test_band_table_matches_vectorized_modulus(c, params):
+    # the scalar kernel against the oracle's vectorized path, row by row
+    sym = tube_symmetry(c)
+    p = {"uniform": P_UNIFORM,
+         "flux": bands.magnetic_params(1.0, 0.3 * bands.flux_period(c, A), c, A),
+         "epsilon": bands.uniform_params(1.0, 0.1, A)}[params]
+    bound = 1e-15 * (abs(p.epsilon) + 3.0)
+    for m in range(sym.n):
+        t = bands.band_table(c, sym, m, 512, p)
+        mod = bands._modulus(*bands._line_k(sym, m, np.asarray(t.kappa), A), p)
+        assert np.max(np.abs(np.asarray(t.E_plus) - (p.epsilon + mod))) <= bound
+        assert np.max(np.abs(np.asarray(t.E_minus) - (p.epsilon - mod))) <= bound
+
+
+@pytest.mark.parametrize("a", [A, 1.0, 0.37, 5.9])
+def test_k_points_are_the_uniform_hopping_zeros(a):
+    # repr tells -0.0 from 0.0: equal reprs are equal bits
+    assert repr(bands._k_points(a)) == repr(bands._hopping_zeros(bands.uniform_params(a=a)))
 
 
 GAP_5_0_5 = 0.7639320225002102  # frozen from a 2e6-point-per-line dense scan
@@ -278,6 +300,11 @@ def test_band_gap_near_end_of_flux_period():
     assert res.gap == pytest.approx(0.0118641778306, abs=1e-9)
 
 
+def line_modulus(sym, m, kappa, p):
+    """Hopping-sum modulus along line m at screw coordinates kappa (array)."""
+    return bands._modulus(*bands._line_k(sym, m, np.asarray(kappa, dtype=float), p.a), p)
+
+
 def scanned_gap(sym, p, points=2 ** 16, zooms=3):
     """Twice the least modulus over all n lines, found without band_gap.
 
@@ -288,7 +315,7 @@ def scanned_gap(sym, p, points=2 ** 16, zooms=3):
     step = bands.kappa_period(sym, p.a) / points
     kappa = np.broadcast_to(np.arange(points) * step, (sym.n, points))
     for _ in range(zooms + 1):
-        vals = bands._line_modulus(sym, m, kappa, p)
+        vals = line_modulus(sym, m, kappa, p)
         kappa = kappa[rows, np.argmin(vals, axis=-1)][:, None] + np.linspace(-step, step, 1025)
         step /= 512
     return 2.0 * float(vals.min())

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -569,6 +570,7 @@ def modules_after(statement, *argv):
     return set(proc.stderr.split())
 
 
+@functools.cache  # one interpreter per command line, shared by the import tests
 def modules_after_main(*argv):
     return modules_after("from cntbands.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
 
@@ -580,19 +582,28 @@ def test_integer_commands_run_without_numpy(argv):
     assert "cntbands.tube" in loaded and "numpy" not in loaded
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--c", "5,0,-5"],
-    ["bands", "--c", "5,0,-5", "--resolution", "64"],
-    ["gap", "--c", "5,0,-5"],
-    ["magsweep", "--c", "5,0,-5", "--samples", "2"],
-    ["graphene-path", "--samples", "8"],
-    ["verify", "--c", "5,0,-5"],
-    ["neighbors", "--v", "0,0,1", "--c", "4,-2,-2"],
+EVERY_COMMAND = pytest.mark.parametrize("argv", [
+    ("classify", "--c", "5,0,-5"),
+    ("bands", "--c", "5,0,-5", "--resolution", "64"),
+    ("gap", "--c", "5,0,-5"),
+    ("magsweep", "--c", "5,0,-5", "--samples", "2"),
+    ("graphene-path", "--samples", "8"),
+    ("verify", "--c", "5,0,-5"),
+    ("neighbors", "--v", "0,0,1", "--c", "4,-2,-2"),
 ], ids=lambda argv: argv[0])
+
+
+@EVERY_COMMAND
 def test_only_verify_loads_the_oracle(argv):
     loaded = modules_after_main(*argv)
     assert "cntbands.cli" in loaded
     assert ("cntbands.oracle" in loaded) == (argv[0] == "verify")
+
+
+@EVERY_COMMAND
+def test_only_the_gap_search_and_oracle_load_numpy(argv):
+    loaded = modules_after_main(*argv)
+    assert ("numpy" in loaded) == (argv[0] in ("gap", "magsweep", "verify"))
 
 
 def test_package_import_loads_no_module():

@@ -132,6 +132,17 @@ def test_canonical_rep_window_and_identity():
             assert canonical_rep(shifted, c) == rep
 
 
+def test_canonical_rep_of_one_triple_is_exact_at_any_size():
+    # one triple is reduced in Python ints, which neither wrap nor round
+    c = (7, -2, -5)
+    for v in [(10 ** 20 + 1, -10 ** 20, -1), (3 * 2 ** 62, -2 ** 62, -2 ** 63),
+              (-10 ** 30, 10 ** 30 - 7, 7)]:
+        rep = canonical_rep(v, c)
+        assert 0 <= geom.inner(rep, c) < geom.inner(c, c)
+        j, rem = divmod(v[0] - rep[0], c[0])
+        assert rem == 0 and [x - r for x, r in zip(v, rep)] == [j * y for y in c]
+
+
 def test_class_neighbors():
     c = (4, -2, -2)
     got = class_neighbors((0, 0, 0), c)
