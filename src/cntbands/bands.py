@@ -12,10 +12,13 @@ hopping phases and acts as a rigid shift k -> k + beta c of the lines.
 The gap search samples no grid: it starts on the two lines next to each
 zero of the hopping sum (a Dirac point, moved rigidly to K - beta c by flux).
 
-A band line needs only three phasors a point, so band tables are computed
-in Python floats and loading this module does not load numpy.  The gap
-search, the flux hoppings and the vectorized modulus the oracle uses import
-numpy inside their bodies.
+A band line needs only three phasors a point, so band tables and the gap
+search are computed in Python floats and loading this module does not load
+numpy; only the vectorized modulus the oracle uses imports it, inside its
+body.  The gap search measures k from the hopping zero: with
+w_j = gamma_j e^{i K_j a} summing to zero, the modulus is
+|sum_j w_j (e^{i delta_j a} - 1)|, delta = k - K, which keeps its relative
+precision as k nears K, and each seed's line offset comes from integers.
 """
 
 import cmath
@@ -33,6 +36,11 @@ A_DEFAULT = bond_length_scale(1.44)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 64  # band_gap's bracket shrinks by 0.618^64 ~ 4e-14
 HALF_K_DISTANCE = math.sqrt(2.0) * math.pi / 3.0  # a |K - K'| / 2 for neighbouring K, K'
+K_TURN = math.acos(-0.5)  # K a = (K_TURN, -K_TURN, 0), K' = -K
+
+# 2 pi as a ratio of integers, within 1e-31: the double 2 pi, 884279719003555 / 2^47,
+# plus the double nearest the rest, 4967757600021511 / 2^104 = 2.4492935982947064e-16
+TWO_PI_RATIO = (884279719003555 * 2 ** 57 + 4967757600021511, 2 ** 104)
 
 # bound on |beta| in flux periods: each phase beta c_j a is then below 2^10 pi
 # rad and rounds by less than 1e-12 rad
@@ -41,13 +49,19 @@ MAX_FLUX_PERIODS = 2 ** 10
 
 @dataclass(frozen=True)
 class BandParams:
-    """Onsite energy, complex hoppings, and length scale of the model."""
+    """Onsite energy, complex hoppings, and length scale of the model.
+
+    field, when set, is the (gamma, beta, c) the hoppings
+    gamma e^{i beta c_j a} were built from; band_gap reads the flux from it
+    exactly instead of from the rounded phases.
+    """
 
     epsilon: float = 0.0
     gamma0: complex = 1.0 + 0.0j
     gamma1: complex = 1.0 + 0.0j
     gamma2: complex = 1.0 + 0.0j
     a: float = A_DEFAULT
+    field: tuple = None
 
     def __post_init__(self):
         if not self.a > 0 or math.isinf(self.a):
@@ -57,6 +71,9 @@ class BandParams:
         for g in (self.gamma0, self.gamma1, self.gamma2):
             if not cmath.isfinite(g):
                 raise ValueError(f"hoppings must be finite, got {g}")
+        hoppings = (self.gamma0, self.gamma1, self.gamma2)
+        if self.field is not None and hoppings != _field_hoppings(*self.field, self.a):
+            raise ValueError(f"hoppings do not match the field {self.field}")
 
 
 def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
@@ -72,19 +89,18 @@ def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
     With these parameters the dispersion at k equals the zero-field
     dispersion at k + beta c.
     """
-    import numpy as np
-
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     c = validate_chirality(c)
     check_beta(beta, c, a)
-    return BandParams(
-        epsilon=epsilon,
-        gamma0=gamma * np.exp(1j * beta * c[0] * a),
-        gamma1=gamma * np.exp(1j * beta * c[1] * a),
-        gamma2=gamma * np.exp(1j * beta * c[2] * a),
-        a=a,
-    )
+    field = (gamma, float(beta), c)
+    g0, g1, g2 = _field_hoppings(*field, a)
+    return BandParams(epsilon=epsilon, gamma0=g0, gamma1=g1, gamma2=g2, a=a, field=field)
+
+
+def _field_hoppings(gamma, beta, c, a):
+    """gamma e^{i beta c_j a}; rect(1, x) is the cos + i sin numpy's exp(1j x) gives."""
+    return tuple(gamma * cmath.rect(1.0, beta * cj * a) for cj in c)
 
 
 def _modulus(k0, k1, k2, p):
@@ -173,41 +189,47 @@ def _hopping_zeros(p):
     to [-1, 1] puts both k on the aligned minimum when no triangle closes.
     Uniform hoppings give K, K'; magnetic ones K - beta c, K' - beta c.
     """
-    import numpy as np
-
-    gammas = np.array([p.gamma0, p.gamma1, p.gamma2])
-    r = np.abs(gammas) / np.max(np.abs(gammas))
-    if not np.all(r > 0):
-        raise ValueError(f"hoppings must be nonzero, got {tuple(gammas.tolist())}")
-    r1, r2 = np.roll(r, -1), np.roll(r, -2)
-    with np.errstate(divide="ignore", over="ignore"):
-        cos = (r2 * r2 - r * r - r1 * r1) / (2.0 * r * r1)
-    _, turn12, turn20 = np.arccos(np.clip(cos, -1.0, 1.0))
-    phase = np.angle(gammas) - np.angle(gammas[2])
-    # phasor angles k_j a + arg gamma_j measured from phasor 2, one per sign of the turns
-    ks = [(np.array([s * turn20, -s * turn12, 0.0]) - phase) / p.a for s in (1.0, -1.0)]
-    return [tuple((k - k.mean()).tolist()) for k in ks]
+    gammas = (complex(p.gamma0), complex(p.gamma1), complex(p.gamma2))
+    top = max(map(abs, gammas))
+    r = [abs(g) / top for g in gammas]
+    if not all(x > 0 for x in r):
+        raise ValueError(f"hoppings must be nonzero, got {gammas}")
+    turns = []
+    for i in range(3):
+        r0, r1, r2 = r[i], r[(i + 1) % 3], r[(i + 2) % 3]
+        den = 2.0 * r0 * r1  # 0 only if r0 r1 underflows, when r2 = 1 and the cosine is +inf
+        cos = (r2 * r2 - r0 * r0 - r1 * r1) / den if den else 1.0
+        turns.append(math.acos(min(max(cos, -1.0), 1.0)))
+    _, turn12, turn20 = turns
+    phase = [cmath.phase(g) - cmath.phase(gammas[2]) for g in gammas]
+    zeros = []
+    for s in (1.0, -1.0):
+        # phasor angles k_j a + arg gamma_j measured from phasor 2
+        k = [(x - ph) / p.a for x, ph in zip((s * turn20, -s * turn12, 0.0), phase)]
+        mean = (k[0] + k[1] + k[2]) / 3.0
+        zeros.append(tuple(x - mean for x in k))
+    return zeros
 
 
 def _k_points(a):
-    """K, K' = +-(t, -t, 0) / a, t = acos(-1/2): _hopping_zeros of uniform hoppings, bit for bit."""
-    t = math.acos(-0.5)
+    """K, K' = +-(t, -t, 0) / a, t = K_TURN: _hopping_zeros of uniform hoppings, bit for bit."""
+    t = K_TURN
     return [(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]
 
 
 def k_point_projections(c, sym, a=A_DEFAULT):
     """(m, kappa) coordinates of the K points that lie on allowed lines.
 
-    Empty for semiconducting tubes.  Each kappa before reduction is zero or
-    at least 2 pi q' / (3 a) from zero, so it never rounds up to the period.
+    Empty for semiconducting tubes.  K and K' lie on lines
+    m = +-(c0 - c1) / 3, taken mod n in integers.  Each kappa before
+    reduction is zero or at least 2 pi q' / (3 a) from zero, so it never
+    rounds up to the period.
     """
-    found = []
-    for kp in _k_points(a):
-        m = inner(kp, c) * a / (2.0 * math.pi)
-        if abs(m - round(m)) <= 1e-9:
-            kappa = sym.q_prime * inner(kp, sym.omega) % kappa_period(sym, a)
-            found.append((round(m) % sym.n, kappa))
-    return found
+    if not is_metallic(c):
+        return []
+    line = (c[0] - c[1]) // 3
+    return [(s * line % sym.n, sym.q_prime * inner(kp, sym.omega) % kappa_period(sym, a))
+            for s, kp in zip((1, -1), _k_points(a))]
 
 
 @dataclass(frozen=True)
@@ -253,15 +275,95 @@ class GapResult:
     metallic_by_theorem: bool
 
 
+def _gap_seeds(c, p):
+    """(zero, w, s, line, offset) of the four lines next to the two hopping zeros.
+
+    zero is the hopping zero in k, w_j = gamma_j e^{i zero_j a}, s their sum,
+    and the seed, line's point nearest the zero, is zero + offset step c.
+    Equal hoppings gamma and a field (gamma, beta, c_f) put the zeros at
+    K - beta c_f, K' - beta c_f; then s = 0, each w_j is gamma e^{i K_j a}
+    and, with the flux fraction phi = beta a <c_f, c> / 2 pi, the offsets of
+    the lines next to m = +-(c0 - c1) / 3 - phi come from integer ratios,
+    rounded once.  Other hoppings take their zeros from _hopping_zeros and
+    their offsets in floats.
+    """
+    gammas = (p.gamma0, p.gamma1, p.gamma2)
+    if not all(gammas):
+        raise ValueError(f"hoppings must be nonzero, got {gammas}")
+    if p.field is None and not p.gamma0 == p.gamma1 == p.gamma2:
+        for zero in _hopping_zeros(p):
+            w = tuple(g * cmath.rect(1.0, k * p.a) for g, k in zip(gammas, zero))
+            m = inner(zero, c) * p.a / (2.0 * math.pi)
+            for line in (math.floor(m), math.floor(m) + 1):
+                yield zero, w, w[0] + w[1] + w[2], line, line - m
+        return
+    gamma, beta, c_f = p.field or (p.gamma0, 0.0, c)
+    (bn, bd), (an, ad) = beta.as_integer_ratio(), float(p.a).as_integer_ratio()
+    # m = sign (c0 - c1) / 3 - phi = num / (3 unit), exact but for 2 pi's 1e-31
+    unit = bd * ad * TWO_PI_RATIO[0]
+    flux = 3 * bn * an * inner(c_f, c) * TWO_PI_RATIO[1]  # 3 unit phi
+    for sign in (1, -1):
+        k_a = (sign * K_TURN, -sign * K_TURN, 0.0)
+        # beta c_f wrapped by whole lattice steps, which move m by multiples of n
+        zero = tuple((x - math.remainder(beta * cj * p.a, 2.0 * math.pi)) / p.a
+                     for x, cj in zip(k_a, c_f))
+        w = tuple(gamma * cmath.rect(1.0, x) for x in k_a)
+        num = sign * (c[0] - c[1]) * unit - flux
+        low = num // (3 * unit)
+        for line in (low, low + 1):
+            yield zero, w, 0j, line, (3 * unit * line - num) / (3 * unit)  # int / int rounds once
+
+
+def _zero_modulus(w, s, x, d):
+    """t -> |s + sum_j w_j (e^{i theta_j} - 1)|, theta = x + t d: the modulus at zero + theta / a.
+
+    e^{i theta} - 1 = 2i sin(theta / 2) e^{i theta / 2} = -2 sin^2(theta / 2)
+    + i sin(theta) keeps its relative precision as theta -> 0; so, when
+    s = 0, does the modulus near the zero.
+    """
+    (w0, w1, w2), (x0, x1, x2), (d0, d1, d2), sin = w, x, d, math.sin
+
+    def modulus(t):
+        t0, t1, t2 = x0 + t * d0, x1 + t * d1, x2 + t * d2
+        h0, h1, h2 = sin(0.5 * t0), sin(0.5 * t1), sin(0.5 * t2)
+        return abs(s + w0 * complex(-2.0 * h0 * h0, sin(t0))
+                   + w1 * complex(-2.0 * h1 * h1, sin(t1)) + w2 * complex(-2.0 * h2 * h2, sin(t2)))
+    return modulus
+
+
+def _golden_min(f, half):
+    """Midpoint of the final bracket of a golden-section search for f's minimum on [-half, half]."""
+    lo, hi = -half, half
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_STEPS):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = f(x2)
+    return (lo + hi) / 2.0
+
+
 def band_gap(c, sym, p, resolution=None):
     """Minimize the modulus over all n allowed lines; gap is twice the minimum.
 
     Seeds: for each hopping zero K, with m = <K, c> a / 2 pi, the point of
-    line M = floor(m), floor(m) + 1 nearest K.  One golden-section search in
-    t, k = seed + t b / ||b||, over all four; t = 0 is scored too, which makes
-    metallic gaps exact.  argmin_m is M mod n.  The counting-rule verdict is
-    computed independently.  resolution is ignored (no grid is sampled);
-    benchmarks/workloads.py still passes it.
+    line M = floor(m), floor(m) + 1 nearest K.  A golden-section search in
+    t, k = seed + t b / ||b||, on each; t = 0 is scored too, which makes
+    metallic gaps exactly 0.0.  argmin_m is M mod n.  The counting-rule
+    verdict is computed independently.  resolution is ignored (no grid is
+    sampled); benchmarks/workloads.py still passes it.
+
+    Precision: for uniform hoppings and those of magnetic_params, the
+    offsets come from integers and the modulus is measured from the zero
+    (_gap_seeds, _zero_modulus), so the gap holds its relative precision,
+    about 1e-15, however small it is or large c is.  Other unequal
+    hoppings have zeros and offsets rounded in floats: their gap holds an
+    absolute precision of about 1e-16 (|gamma0| + |gamma1| + |gamma2|).
 
     The search rests on two assumptions: the global minimum lies on one of
     the lines M that bracket a hopping zero, and each seed's bracket
@@ -269,36 +371,22 @@ def band_gap(c, sym, p, resolution=None):
     search converges to.  benchmarks/reference.json, the gaps of all 10 860
     tubes with c0 <= 120, is their test.
     """
-    import numpy as np
-
     c = validate_chirality(c)
     step = 2.0 * math.pi / (p.a * inner(c, c))  # x distance between neighbouring lines
-    seeds, lines = [], []
-    for kz in _hopping_zeros(p):
-        m = inner(kz, c) * p.a / (2.0 * math.pi)
-        for line in (math.floor(m), math.floor(m) + 1):
-            seeds.append(np.add(kz, (line - m) * step * np.array(c, dtype=float)))
-            lines.append(line)
-    seeds = np.array(seeds)
-    axis = np.array(sym.b, dtype=float) / math.sqrt(inner(sym.b, sym.b))
-
-    def modulus(t):
-        return _modulus(*np.moveaxis(seeds + t[..., None] * axis, -1, 0), p)
-
-    lo = np.full(len(seeds), -HALF_K_DISTANCE / p.a)
-    hi = -lo
-    for _ in range(GOLDEN_STEPS):
-        inner_pts = np.array([hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)])
-        f_left, f_right = modulus(inner_pts)
-        left = f_left < f_right
-        lo, hi = np.where(left, lo, inner_pts[0]), np.where(left, inner_pts[1], hi)
-    t = np.array([np.zeros(len(seeds)), (lo + hi) / 2.0])
-    vals = modulus(t)
-    j, i = np.unravel_index(np.argmin(vals), vals.shape)
+    norm_b = math.sqrt(inner(sym.b, sym.b))
+    axis = tuple(bj / norm_b for bj in sym.b)
+    searched, scored = [], []
+    for zero, w, s, line, offset in _gap_seeds(c, p):
+        x = tuple(offset * step * cj for cj in c)  # the seed minus the zero
+        modulus = _zero_modulus(w, s, [xj * p.a for xj in x], [aj * p.a for aj in axis])
+        t = _golden_min(modulus, HALF_K_DISTANCE / p.a)
+        scored.append((modulus(0.0), zero, x, 0.0, line))
+        searched.append((modulus(t), zero, x, t, line))
+    value, zero, x, t, line = min(scored + searched, key=lambda v: v[0])
     return GapResult(
-        gap=2.0 * float(vals[j, i]),
-        argmin_k=tuple(float(x) for x in seeds[i] + t[j, i] * axis),
-        argmin_m=lines[i] % sym.n,
+        gap=2.0 * value,
+        argmin_k=tuple(zj + xj + t * aj for zj, xj, aj in zip(zero, x, axis)),
+        argmin_m=line % sym.n,
         metallic_by_theorem=is_metallic(c),
     )
 

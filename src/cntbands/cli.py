@@ -6,8 +6,8 @@ failure.
 
 Each command imports only what it computes with, so start-up costs no more
 than the command needs: `classify` and `neighbors` run on integer
-arithmetic, `bands` and `graphene-path` on Python floats; numpy loads for
-the gap search of `gap` and `magsweep`, and `oracle` for `verify` alone.
+arithmetic, `bands`, `graphene-path`, `gap` and `magsweep` on Python floats
+and integers; numpy and `oracle` load for `verify` alone.
 """
 
 import argparse
@@ -28,7 +28,7 @@ EXIT_NUMERIC = 3
 
 CSV_BLOCK = 4096
 MAX_GRID = 2 ** 22  # bound on the n * resolution band points of bands
-MAX_BETAS = 2 ** 14  # bound on the betas of one magsweep: about a minute at ~3 ms a gap
+MAX_BETAS = 2 ** 14  # bound on the betas of one magsweep: about 10 s at ~0.6 ms a gap
 
 
 @dataclass
@@ -210,7 +210,7 @@ def _gap_params(c, cfg, beta):
 def cmd_gap(args, cfg):
     from . import bands
 
-    # at MAX_COORD the gap search keeps 22 bits of the fraction of <K, c> a / 2 pi
+    # the gap's relative precision is tested against mpmath up to coordinates of MAX_COORD
     c, sym = _tube(args, tube.MAX_COORD)
     beta = args.beta or 0.0
     res = bands.band_gap(c, sym, _gap_params(c, cfg, beta))
@@ -225,8 +225,6 @@ def cmd_gap(args, cfg):
 
 
 def cmd_magsweep(args, cfg):
-    import numpy as np
-
     from . import bands
 
     c, sym = _tube(args, tube.MAX_COORD)
@@ -238,8 +236,10 @@ def cmd_magsweep(args, cfg):
     total = args.periods * (args.samples - 1) + 1
     if total > MAX_BETAS:
         raise InputError(f"periods * (samples - 1) + 1 = {total} betas exceed {MAX_BETAS}")
-    _check_beta(args.periods * period, c, cfg)
-    betas = np.linspace(0.0, args.periods * period, total)
+    stop = args.periods * period
+    _check_beta(stop, c, cfg)
+    # numpy's linspace(0, stop, total): i * (stop / (total - 1)), ending at exactly stop
+    betas = [i * (stop / (total - 1)) for i in range(total - 1)] + [stop]
     sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas, epsilon=cfg.epsilon)
     _emit(_csv(("beta", "gap"), "%.12g,%.12g\n", sweep), cfg)
     return EXIT_OK

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -179,7 +181,7 @@ def test_band_gap_examples():
         res = bands.band_gap(c, sym, P_UNIFORM)
         assert res.metallic_by_theorem is metallic
         if metallic:
-            assert res.gap < 1e-9
+            assert res.gap == 0.0
         else:
             assert res.gap > 1e-3
     res = bands.band_gap((5, 0, -5), tube_symmetry((5, 0, -5)), P_UNIFORM)
@@ -244,7 +246,7 @@ def test_gap_vs_beta_properties():
     betas = [0.0, 0.25 * period, period]
     sweep = bands.gap_vs_beta(c, sym, 1.0, A, betas)
     gaps = [g for _, g in sweep]
-    assert gaps[0] < 1e-9  # metallic at zero flux
+    assert gaps[0] == 0.0  # metallic at zero flux
     assert all(g >= 0 for g in gaps)
     assert abs(gaps[0] - gaps[-1]) < 1e-8  # one-quantum periodicity
 
@@ -335,7 +337,7 @@ def test_band_gap_matches_reference_table():
         res = bands.band_gap(c, tube_symmetry(c), P_UNIFORM)
         assert res.gap == pytest.approx(table[c], abs=1e-6), c
         if res.metallic_by_theorem:  # the seed on the line through K is scored itself
-            assert res.gap <= 1e-14, c
+            assert res.gap == 0.0, c
     assert time.perf_counter() - start < 3.0
 
 
@@ -376,15 +378,16 @@ def test_zigzag_gap_closed_form(n):
     """(N, 0, -N) has lines at k0 - k2 = 2 pi m / (N a)."""
     res = bands.band_gap((n, 0, -n), tube_symmetry((n, 0, -n)), P_UNIFORM)
     if n % 3 == 0:
-        assert res.gap <= 1e-12
+        assert res.gap == 0.0
     else:
-        # the modulus is evaluated to about 1e-16 absolute: 1e-7 relative at N = 2^30
-        assert res.gap == pytest.approx(zigzag_gap(n), rel=1e-12, abs=1e-15)
+        # the modulus is measured from K, so even the 3e-9 gap of N = 2^30 keeps its digits
+        assert res.gap == pytest.approx(zigzag_gap(n), rel=1e-13)
 
 
-@pytest.mark.parametrize("zero", ["gamma0", "gamma1", "gamma2"])
+@pytest.mark.parametrize("zero", ["gamma0", "gamma1", "gamma2", "all"])
 def test_zero_hopping_rejected(zero):
-    p = bands.BandParams(**{zero: 0.0})
+    names = ["gamma0", "gamma1", "gamma2"] if zero == "all" else [zero]
+    p = bands.BandParams(**{name: 0.0 for name in names})
     with pytest.raises(ValueError, match="nonzero"):
         bands.band_gap((5, 0, -5), tube_symmetry((5, 0, -5)), p)
 
@@ -404,13 +407,13 @@ def test_argmin_within_half_a_line_of_a_hopping_zero():
 
 def test_band_gap_of_a_huge_chiral_tube():
     # one kappa period is 2.1e13 here, so no absolute kappa width is resolvable; the
-    # search runs a fixed number of steps in the O(1) displacement t.  The former scan printed 0.0686; 2.0943940551953813e-06 is a
-    # 50-digit minimum along the winning line.
+    # search runs a fixed number of steps in the O(1) displacement t.  The former scan
+    # printed 0.0686; 2.0943940551953813e-06 is a 50-digit minimum along the winning line.
     c = (1000001, 1000000, -2000001)
     start = time.perf_counter()
     res = bands.band_gap(c, tube_symmetry(c), P_UNIFORM)
     assert time.perf_counter() - start < 1.0
-    assert res.gap == pytest.approx(2.0943940551953813e-06, rel=1e-8)
+    assert res.gap == pytest.approx(2.0943940551953813e-06, rel=1e-13)
     assert res.gap == pytest.approx(2 * bands.dispersion(res.argmin_k, P_UNIFORM)[1], abs=1e-15)
 
 
@@ -444,3 +447,116 @@ def test_k_point_projections_lie_within_one_period():
                     assert 0 <= kappa < bands.kappa_period(sym, a)
                     k = bands._line_k(sym, m, kappa, a)
                     assert bands.dispersion(k, bands.uniform_params(a=a))[1] < 1e-12
+
+
+def test_k_point_projections_of_a_large_metallic_tube():
+    # c0 - c1 = 6 and n = 1: K and K' lie on line 0.  A float m = <K, c> a / 2 pi is
+    # 8.5e-9 from its integer here, which the former tolerance 1e-9 took for no line.
+    c = (536870915, 536870909, -1073741824)
+    sym = tube_symmetry(c)
+    assert sym.n == 1 and tube.is_metallic(c)
+    proj = bands.k_point_projections(c, sym, A)
+    assert [m for m, _ in proj] == [0, 0] and proj[0][1] != proj[1][1]
+    assert all(0 <= kappa < bands.kappa_period(sym, A) for _, kappa in proj)
+    assert len(bands.band_table(c, sym, 0, 64, P_UNIFORM).kappa) == 64 + 2
+
+
+def test_magnetic_hoppings_are_numpy_exp_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for c in [(4, -2, -2), (5, 0, -5), (7, -3, -4), (2 ** 30, 0, -2 ** 30)]:
+        period = bands.flux_period(c, A)
+        for beta in [0.0, -0.0] + [float(x) for x in rng.uniform(-5, 5, 40) * period]:
+            gamma = float(rng.uniform(0.2, 3.0))
+            p = bands.magnetic_params(gamma, beta, c, A)
+            want = [gamma * np.exp(1j * beta * cj * A) for cj in c]
+            got = [p.gamma0, p.gamma1, p.gamma2]
+            assert [(repr(g.real), repr(g.imag)) for g in got] == \
+                [(repr(float(g.real)), repr(float(g.imag))) for g in want], (c, beta)
+
+
+def test_field_must_match_the_hoppings():
+    p = bands.magnetic_params(1.0, 0.01, (7, -3, -4), A)
+    assert dataclasses.replace(p, epsilon=0.5).field == p.field
+    with pytest.raises(ValueError, match="do not match"):
+        dataclasses.replace(p, gamma0=1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        bands.BandParams(field=(1.0, 0.01, (7, -3, -4)))
+
+
+def test_two_pi_ratio():
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(bands.TWO_PI_RATIO[0]) / bands.TWO_PI_RATIO[1]
+                   - 2 * mpmath.pi) < 1e-31
+
+
+def mp_line_minima(c, beta, a=A, steps=170):
+    """Twice the least modulus on the four lines band_gap seeds, at 60 digits.
+
+    The flux enters as the shift k -> k + beta c of gamma = 1 hoppings; beta and
+    a are taken as the exact values of their doubles.  Each line is searched
+    by golden section over |t| <= sqrt(2) pi / (3 a) from its point nearest the
+    shifted K (or K'), to a bracket of 0.618^steps of that.
+    """
+    with mpmath.workdps(60):
+        a, beta, pi = mpmath.mpf(a), mpmath.mpf(beta), mpmath.pi
+        b = tube_symmetry(c).b
+        axis = [bj / mpmath.sqrt(sum(x * x for x in b)) for bj in b]
+        half, golden = mpmath.sqrt(2) * pi / (3 * a), (mpmath.sqrt(5) - 1) / 2
+        best = mpmath.inf
+        for s in (1, -1):
+            zero = [s * 2 * pi / (3 * a) - beta * c[0], -s * 2 * pi / (3 * a) - beta * c[1],
+                    -beta * c[2]]
+            m = sum(z * cj for z, cj in zip(zero, c)) * a / (2 * pi)
+            for line in (mpmath.floor(m), mpmath.floor(m) + 1):
+                foot = [z + (line - m) * 2 * pi / (a * sum(x * x for x in c)) * cj
+                        for z, cj in zip(zero, c)]
+
+                def mod(t):
+                    return abs(sum(mpmath.expj((f + t * d + beta * cj) * a)
+                                   for f, d, cj in zip(foot, axis, c)))
+
+                lo, hi = -half, half
+                for _ in range(steps):
+                    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+                    lo, hi = (lo, x2) if mod(x1) < mod(x2) else (x1, hi)
+                best = min(best, mod(0), mod((lo + hi) / 2))
+        return 2 * best
+
+
+@pytest.mark.parametrize("c", [(1000001, 1000000, -2000001), (2 ** 30, -2 ** 29 + 1, -2 ** 29 - 1),
+                               (2 ** 30, 0, -2 ** 30), (56, 55, -111), (7, -3, -4),
+                               (536870915, 536870909, -1073741824)])
+@pytest.mark.parametrize("flux", [0.0, 0.3, 1e-6, -2.7])
+def test_band_gap_matches_mpmath_line_minima(c, flux):
+    """Relative 1e-13, for gaps from 0.58 down to 1e-14 (a metallic tube under 1e-6 of a flux)."""
+    beta = flux * bands.flux_period(c, A)
+    p = bands.magnetic_params(1.0, beta, c, A) if flux else P_UNIFORM
+    gap = bands.band_gap(c, tube_symmetry(c), p).gap
+    if flux == 0 and tube.is_metallic(c):
+        assert gap == 0.0
+    else:
+        assert gap == pytest.approx(float(mp_line_minima(c, beta)), rel=1e-13)
+
+
+@pytest.mark.parametrize("hoppings", ["uniform", "unequal", "no triangle"])
+def test_zero_modulus_matches_vectorized_modulus(hoppings):
+    """The gap search's modulus, measured from a hopping zero, against _modulus at k.
+
+    Both near the zero and 0.5 / a from it.  The bound is 1e-15 at K and K';
+    unequal hoppings, whose phasor sum is formed from rounded zeros, reach
+    1.1e-15 in a few draws.
+    """
+    p = {"uniform": P_UNIFORM,
+         "unequal": bands.BandParams(gamma0=0.9 * np.exp(0.4j), gamma1=1.2 * np.exp(-2.0j),
+                                     gamma2=0.7 * np.exp(1.1j), a=A),
+         "no triangle": bands.BandParams(gamma0=1.5, gamma1=0.5j, gamma2=-0.4, a=A)}[hoppings]
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for zero, w, s, _, _ in bands._gap_seeds((7, -3, -4), p):
+        for scale in (1e-9, 1e-3, 0.5):
+            for dk in rng.uniform(-scale, scale, (500, 3)) / A:
+                k = [z + d for z, d in zip(zero, dk)]
+                theta = [(kj - z) * A for kj, z in zip(k, zero)]
+                got = bands._zero_modulus(w, s, theta, (0.0, 0.0, 0.0))(0.0)
+                worst = max(worst, abs(got - float(bands._modulus(*k, p))))
+    assert worst <= (1e-15 if hoppings == "uniform" else 2e-15)

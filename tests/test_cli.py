@@ -94,7 +94,7 @@ def test_bands_deterministic(tmp_path):
 def test_gap_metallic(capsys):
     code, rep = run_json(capsys, ["gap", "--c", "4,-2,-2"])
     assert code == 0
-    assert rep["gap"] < 1e-9
+    assert rep["gap"] == 0.0
     assert rep["metallic_by_theorem"] is True
     assert rep["beta"] == 0.0
 
@@ -602,8 +602,34 @@ def test_only_verify_loads_the_oracle(argv):
 
 @EVERY_COMMAND
 def test_only_the_gap_search_and_oracle_load_numpy(argv):
+    # the gap search runs in Python floats now: of all commands only verify's oracle loads numpy
     loaded = modules_after_main(*argv)
-    assert ("numpy" in loaded) == (argv[0] in ("gap", "magsweep", "verify"))
+    assert ("numpy" in loaded) == (argv[0] == "verify")
+
+
+def test_gap_with_flux_runs_without_numpy():
+    loaded = modules_after_main("gap", "--c", "7,-3,-4", "--beta", "0.01")
+    assert "numpy" not in loaded and "cntbands.oracle" not in loaded
+
+
+@pytest.mark.parametrize("c,periods,samples,bond", [
+    ((4, -2, -2), 1, 201, 1.44), ((5, 0, -5), 3, 33, 1.44), ((7, -3, -4), 2, 7, 0.9),
+    ((1073741824, 0, -1073741824), 1, 1000, 1.44)])
+def test_magsweep_betas_are_numpy_linspace(monkeypatch, c, periods, samples, bond):
+    import numpy as np
+
+    seen = []
+
+    def record(c, sym, gamma, a, betas, epsilon):
+        seen.append(betas)
+        return []
+
+    monkeypatch.setattr(bands, "gap_vs_beta", record)
+    assert main(["magsweep", "--c", ",".join(map(str, c)), "--periods", str(periods),
+                 "--samples", str(samples), "--bond-length", str(bond)]) == 0
+    stop = periods * bands.flux_period(c, cli.RunConfig(bond_length=bond).a)
+    want = np.linspace(0.0, stop, periods * (samples - 1) + 1)
+    assert [repr(b) for b in seen[0]] == [repr(float(b)) for b in want]
 
 
 def test_package_import_loads_no_module():

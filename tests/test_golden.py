@@ -21,13 +21,13 @@ GOLDEN = [
     (["bands", "--c", "9,-3,-6"],
      "ee06ce104847dcafe6fa2129a32414c9518ee03dd7860bd812815e70bedf7ef8"),
     (["gap", "--c", "5,0,-5"],
-     "26bd8c655829376e94b82cc79b8621ffebda42593e48f3723aaa4fd3f84c8d80"),
+     "af57f044eacdf0a7c64be31043ff62970366585f6254662a87908d7975910003"),
     (["gap", "--c", "4,-1,-3"],
-     "77c14d0679c4897acb29c35733206d25720dcfe888657609843f7038db743731"),
+     "ca6ef3a96eec56eecb4c1db1ed007e223e798e7d6de9a5b49eb1e693de078398"),
     (["gap", "--c", "4,-2,-2", "--beta", "0.041"],
-     "5e8bbde7e0fe94d3afebade121cd3dee7295bef5825a7a3ca8add13256b6f38a"),
+     "f684d84fe0fadeded9ae8adb179237051a1d799bb84f4dd497946642b6ed9396"),
     (["magsweep", "--c", "4,-2,-2", "--samples", "33", "--resolution", "256"],
-     "1e7fb40ccde72814d910db23d8c15b9ae1bc46b07239ed60e2c73843525e8cf7"),
+     "226407ac0153bdbbc89304002a757a637e22b7409392ea271b4d9a8912a6da7c"),
     (["graphene-path"],
      "3bd85a979f94924b0873502ce3e1b496ab31f486feffc4c6f0d739cd59fec774"),
     (["graphene-path", "--path", "K,G,M,K,G", "--samples", "500"],
