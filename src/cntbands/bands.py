@@ -46,6 +46,8 @@ TWO_PI_RATIO = (884279719003555 * 2 ** 57 + 4967757600021511, 2 ** 104)
 # rad and rounds by less than 1e-12 rad
 MAX_FLUX_PERIODS = 2 ** 10
 
+BLOCK = 4096  # grid points a band block holds: bounds what band tables and their CSV hold
+
 
 @dataclass(frozen=True)
 class BandParams:
@@ -168,17 +170,18 @@ def _line_k(sym, m, kappa, a):
 
 
 def _line_moduli(origin, direction, ts, p):
-    """_modulus at k = origin + t direction for each t of ts, in Python floats.
+    """_modulus at k = origin + t direction for each t of a block ts, as a list of Python floats.
 
-    The phases and sums are formed in _modulus's order; rect(1, k a) is the
+    One list comprehension a block, which callers keep to BLOCK points.  The
+    phases and sums are formed in _modulus's order; rect(1, k a) is the
     cos + i sin that numpy's exp(1j k a) gives.  abs, libm's hypot, rounds
     apart from numpy's complex abs in the last bit of a few values.
     """
     (o0, o1, o2), (d0, d1, d2) = origin, direction
     g0, g1, g2 = complex(p.gamma0), complex(p.gamma1), complex(p.gamma2)
     a, rect = p.a, cmath.rect
-    return array("d", (abs(g0 * rect(1.0, (o0 + t * d0) * a) + g1 * rect(1.0, (o1 + t * d1) * a)
-                           + g2 * rect(1.0, (o2 + t * d2) * a)) for t in ts))
+    return [abs(g0 * rect(1.0, (o0 + t * d0) * a) + g1 * rect(1.0, (o1 + t * d1) * a)
+                + g2 * rect(1.0, (o2 + t * d2) * a)) for t in ts]
 
 
 def _hopping_zeros(p):
@@ -243,26 +246,61 @@ class BandTable:
     E_plus: array
 
 
-def band_table(c, sym, m, samples, p):
-    """Sample both bands of line m on a uniform kappa grid over one period.
+def _injected(c, sym, m, samples, a):
+    """(i, kappa) of the K projections on line m that band_blocks adds, in kappa order.
 
-    Exact kappa projections of on-line K points are injected so conical
-    touchings appear in the table even off-grid.
+    i >= 1 counts the grid points at or below kappa.  A projection within
+    1e-9 of a period of a grid point or of one added before is left out.
+    """
+    period = kappa_period(sym, a)
+
+    def grid(j):
+        return period * j / samples
+
+    added = []
+    for mm, kk in k_point_projections(c, sym, a):
+        if mm == m:
+            i = bisect(range(samples), kk, key=grid)  # grid(0) = 0 <= kk
+            near = [grid(j) for j in (i - 1, i) if j < samples] + [k for _, k in added]
+            if all(abs(g - kk) > 1e-9 * period for g in near):
+                added.append((i, kk))
+    return sorted(added)
+
+
+def band_blocks(c, sym, m, samples, p):
+    """Both bands of line m on a uniform kappa grid over one period, BLOCK grid points at a time.
+
+    Yields (key, kappa, E_minus, E_plus), lists of Python floats.  The grid,
+    period * i / samples for i < samples, is the same on every line, and key
+    is the index of its block; callers can share the work of a block between
+    lines by key.  Exact kappa projections of on-line K points are added so
+    that conical touchings appear in the table even off-grid; a block that
+    holds one has key None.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     period = kappa_period(sym, p.a)
-    kappa = array("d", (period * i / samples for i in range(samples)))
-    for mm, kk in k_point_projections(c, sym, p.a):
-        if mm == m:
-            i = bisect(kappa, kk)  # kappa[i - 1] <= kk < kappa[i], as kappa[0] = 0 <= kk
-            if all(abs(g - kk) > 1e-9 * period for g in kappa[i - 1:i + 1]):
-                kappa.insert(i, kk)
+    added = _injected(c, sym, m, samples, p.a)
     origin, to_y = _line(sym, m, p.a)
-    mod = _line_moduli(origin, sym.b, map(to_y, kappa), p)
-    return BandTable(c=tuple(c), m=m, kappa=kappa,
-                     E_minus=array("d", (p.epsilon - v for v in mod)),
-                     E_plus=array("d", (p.epsilon + v for v in mod)))
+    for lo in range(0, samples, BLOCK):
+        hi = min(lo + BLOCK, samples)
+        kappa = [period * i / samples for i in range(lo, hi)]
+        key = lo // BLOCK
+        for i, kk in reversed(added):  # kk follows grid point i - 1; last first keeps the order
+            if lo < i <= hi:
+                kappa.insert(i - lo, kk)
+                key = None
+        mod = _line_moduli(origin, sym.b, map(to_y, kappa), p)
+        yield key, kappa, [p.epsilon - v for v in mod], [p.epsilon + v for v in mod]
+
+
+def band_table(c, sym, m, samples, p):
+    """band_blocks of line m joined into one BandTable of array columns."""
+    columns = (array("d"), array("d"), array("d"))
+    for _, *blocks in band_blocks(c, sym, m, samples, p):
+        for column, block in zip(columns, blocks):
+            column.extend(block)
+    return BandTable(tuple(c), m, *columns)
 
 
 @dataclass(frozen=True)

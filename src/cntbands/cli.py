@@ -7,15 +7,15 @@ failure.
 Each command imports only what it computes with, so start-up costs no more
 than the command needs: `classify` and `neighbors` run on integer
 arithmetic, `bands`, `graphene-path`, `gap` and `magsweep` on Python floats
-and integers; numpy and `oracle` load for `verify` alone.
+and integers; numpy and `oracle` load for `verify` alone, and `json` only for
+the commands that print JSON or read --config.  CSV is written in blocks of
+bands.BLOCK rows, each formatted by one %.
 """
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain, islice, repeat
 
 from . import tube
 from .geom import inner
@@ -26,9 +26,10 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-CSV_BLOCK = 4096
-MAX_GRID = 2 ** 22  # bound on the n * resolution band points of bands
-MAX_BETAS = 2 ** 14  # bound on the betas of one magsweep: about 10 s at ~0.6 ms a gap
+# bound on the n * resolution band points of bands: 10 to 13 s at the bound (2-vCPU Xeon)
+MAX_GRID = 2 ** 22
+# bound on the betas of one magsweep: 8 to 13 s at 0.5 to 0.8 ms a gap (2-vCPU Xeon)
+MAX_BETAS = 2 ** 14
 
 
 @dataclass
@@ -103,6 +104,8 @@ def _load_config(args):
     keys = [f.name for f in fields(RunConfig)]
     values = {}
     if args.config:
+        import json
+
         with open(args.config) as fh:
             try:
                 raw = json.load(fh)
@@ -135,18 +138,26 @@ def _emit(chunks, cfg):
 
 
 def _json(obj):
+    import json
+
     return (json.dumps(obj, indent=2) + "\n",)
 
 
-def _csv(header, row_format, rows):
-    """CSV chunks of an iterable of row tuples: each block of rows formatted in one pass.
+def _csv(header, blocks):
+    """CSV chunks: the header, then one chunk per (row_format, columns) block.
 
-    Blocks bound the memory held by formatting to CSV_BLOCK rows.
+    The columns of a block are equal-length sequences of the values
+    row_format takes, one a field; they are interleaved and formatted by one
+    %.  Callers keep blocks to bands.BLOCK rows, which bounds what
+    formatting holds.
     """
     yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while block := list(islice(rows, CSV_BLOCK)):
-        yield (row_format * len(block)) % tuple(chain.from_iterable(block))
+    for row_format, columns in blocks:
+        width, rows = len(columns), len(columns[0])
+        values = [None] * (width * rows)
+        for j, column in enumerate(columns):
+            values[j::width] = column
+        yield (row_format * rows) % tuple(values)
 
 
 def cmd_classify(args, cfg):
@@ -180,12 +191,19 @@ def cmd_bands(args, cfg):
                          f"exceed {MAX_GRID}")
     p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
 
-    def rows():  # one line's table at a time
+    def blocks():  # one block of one line at a time
+        kappa_text = {}  # grid block key -> its kappa column, formatted once for all n lines
         for m in range(sym.n):
-            t = bands.band_table(c, sym, m, cfg.resolution, p)
-            yield from zip(repeat(m), t.kappa, t.E_minus, t.E_plus)
+            row_format = f"{m},%s,%.12g,%.12g\n"
+            for key, kappa, e_minus, e_plus in bands.band_blocks(c, sym, m, cfg.resolution, p):
+                text = kappa_text.get(key)
+                if text is None:
+                    text = ("%.12g\n" * len(kappa)) % tuple(kappa)
+                    if key is not None and m + 1 < sym.n:
+                        kappa_text[key] = text
+                yield row_format, (text.split(), e_minus, e_plus)
 
-    _emit(_csv(("m", "kappa", "E_minus", "E_plus"), "%d,%.12g,%.12g,%.12g\n", rows()), cfg)
+    _emit(_csv(("m", "kappa", "E_minus", "E_plus"), blocks()), cfg)
     return EXIT_OK
 
 
@@ -241,7 +259,8 @@ def cmd_magsweep(args, cfg):
     # numpy's linspace(0, stop, total): i * (stop / (total - 1)), ending at exactly stop
     betas = [i * (stop / (total - 1)) for i in range(total - 1)] + [stop]
     sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas, epsilon=cfg.epsilon)
-    _emit(_csv(("beta", "gap"), "%.12g,%.12g\n", sweep), cfg)
+    _emit(_csv(("beta", "gap"), (("%.12g,%.12g\n", tuple(zip(*sweep[i:i + bands.BLOCK])))
+                                 for i in range(0, len(sweep), bands.BLOCK))), cfg)
     return EXIT_OK
 
 
@@ -268,23 +287,28 @@ def cmd_graphene_path(args, cfg):
     lengths = [math.dist(waypoints[a], waypoints[b]) for a, b in segs]
     total_len = sum(lengths)
 
-    def rows():
+    def blocks():  # one block of one segment at a time
         arc = 0.0
         for j, ((la, lb), seg_len) in enumerate(zip(segs, lengths)):
             start = waypoints[la]
             direction = tuple(e - s for s, e in zip(start, waypoints[lb]))
             count = max(2, round(args.samples * seg_len / total_len))
-            # numpy's linspace(0, 1, count): i * (1 / (count - 1)), ending at exactly 1
-            ts = [i * (1.0 / (count - 1)) for i in range(count - 1)] + [1.0]
-            if j:
-                ts = ts[1:]  # segment start already emitted
-            for t, mod in zip(ts, bands._line_moduli(start, direction, ts, p)):
-                yield (arc + t * seg_len, *(s + t * d for s, d in zip(start, direction)),
-                       p.epsilon - mod, p.epsilon + mod)
+            step = 1.0 / (count - 1)
+            # numpy's linspace(0, 1, count): i * step, ending at exactly 1; a segment
+            # after the first starts at i = 1, as its start was emitted
+            for lo in range(1 if j else 0, count, bands.BLOCK):
+                hi = min(lo + bands.BLOCK, count)
+                ts = [i * step for i in range(lo, hi)]
+                if hi == count:
+                    ts[-1] = 1.0
+                mod = bands._line_moduli(start, direction, ts, p)
+                yield "%.12g," * 5 + "%.12g\n", (
+                    [arc + t * seg_len for t in ts],
+                    *([s + t * d for t in ts] for s, d in zip(start, direction)),
+                    [p.epsilon - v for v in mod], [p.epsilon + v for v in mod])
             arc += seg_len
 
-    _emit(_csv(("arclength", "k0", "k1", "k2", "E_minus", "E_plus"), "%.12g," * 5 + "%.12g\n",
-               rows()), cfg)
+    _emit(_csv(("arclength", "k0", "k1", "k2", "E_minus", "E_plus"), blocks()), cfg)
     return EXIT_OK
 
 

@@ -149,6 +149,25 @@ def test_band_table():
         bands.band_table(c, sym, 0, 1, P_UNIFORM)
 
 
+@pytest.mark.parametrize("c", [(9, -3, -6), (5, 2, -7), (7, -3, -4)])
+def test_band_blocks_share_the_grid_between_lines(c):
+    # the CLI formats a block's kappa column once for all lines with its key
+    sym, samples = tube_symmetry(c), 2 * bands.BLOCK + 5
+    period = bands.kappa_period(sym, A)
+    grid = [period * i / samples for i in range(samples)]
+    for m in range(sym.n):
+        blocks = list(bands.band_blocks(c, sym, m, samples, P_UNIFORM))
+        on_line = any(mm == m for mm, _ in bands.k_point_projections(c, sym, A))
+        assert any(b[0] is None for b in blocks) == on_line
+        for j, (key, kappa, e_minus, e_plus) in enumerate(blocks):
+            block = grid[j * bands.BLOCK:(j + 1) * bands.BLOCK]
+            assert key in (j, None) and (key is None) == (kappa != block)
+            assert set(block) <= set(kappa) and len(kappa) == len(e_minus) == len(e_plus)
+        t = bands.band_table(c, sym, m, samples, P_UNIFORM)
+        assert list(t.kappa) == [k for b in blocks for k in b[1]]
+        assert list(t.E_plus) == [e for b in blocks for e in b[3]]
+
+
 @pytest.mark.parametrize("c", [(4, -2, -2), (7, -3, -4), (8, -1, -7)])
 @pytest.mark.parametrize("params", ["uniform", "flux", "epsilon"])
 def test_band_table_matches_vectorized_modulus(c, params):

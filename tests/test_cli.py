@@ -607,6 +607,37 @@ def test_only_the_gap_search_and_oracle_load_numpy(argv):
     assert ("numpy" in loaded) == (argv[0] == "verify")
 
 
+@EVERY_COMMAND
+def test_only_json_commands_load_json(argv):
+    loaded = modules_after_main(*argv)
+    assert ("json" in loaded) == (argv[0] in ("classify", "gap", "verify", "neighbors"))
+
+
+def test_config_file_loads_json(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"resolution": 64}')
+    assert "json" in modules_after_main("bands", "--c", "5,0,-5", "--config", str(config))
+
+
+@pytest.mark.parametrize("c,resolution,n", [("2,1,-3", 262144, 1), ("4,-2,-2", 131072, 2)])
+def test_bands_memory_is_bounded(tmp_path, c, resolution, n):
+    # Holding each line's columns whole, as arrays of doubles, peaked at 33.1 (n = 1) and
+    # 32.7 (n = 2) bytes a row on these runs.  A line held whole as Python floats costs
+    # 32 bytes a line row, 32 / n a row, and as strings more.  Blocks hold one block of
+    # rows plus the shared kappa column, one joined string a block, ~15 bytes a line row.
+    import tracemalloc
+
+    out = str(tmp_path / "bands.csv")
+    assert main(["bands", "--c", c, "--resolution", "64", "--out", out]) == 0  # imports done
+    tracemalloc.start()
+    try:
+        assert main(["bands", "--c", c, "--resolution", str(resolution), "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * resolution) < 16.0
+
+
 def test_gap_with_flux_runs_without_numpy():
     loaded = modules_after_main("gap", "--c", "7,-3,-4", "--beta", "0.01")
     assert "numpy" not in loaded and "cntbands.oracle" not in loaded

@@ -20,6 +20,9 @@ GOLDEN = [
      "4881955aa0f9504ebaf95167106cc2b74f97859b5095b4f2281ae3365ef19717"),
     (["bands", "--c", "9,-3,-6"],
      "ee06ce104847dcafe6fa2129a32414c9518ee03dd7860bd812815e70bedf7ef8"),
+    # a block boundary inside each line, K rows on lines 1 and 2, non-default epsilon and gamma
+    (["bands", "--c", "9,-3,-6", "--resolution", "5000", "--epsilon", "0.25", "--gamma", "1.5"],
+     "77d223fdd688ab321d0a3295db4f61b3f29dfc9586e9df55aa6313d4d0ac5587"),
     (["gap", "--c", "5,0,-5"],
      "af57f044eacdf0a7c64be31043ff62970366585f6254662a87908d7975910003"),
     (["gap", "--c", "4,-1,-3"],
@@ -32,6 +35,9 @@ GOLDEN = [
      "3bd85a979f94924b0873502ce3e1b496ab31f486feffc4c6f0d739cd59fec774"),
     (["graphene-path", "--path", "K,G,M,K,G", "--samples", "500"],
      "23c9913cdbfeca9410bd8486d8c7a933ecabbbfa7b8a7b4b1ec8235342ddf349"),
+    # segments of several blocks
+    (["graphene-path", "--samples", "9000", "--path", "K,M,G,K"],
+     "00f990213099600307203b4d6891cdf28ab664b152e28270bb22b7470a23bec2"),
     (["classify", "--c", "4,-2,-2"],
      "0e612caa2f793bddfdaf358e7ccc9896ce44be3bc95b099631be75f6df08d553"),
     (["neighbors", "--v", "0,0,1", "--c", "4,-2,-2"],
