@@ -1,22 +1,23 @@
 """Analytic spectra: graphene dispersion and zone-folded nanotube bands.
 
-The two-band dispersion E+-(k) = eps +- |gamma0 e^{i k0 a} + gamma1 e^{i k1 a}
-+ gamma2 e^{i k2 a}| lives on the sum-zero k-plane and extends periodically
-to all of R^3.  Rolling into a tube keeps only the family of straight
-k-lines with <k, c> in (2 pi / a) Z; each line is indexed by a rotation
-quantum number m and parametrized by the screw coordinate kappa.  The band
-gap is twice the minimum of the modulus over that family; it vanishes
-exactly when the lines pass through the conical K points, i.e. when
-c0 - c1 is a multiple of 3.  An axial magnetic field enters as complex
-hopping phases and acts as a rigid shift k -> k + beta c of the lines.
-The gap search samples no grid: it starts on the two lines next to each
-zero of the hopping sum (a Dirac point, moved rigidly to K - beta c by flux).
+The two-band dispersion E+-(k) = eps +- |sum_j gamma_j e^{i k_j a}|, with
+gamma_j the hopping of the bond along axis j, lives on the sum-zero k-plane
+and extends periodically to all of R^3.  Rolling into a tube keeps only the
+family of straight k-lines with <k, c> in (2 pi / a) Z; each line is indexed
+by a rotation quantum number m and parametrized by the screw coordinate
+kappa.  The band gap is twice the minimum of the modulus over that family;
+it vanishes exactly when the lines pass through the conical K points, i.e.
+when c0 - c1 is a multiple of 3.  Every bond carries one real hopping gamma;
+an axial magnetic field enters as the phases gamma_j = gamma e^{i beta c_j a}
+and acts as a rigid shift k -> k + beta c of the lines.  The gap search
+samples no grid: it starts on the two lines next to each zero of the
+hopping sum (a Dirac point, moved rigidly to K - beta c by flux).
 
 A band line needs only three phasors a point, so band tables and the gap
 search are computed in Python floats and loading this module does not load
 numpy; only the vectorized modulus the oracle uses imports it, inside its
 body.  The gap search measures k from the hopping zero: with
-w_j = gamma_j e^{i K_j a} summing to zero, the modulus is
+w_j = gamma e^{i K_j a} summing to zero, the modulus is
 |sum_j w_j (e^{i delta_j a} - 1)|, delta = k - K, which keeps its relative
 precision as k nears K, and each seed's line offset comes from integers.
 """
@@ -51,17 +52,16 @@ BLOCK = 4096  # grid points a band block holds: bounds what band tables and thei
 
 @dataclass(frozen=True)
 class BandParams:
-    """Onsite energy, complex hoppings, and length scale of the model.
+    """Onsite energy, the one real hopping gamma > 0, length scale, and an axial field.
 
-    field, when set, is the (gamma, beta, c) the hoppings
-    gamma e^{i beta c_j a} were built from; band_gap reads the flux from it
-    exactly instead of from the rounded phases.
+    field, when set, is the (beta, c) of an axial magnetic field: the bond
+    along axis j then carries gamma e^{i beta c_j a}, and band_gap reads the
+    flux from beta and c exactly instead of from the rounded phases.  The
+    constructor stores it as a float and a validated chirality.
     """
 
     epsilon: float = 0.0
-    gamma0: complex = 1.0 + 0.0j
-    gamma1: complex = 1.0 + 0.0j
-    gamma2: complex = 1.0 + 0.0j
+    gamma: float = 1.0
     a: float = A_DEFAULT
     field: tuple = None
 
@@ -70,48 +70,43 @@ class BandParams:
             raise ValueError(f"scale a must be positive and finite, got {self.a}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        for g in (self.gamma0, self.gamma1, self.gamma2):
-            if not cmath.isfinite(g):
-                raise ValueError(f"hoppings must be finite, got {g}")
-        hoppings = (self.gamma0, self.gamma1, self.gamma2)
-        if self.field is not None and hoppings != _field_hoppings(*self.field, self.a):
-            raise ValueError(f"hoppings do not match the field {self.field}")
+        if isinstance(self.gamma, complex) or not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be real, positive and finite, got {self.gamma}")
+        if self.field is not None:
+            beta, c = float(self.field[0]), validate_chirality(self.field[1])
+            check_beta(beta, c, self.a)
+            object.__setattr__(self, "field", (beta, c))
+
+    @property
+    def hoppings(self):
+        """(gamma_0, gamma_1, gamma_2): gamma, or gamma e^{i beta c_j a} under the field.
+
+        rect(1, x) is the cos + i sin numpy's exp(1j x) gives.
+        """
+        if self.field is None:
+            return (self.gamma,) * 3
+        beta, c = self.field
+        return tuple(self.gamma * cmath.rect(1.0, beta * cj * self.a) for cj in c)
 
 
 def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
-    """Equal real hoppings (the flat graphene sheet / zero-field tube)."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return BandParams(epsilon=epsilon, gamma0=gamma, gamma1=gamma, gamma2=gamma, a=a)
+    """The zero-field tube, or the flat graphene sheet."""
+    return BandParams(epsilon, gamma, a)
 
 
 def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
-    """Hoppings gamma * exp(i beta c_j a) for an axial magnetic field.
-
-    With these parameters the dispersion at k equals the zero-field
-    dispersion at k + beta c.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    c = validate_chirality(c)
-    check_beta(beta, c, a)
-    field = (gamma, float(beta), c)
-    g0, g1, g2 = _field_hoppings(*field, a)
-    return BandParams(epsilon=epsilon, gamma0=g0, gamma1=g1, gamma2=g2, a=a, field=field)
-
-
-def _field_hoppings(gamma, beta, c, a):
-    """gamma e^{i beta c_j a}; rect(1, x) is the cos + i sin numpy's exp(1j x) gives."""
-    return tuple(gamma * cmath.rect(1.0, beta * cj * a) for cj in c)
+    """An axial field beta: the dispersion at k is the zero-field one at k + beta c."""
+    return BandParams(epsilon, gamma, a, (beta, c))
 
 
 def _modulus(k0, k1, k2, p):
-    """|gamma0 e^{i k0 a} + gamma1 e^{i k1 a} + gamma2 e^{i k2 a}|, vectorized."""
+    """|gamma_0 e^{i k0 a} + gamma_1 e^{i k1 a} + gamma_2 e^{i k2 a}|, vectorized."""
     import numpy as np
 
-    f = (p.gamma0 * np.exp(1j * np.asarray(k0) * p.a)
-         + p.gamma1 * np.exp(1j * np.asarray(k1) * p.a)
-         + p.gamma2 * np.exp(1j * np.asarray(k2) * p.a))
+    g0, g1, g2 = p.hoppings
+    f = (g0 * np.exp(1j * np.asarray(k0) * p.a)
+         + g1 * np.exp(1j * np.asarray(k1) * p.a)
+         + g2 * np.exp(1j * np.asarray(k2) * p.a))
     return np.abs(f)
 
 
@@ -178,44 +173,14 @@ def _line_moduli(origin, direction, ts, p):
     apart from numpy's complex abs in the last bit of a few values.
     """
     (o0, o1, o2), (d0, d1, d2) = origin, direction
-    g0, g1, g2 = complex(p.gamma0), complex(p.gamma1), complex(p.gamma2)
+    g0, g1, g2 = map(complex, p.hoppings)
     a, rect = p.a, cmath.rect
     return [abs(g0 * rect(1.0, (o0 + t * d0) * a) + g1 * rect(1.0, (o1 + t * d1) * a)
                 + g2 * rect(1.0, (o2 + t * d2) * a)) for t in ts]
 
 
-def _hopping_zeros(p):
-    """The two k at which the phasors gamma_j e^{i k_j a} close a triangle.
-
-    Law of cosines on the moduli, divided by their maximum so that squares
-    cannot overflow; one sign of the turns per zero.  Clipping the cosines
-    to [-1, 1] puts both k on the aligned minimum when no triangle closes.
-    Uniform hoppings give K, K'; magnetic ones K - beta c, K' - beta c.
-    """
-    gammas = (complex(p.gamma0), complex(p.gamma1), complex(p.gamma2))
-    top = max(map(abs, gammas))
-    r = [abs(g) / top for g in gammas]
-    if not all(x > 0 for x in r):
-        raise ValueError(f"hoppings must be nonzero, got {gammas}")
-    turns = []
-    for i in range(3):
-        r0, r1, r2 = r[i], r[(i + 1) % 3], r[(i + 2) % 3]
-        den = 2.0 * r0 * r1  # 0 only if r0 r1 underflows, when r2 = 1 and the cosine is +inf
-        cos = (r2 * r2 - r0 * r0 - r1 * r1) / den if den else 1.0
-        turns.append(math.acos(min(max(cos, -1.0), 1.0)))
-    _, turn12, turn20 = turns
-    phase = [cmath.phase(g) - cmath.phase(gammas[2]) for g in gammas]
-    zeros = []
-    for s in (1.0, -1.0):
-        # phasor angles k_j a + arg gamma_j measured from phasor 2
-        k = [(x - ph) / p.a for x, ph in zip((s * turn20, -s * turn12, 0.0), phase)]
-        mean = (k[0] + k[1] + k[2]) / 3.0
-        zeros.append(tuple(x - mean for x in k))
-    return zeros
-
-
 def _k_points(a):
-    """K, K' = +-(t, -t, 0) / a, t = K_TURN: _hopping_zeros of uniform hoppings, bit for bit."""
+    """K, K' = +-(t, -t, 0) / a, t = K_TURN: _gap_seeds's zeros at zero field, bit for bit."""
     t = K_TURN
     return [(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]
 
@@ -314,28 +279,15 @@ class GapResult:
 
 
 def _gap_seeds(c, p):
-    """(zero, w, s, line, offset) of the four lines next to the two hopping zeros.
+    """(zero, w, line, offset) of the four lines next to the two hopping zeros.
 
-    zero is the hopping zero in k, w_j = gamma_j e^{i zero_j a}, s their sum,
-    and the seed, line's point nearest the zero, is zero + offset step c.
-    Equal hoppings gamma and a field (gamma, beta, c_f) put the zeros at
-    K - beta c_f, K' - beta c_f; then s = 0, each w_j is gamma e^{i K_j a}
-    and, with the flux fraction phi = beta a <c_f, c> / 2 pi, the offsets of
-    the lines next to m = +-(c0 - c1) / 3 - phi come from integer ratios,
-    rounded once.  Other hoppings take their zeros from _hopping_zeros and
-    their offsets in floats.
+    A field (beta, c_f) puts the zeros at K - beta c_f, K' - beta c_f (beta = 0
+    without one).  w_j = gamma e^{i K_j a}, which sum to zero, and the seed,
+    line's point nearest the zero, is zero + offset step c.  With the flux
+    fraction phi = beta a <c_f, c> / 2 pi, the offsets of the lines next to
+    m = +-(c0 - c1) / 3 - phi come from integer ratios, rounded once.
     """
-    gammas = (p.gamma0, p.gamma1, p.gamma2)
-    if not all(gammas):
-        raise ValueError(f"hoppings must be nonzero, got {gammas}")
-    if p.field is None and not p.gamma0 == p.gamma1 == p.gamma2:
-        for zero in _hopping_zeros(p):
-            w = tuple(g * cmath.rect(1.0, k * p.a) for g, k in zip(gammas, zero))
-            m = inner(zero, c) * p.a / (2.0 * math.pi)
-            for line in (math.floor(m), math.floor(m) + 1):
-                yield zero, w, w[0] + w[1] + w[2], line, line - m
-        return
-    gamma, beta, c_f = p.field or (p.gamma0, 0.0, c)
+    beta, c_f = p.field or (0.0, c)
     (bn, bd), (an, ad) = beta.as_integer_ratio(), float(p.a).as_integer_ratio()
     # m = sign (c0 - c1) / 3 - phi = num / (3 unit), exact but for 2 pi's 1e-31
     unit = bd * ad * TWO_PI_RATIO[0]
@@ -345,27 +297,27 @@ def _gap_seeds(c, p):
         # beta c_f wrapped by whole lattice steps, which move m by multiples of n
         zero = tuple((x - math.remainder(beta * cj * p.a, 2.0 * math.pi)) / p.a
                      for x, cj in zip(k_a, c_f))
-        w = tuple(gamma * cmath.rect(1.0, x) for x in k_a)
+        w = tuple(p.gamma * cmath.rect(1.0, x) for x in k_a)
         num = sign * (c[0] - c[1]) * unit - flux
         low = num // (3 * unit)
         for line in (low, low + 1):
-            yield zero, w, 0j, line, (3 * unit * line - num) / (3 * unit)  # int / int rounds once
+            yield zero, w, line, (3 * unit * line - num) / (3 * unit)  # int / int rounds once
 
 
-def _zero_modulus(w, s, x, d):
-    """t -> |s + sum_j w_j (e^{i theta_j} - 1)|, theta = x + t d: the modulus at zero + theta / a.
+def _zero_modulus(w, x, d):
+    """t -> |sum_j w_j (e^{i theta_j} - 1)|, theta = x + t d: the modulus at zero + theta / a.
 
-    e^{i theta} - 1 = 2i sin(theta / 2) e^{i theta / 2} = -2 sin^2(theta / 2)
-    + i sin(theta) keeps its relative precision as theta -> 0; so, when
-    s = 0, does the modulus near the zero.
+    The w_j sum to zero, and e^{i theta} - 1 = 2i sin(theta / 2) e^{i theta / 2}
+    = -2 sin^2(theta / 2) + i sin(theta) keeps its relative precision as
+    theta -> 0; so does the modulus near the zero.
     """
     (w0, w1, w2), (x0, x1, x2), (d0, d1, d2), sin = w, x, d, math.sin
 
     def modulus(t):
         t0, t1, t2 = x0 + t * d0, x1 + t * d1, x2 + t * d2
         h0, h1, h2 = sin(0.5 * t0), sin(0.5 * t1), sin(0.5 * t2)
-        return abs(s + w0 * complex(-2.0 * h0 * h0, sin(t0))
-                   + w1 * complex(-2.0 * h1 * h1, sin(t1)) + w2 * complex(-2.0 * h2 * h2, sin(t2)))
+        return abs(w0 * complex(-2.0 * h0 * h0, sin(t0)) + w1 * complex(-2.0 * h1 * h1, sin(t1))
+                   + w2 * complex(-2.0 * h2 * h2, sin(t2)))
     return modulus
 
 
@@ -396,12 +348,9 @@ def band_gap(c, sym, p, resolution=None):
     verdict is computed independently.  resolution is ignored (no grid is
     sampled); benchmarks/workloads.py still passes it.
 
-    Precision: for uniform hoppings and those of magnetic_params, the
-    offsets come from integers and the modulus is measured from the zero
-    (_gap_seeds, _zero_modulus), so the gap holds its relative precision,
-    about 1e-15, however small it is or large c is.  Other unequal
-    hoppings have zeros and offsets rounded in floats: their gap holds an
-    absolute precision of about 1e-16 (|gamma0| + |gamma1| + |gamma2|).
+    Precision: the offsets come from integers and the modulus is measured
+    from the zero (_gap_seeds, _zero_modulus), so the gap holds its
+    relative precision, about 1e-15, however small it is or large c is.
 
     The search rests on two assumptions: the global minimum lies on one of
     the lines M that bracket a hopping zero, and each seed's bracket
@@ -414,9 +363,9 @@ def band_gap(c, sym, p, resolution=None):
     norm_b = math.sqrt(inner(sym.b, sym.b))
     axis = tuple(bj / norm_b for bj in sym.b)
     searched, scored = [], []
-    for zero, w, s, line, offset in _gap_seeds(c, p):
+    for zero, w, line, offset in _gap_seeds(c, p):
         x = tuple(offset * step * cj for cj in c)  # the seed minus the zero
-        modulus = _zero_modulus(w, s, [xj * p.a for xj in x], [aj * p.a for aj in axis])
+        modulus = _zero_modulus(w, [xj * p.a for xj in x], [aj * p.a for aj in axis])
         t = _golden_min(modulus, HALF_K_DISTANCE / p.a)
         scored.append((modulus(0.0), zero, x, 0.0, line))
         searched.append((modulus(t), zero, x, t, line))

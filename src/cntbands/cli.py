@@ -220,9 +220,7 @@ def _gap_params(c, cfg, beta):
     from . import bands
 
     _check_beta(beta, c, cfg)
-    if beta:
-        return bands.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
-    return bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
+    return bands.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
 
 
 def cmd_gap(args, cfg):

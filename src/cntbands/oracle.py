@@ -147,8 +147,9 @@ def build_hamiltonian(tube, p):
     hopping from row a (sublattice p = 0) to row q' + b (p = 1), with the
     rows and bonds of build_finite_tube.  The (m, l) block of the hopping
     matrix is [[epsilon I, T], [T^H, epsilon I]]; eigenvalues takes its
-    spectrum from T alone.  The bond (v, v^j) carries gamma_j when the source
-    site is on the sum-0 sublattice and its conjugate otherwise, times
+    spectrum from T alone.  The bond (v, v^j) carries p.hoppings[j] (gamma,
+    or gamma e^{i beta c_j a} under a field) when the source site is on the
+    sum-0 sublattice and its conjugate otherwise, times
     e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its target's
     row.  The two halves are assembled apart, each entry summing its bonds
     in the order j: the p = 1 rows must equal the conjugate transpose of T
@@ -166,7 +167,7 @@ def build_hamiltonian(tube, p):
         raise AdjacencyError("every atom must receive exactly three bonds")
     if np.any(row // qp == (np.arange(2 * qp) // qp)[:, None]):
         raise AdjacencyError("a bond joins two atoms of the same sublattice")
-    gammas = np.array([p.gamma0, p.gamma1, p.gamma2], dtype=complex)
+    gammas = np.array(p.hoppings, dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
     hop = np.where(tube.sign[:, None] == 1, gammas, gammas.conj())
@@ -306,7 +307,7 @@ def compare_spectra(c, sym, periods, p, tol):
         raise ValueError(f"tolerance must be positive, got {tol}")
     _check_dimension(sym, periods)
     t = build_hamiltonian(build_finite_tube(sym, periods), p)
-    real = not np.iscomplex([p.gamma0, p.gamma1, p.gamma2]).any()
+    real = not np.iscomplex(p.hoppings).any()
     fin = _paired_spectrum(t, sym.n, periods, real)
     ana = analytic_spectrum(sym, periods, replace(p, epsilon=0.0))
     if len(fin) != len(ana):

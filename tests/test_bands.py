@@ -186,8 +186,13 @@ def test_band_table_matches_vectorized_modulus(c, params):
 
 @pytest.mark.parametrize("a", [A, 1.0, 0.37, 5.9])
 def test_k_points_are_the_uniform_hopping_zeros(a):
-    # repr tells -0.0 from 0.0: equal reprs are equal bits
-    assert repr(bands._k_points(a)) == repr(bands._hopping_zeros(bands.uniform_params(a=a)))
+    # the zeros _gap_seeds yields at zero field, two seeds each; repr tells -0.0 from
+    # 0.0: equal reprs are equal bits
+    for c in [(5, 0, -5), (7, -3, -4)]:
+        for p in (bands.uniform_params(a=a), bands.magnetic_params(1.0, 0.0, c, a),
+                  bands.magnetic_params(1.0, -0.0, c, a)):
+            zeros = [zero for zero, *_ in bands._gap_seeds(c, p)][::2]
+            assert repr(bands._k_points(a)) == repr(zeros), (c, p)
 
 
 GAP_5_0_5 = 0.7639320225002102  # frozen from a 2e6-point-per-line dense scan
@@ -234,7 +239,7 @@ def test_is_metallic():
 
 def test_magnetic_params_zero_field():
     p = bands.magnetic_params(1.0, 0.0, (4, -2, -2), A)
-    assert p.gamma0 == p.gamma1 == p.gamma2 == pytest.approx(1.0)
+    assert p.hoppings == (1.0, 1.0, 1.0)
 
 
 def test_magnetic_shift_identity():
@@ -289,9 +294,9 @@ def test_bloch_phase_well_defined_on_lines():
 @pytest.mark.parametrize("make", [
     lambda: bands.BandParams(epsilon=math.nan),
     lambda: bands.BandParams(epsilon=-math.inf),
-    lambda: bands.BandParams(gamma0=math.nan),
-    lambda: bands.BandParams(gamma1=complex(1.0, math.inf)),
-    lambda: bands.BandParams(gamma2=math.inf),
+    lambda: bands.BandParams(gamma=math.nan),
+    lambda: bands.BandParams(gamma=math.inf),
+    lambda: bands.uniform_params(math.inf, 0.0, A),
     lambda: bands.BandParams(a=math.nan),
     lambda: bands.BandParams(a=math.inf),
     lambda: bands.BandParams(a=0.0),
@@ -362,20 +367,24 @@ def test_band_gap_matches_reference_table():
 
 @pytest.mark.parametrize("case", range(12))
 def test_band_gap_matches_dense_scan(case):
-    """Flux within +-3 periods (even cases), unequal complex hoppings (odd cases)."""
+    """Flux within +-3 periods at gamma = 1 (even cases); gamma from [0.3, 3] (odd cases).
+
+    The odd cases put the metallic tubes, whose zero-field gap is 0, under
+    flux and leave the others uniform; the gap must scale as gamma.
+    """
     rng = np.random.default_rng(case)
     c = [(4, -2, -2), (5, 0, -5), (4, 1, -5), (7, -3, -4), (6, 0, -6), (8, -3, -5)][case // 2]
     sym = tube_symmetry(c)
-    if case % 2 == 0:
-        beta = rng.uniform(-3.0, 3.0) * bands.flux_period(c, A)
-        p = bands.magnetic_params(1.0, beta, c, A)
+    beta = rng.uniform(-3.0, 3.0) * bands.flux_period(c, A)
+    gamma = 1.0 if case % 2 == 0 else float(rng.uniform(0.3, 3.0))
+    if case % 2 == 0 or tube.is_metallic(c):
+        p = bands.magnetic_params(gamma, beta, c, A)
     else:
-        g = rng.uniform(0.3, 1.5, 3) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
-        if case == 1:  # 1.5 > 0.5 + 0.4: the phasors cannot close a triangle
-            g = np.array([1.5, 0.5, 0.4]) * g / np.abs(g)
-        p = bands.BandParams(gamma0=g[0], gamma1=g[1], gamma2=g[2], a=A)
+        p = bands.uniform_params(gamma, 0.0, A)
     res = bands.band_gap(c, sym, p)
     assert res.gap == pytest.approx(scanned_gap(sym, p), abs=1e-12)
+    unit = bands.band_gap(c, sym, dataclasses.replace(p, gamma=1.0)).gap
+    assert res.gap > 1e-3 and res.gap == pytest.approx(gamma * unit, rel=1e-14)
     line = geom.inner(res.argmin_k, c) * A / (2 * math.pi)
     assert line == pytest.approx(round(line), abs=1e-12) and round(line) % sym.n == res.argmin_m
     assert res.gap == pytest.approx(2 * bands.dispersion(res.argmin_k, p)[1], abs=1e-14)
@@ -403,12 +412,19 @@ def test_zigzag_gap_closed_form(n):
         assert res.gap == pytest.approx(zigzag_gap(n), rel=1e-13)
 
 
-@pytest.mark.parametrize("zero", ["gamma0", "gamma1", "gamma2", "all"])
-def test_zero_hopping_rejected(zero):
-    names = ["gamma0", "gamma1", "gamma2"] if zero == "all" else [zero]
-    p = bands.BandParams(**{name: 0.0 for name in names})
-    with pytest.raises(ValueError, match="nonzero"):
-        bands.band_gap((5, 0, -5), tube_symmetry((5, 0, -5)), p)
+def test_params_reject_what_they_do_not_model():
+    # one real hopping gamma > 0, and a field (beta, c) within MAX_FLUX_PERIODS
+    c = (7, -3, -4)
+    for gamma in (0.0, -1.0, 1j, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            bands.BandParams(gamma=gamma)
+    for beta in (math.nan, math.inf, -1.01 * bands.MAX_FLUX_PERIODS * bands.flux_period(c, A)):
+        with pytest.raises(ValueError, match="beta"):
+            bands.BandParams(field=(beta, c))
+    with pytest.raises(TypeError):
+        bands.BandParams(gamma0=1.0)
+    p = bands.BandParams(epsilon=0.2, gamma=2.0, field=(1, [7, -3, -4]))
+    assert p.field == (1.0, c) == dataclasses.replace(p, epsilon=0.5).field
 
 
 def test_argmin_within_half_a_line_of_a_hopping_zero():
@@ -419,8 +435,10 @@ def test_argmin_within_half_a_line_of_a_hopping_zero():
             p = bands.magnetic_params(1.0, beta, c, A)
             res = bands.band_gap(c, sym, p)
             k = np.array(res.argmin_k)
+            zeros = [[kj - beta * cj for kj, cj in zip(kp, c)]
+                     for kp in bands.special_points(A)["K"][:2]]  # K - beta c, K' - beta c
             dist = min(math.sqrt(geom.inner(k - img, k - img))
-                       for z in bands._hopping_zeros(p) for img in k_images(z, A))
+                       for z in zeros for img in k_images(z, A))
             assert dist < 0.5 * sym.line_spacing(A), (c, beta)
 
 
@@ -488,18 +506,9 @@ def test_magnetic_hoppings_are_numpy_exp_bit_for_bit():
             gamma = float(rng.uniform(0.2, 3.0))
             p = bands.magnetic_params(gamma, beta, c, A)
             want = [gamma * np.exp(1j * beta * cj * A) for cj in c]
-            got = [p.gamma0, p.gamma1, p.gamma2]
+            got = p.hoppings
             assert [(repr(g.real), repr(g.imag)) for g in got] == \
                 [(repr(float(g.real)), repr(float(g.imag))) for g in want], (c, beta)
-
-
-def test_field_must_match_the_hoppings():
-    p = bands.magnetic_params(1.0, 0.01, (7, -3, -4), A)
-    assert dataclasses.replace(p, epsilon=0.5).field == p.field
-    with pytest.raises(ValueError, match="do not match"):
-        dataclasses.replace(p, gamma0=1.0)
-    with pytest.raises(ValueError, match="do not match"):
-        bands.BandParams(field=(1.0, 0.01, (7, -3, -4)))
 
 
 def test_two_pi_ratio():
@@ -557,25 +566,27 @@ def test_band_gap_matches_mpmath_line_minima(c, flux):
         assert gap == pytest.approx(float(mp_line_minima(c, beta)), rel=1e-13)
 
 
-@pytest.mark.parametrize("hoppings", ["uniform", "unequal", "no triangle"])
+@pytest.mark.parametrize("hoppings", ["uniform", "flux", "flux-gamma"])
 def test_zero_modulus_matches_vectorized_modulus(hoppings):
     """The gap search's modulus, measured from a hopping zero, against _modulus at k.
 
-    Both near the zero and 0.5 / a from it.  The bound is 1e-15 at K and K';
-    unequal hoppings, whose phasor sum is formed from rounded zeros, reach
-    1.1e-15 in a few draws.
+    Both near the zero and 0.5 / a from it.  The bound is 1e-15 per unit of
+    gamma at K and K'.  Under flux _modulus multiplies two rounded phasors a
+    term: the two then differ by up to 1.4e-15 gamma, while each stays within
+    7.4e-16 gamma of 50-digit mpmath.
     """
+    c = (7, -3, -4)
+    period = bands.flux_period(c, A)
     p = {"uniform": P_UNIFORM,
-         "unequal": bands.BandParams(gamma0=0.9 * np.exp(0.4j), gamma1=1.2 * np.exp(-2.0j),
-                                     gamma2=0.7 * np.exp(1.1j), a=A),
-         "no triangle": bands.BandParams(gamma0=1.5, gamma1=0.5j, gamma2=-0.4, a=A)}[hoppings]
+         "flux": bands.magnetic_params(1.0, 0.3 * period, c, A),
+         "flux-gamma": bands.magnetic_params(0.45, 1.3 * period, c, A)}[hoppings]
     rng = np.random.default_rng(37)
     worst = 0.0
-    for zero, w, s, _, _ in bands._gap_seeds((7, -3, -4), p):
+    for zero, w, _, _ in bands._gap_seeds(c, p):
         for scale in (1e-9, 1e-3, 0.5):
             for dk in rng.uniform(-scale, scale, (500, 3)) / A:
                 k = [z + d for z, d in zip(zero, dk)]
                 theta = [(kj - z) * A for kj, z in zip(k, zero)]
-                got = bands._zero_modulus(w, s, theta, (0.0, 0.0, 0.0))(0.0)
+                got = bands._zero_modulus(w, theta, (0.0, 0.0, 0.0))(0.0)
                 worst = max(worst, abs(got - float(bands._modulus(*k, p))))
-    assert worst <= (1e-15 if hoppings == "uniform" else 2e-15)
+    assert worst <= (1e-15 if p.field is None else 1.5e-15) * p.gamma

@@ -29,8 +29,13 @@ GOLDEN = [
      "ca6ef3a96eec56eecb4c1db1ed007e223e798e7d6de9a5b49eb1e693de078398"),
     (["gap", "--c", "4,-2,-2", "--beta", "0.041"],
      "f684d84fe0fadeded9ae8adb179237051a1d799bb84f4dd497946642b6ed9396"),
+    # the field path at gamma != 1
+    (["gap", "--c", "7,-3,-4", "--beta", "0.01", "--gamma", "2.7", "--epsilon", "0.3"],
+     "e6f5d3cb60a292a2351e8495deb99dff6572707844d9d096f6945c88451bd982"),
     (["magsweep", "--c", "4,-2,-2", "--samples", "33", "--resolution", "256"],
      "226407ac0153bdbbc89304002a757a637e22b7409392ea271b4d9a8912a6da7c"),
+    (["magsweep", "--c", "5,0,-5", "--samples", "17", "--gamma", "0.5"],
+     "5cf7aa0be32647ba5d805bf12ffac75a7a2701a183a3afa1d623e2ed6e4cd1b9"),
     (["graphene-path"],
      "3bd85a979f94924b0873502ce3e1b496ab31f486feffc4c6f0d739cd59fec774"),
     (["graphene-path", "--path", "K,G,M,K,G", "--samples", "500"],

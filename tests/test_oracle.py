@@ -113,7 +113,7 @@ def test_periods_validation():
 def dense_hamiltonian(sym, periods, p):
     """The full 2qP x 2qP hopping matrix of the scalar reference, one bond at a time."""
     sites, bonds = scalar_finite_tube(sym, periods)
-    gammas = (complex(p.gamma0), complex(p.gamma1), complex(p.gamma2))
+    gammas = tuple(map(complex, p.hoppings))
     h = np.zeros((len(sites),) * 2, dtype=complex)
     np.fill_diagonal(h, p.epsilon)
     for i, row in enumerate(bonds):
@@ -289,6 +289,21 @@ def test_spectrum_equivalence(c, periods):
     assert report.passed
     assert report.dimension == 2 * sym.q * periods
     assert report.max_deviation < 1e-8
+
+
+@pytest.mark.parametrize("c", [(4, -2, -2), (5, 0, -5), (4, 1, -5), (7, -3, -4), (8, -4, -4),
+                               (6, -1, -5)])
+def test_zero_field_is_the_uniform_tube_bit_for_bit(c):
+    # `cntbands gap` builds magnetic_params whatever its beta
+    sym = tube_symmetry(c)
+    for gamma, eps in [(1.0, 0.0), (2.7, 0.3), (0.45, -1.5)]:
+        uniform = bands.uniform_params(gamma, eps, A)
+        for zero in (bands.magnetic_params(gamma, beta, c, A, epsilon=eps) for beta in (0.0, -0.0)):
+            assert repr(bands.band_gap(c, sym, zero)) == repr(bands.band_gap(c, sym, uniform))
+            got, want = (oracle.compare_spectra(c, sym, 2, p, tol=1e-8) for p in (zero, uniform))
+            assert got.finite.tobytes() == want.finite.tobytes()
+            assert got.analytic.tobytes() == want.analytic.tobytes()
+            assert repr(got.max_deviation) == repr(want.max_deviation)
 
 
 def test_spectrum_equivalence_magnetic():
