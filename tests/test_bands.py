@@ -412,10 +412,27 @@ def test_zigzag_gap_closed_form(n):
         assert res.gap == pytest.approx(zigzag_gap(n), rel=1e-13)
 
 
+@pytest.mark.parametrize("zero", ["gamma0", "gamma1", "gamma2", "all"])
+def test_zero_hopping_rejected(zero):
+    # bond j carries gamma or gamma e^{i beta c_j a}, so a zero hopping on any bond
+    # means gamma = 0, which every way of building the parameters refuses
+    bonds = [0, 1, 2] if zero == "all" else [int(zero[-1])]
+    c = (7, -3, -4)
+    builders = [lambda g: bands.BandParams(gamma=g),
+                lambda g: bands.uniform_params(g, 0.0, A),
+                lambda g: bands.magnetic_params(g, 0.01, c, A),
+                lambda g: dataclasses.replace(bands.magnetic_params(1.0, 0.01, c, A), gamma=g)]
+    for build in builders:
+        with pytest.raises(ValueError, match="gamma"):
+            build(0.0)
+        tiny = build(1e-300).hoppings
+        assert all(abs(tiny[j]) > 0 for j in bonds)
+
+
 def test_params_reject_what_they_do_not_model():
     # one real hopping gamma > 0, and a field (beta, c) within MAX_FLUX_PERIODS
     c = (7, -3, -4)
-    for gamma in (0.0, -1.0, 1j, math.nan, math.inf):
+    for gamma in (-1.0, 1j, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma"):
             bands.BandParams(gamma=gamma)
     for beta in (math.nan, math.inf, -1.01 * bands.MAX_FLUX_PERIODS * bands.flux_period(c, A)):
@@ -423,8 +440,19 @@ def test_params_reject_what_they_do_not_model():
             bands.BandParams(field=(beta, c))
     with pytest.raises(TypeError):
         bands.BandParams(gamma0=1.0)
+
+
+def test_field_must_match_the_hoppings():
+    # the hoppings are derived from gamma and the field, so a replace keeps them in step
+    c = (7, -3, -4)
     p = bands.BandParams(epsilon=0.2, gamma=2.0, field=(1, [7, -3, -4]))
     assert p.field == (1.0, c) == dataclasses.replace(p, epsilon=0.5).field
+    q = dataclasses.replace(p, gamma=0.5)
+    assert q.field == p.field
+    assert q.hoppings == bands.magnetic_params(0.5, 1.0, c, A, epsilon=0.2).hoppings
+    assert dataclasses.replace(p, field=None).hoppings == (2.0, 2.0, 2.0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(p, gamma0=1.0)
 
 
 def test_argmin_within_half_a_line_of_a_hopping_zero():
