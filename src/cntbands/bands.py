@@ -13,90 +13,31 @@ and acts as a rigid shift k -> k + beta c of the lines.  The gap search
 samples no grid: it starts on the two lines next to each zero of the
 hopping sum (a Dirac point, moved rigidly to K - beta c by flux).
 
-A band line needs only three phasors a point, so band tables and the gap
-search are computed in Python floats and loading this module does not load
-numpy; only the vectorized modulus the oracle uses imports it, inside its
-body.  The gap search measures k from the hopping zero: with
-w_j = gamma e^{i K_j a} summing to zero, the modulus is
+Band lines, their parameters and the exact band-point kernel live in
+`lines`, which loads no dataclasses; this module re-exports band_table and
+uniform_params from it.  The gap search runs in Python floats and loading
+this module does not load numpy; only the vectorized modulus the oracle
+uses imports it, inside its body.  The gap search measures k from the
+hopping zero: with w_j = gamma e^{i K_j a} summing to zero, the modulus is
 |sum_j w_j (e^{i delta_j a} - 1)|, delta = k - K, which keeps its relative
 precision as k nears K, and each seed's line offset comes from integers.
 """
 
 import cmath
 import math
-from array import array
-from bisect import bisect
 from dataclasses import dataclass
 
 from .geom import inner
-from .honeycomb import bond_length_scale
+from .lines import A_DEFAULT, K_TURN, band_table, magnetic_params, uniform_params  # noqa: F401
 from .tube import is_metallic, validate_chirality
-
-A_DEFAULT = bond_length_scale(1.44)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 64  # band_gap's bracket shrinks by 0.618^64 ~ 4e-14
 HALF_K_DISTANCE = math.sqrt(2.0) * math.pi / 3.0  # a |K - K'| / 2 for neighbouring K, K'
-K_TURN = math.acos(-0.5)  # K a = (K_TURN, -K_TURN, 0), K' = -K
 
 # 2 pi as a ratio of integers, within 1e-31: the double 2 pi, 884279719003555 / 2^47,
 # plus the double nearest the rest, 4967757600021511 / 2^104 = 2.4492935982947064e-16
 TWO_PI_RATIO = (884279719003555 * 2 ** 57 + 4967757600021511, 2 ** 104)
-
-# bound on |beta| in flux periods: each phase beta c_j a is then below 2^10 pi
-# rad and rounds by less than 1e-12 rad
-MAX_FLUX_PERIODS = 2 ** 10
-
-BLOCK = 4096  # grid points a band block holds: bounds what band tables and their CSV hold
-
-
-@dataclass(frozen=True)
-class BandParams:
-    """Onsite energy, the one real hopping gamma > 0, length scale, and an axial field.
-
-    field, when set, is the (beta, c) of an axial magnetic field: the bond
-    along axis j then carries gamma e^{i beta c_j a}, and band_gap reads the
-    flux from beta and c exactly instead of from the rounded phases.  The
-    constructor stores it as a float and a validated chirality.
-    """
-
-    epsilon: float = 0.0
-    gamma: float = 1.0
-    a: float = A_DEFAULT
-    field: tuple = None
-
-    def __post_init__(self):
-        if not self.a > 0 or math.isinf(self.a):
-            raise ValueError(f"scale a must be positive and finite, got {self.a}")
-        if not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if isinstance(self.gamma, complex) or not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be real, positive and finite, got {self.gamma}")
-        if self.field is not None:
-            beta, c = float(self.field[0]), validate_chirality(self.field[1])
-            check_beta(beta, c, self.a)
-            object.__setattr__(self, "field", (beta, c))
-
-    @property
-    def hoppings(self):
-        """(gamma_0, gamma_1, gamma_2): gamma, or gamma e^{i beta c_j a} under the field.
-
-        rect(1, x) is the cos + i sin numpy's exp(1j x) gives.
-        """
-        if self.field is None:
-            return (self.gamma,) * 3
-        beta, c = self.field
-        return tuple(self.gamma * cmath.rect(1.0, beta * cj * self.a) for cj in c)
-
-
-def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
-    """The zero-field tube, or the flat graphene sheet."""
-    return BandParams(epsilon, gamma, a)
-
-
-def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
-    """An axial field beta: the dispersion at k is the zero-field one at k + beta c."""
-    return BandParams(epsilon, gamma, a, (beta, c))
 
 
 def _modulus(k0, k1, k2, p):
@@ -130,142 +71,14 @@ def graphene_E(k, gamma=1.0, a=A_DEFAULT):
     return gamma * math.sqrt(max(s, 0.0))
 
 
-def special_points(a=A_DEFAULT):
-    """Gamma, the six K vertices, and the six M edge midpoints of the zone."""
-    u = 2.0 * math.pi / (3.0 * a)
-    h = math.pi / (3.0 * a)
-    k_base = ((u, -u, 0.0), (u, 0.0, -u), (0.0, u, -u))
-    m_base = ((2.0 * h, -h, -h), (-h, 2.0 * h, -h), (-h, -h, 2.0 * h))
-    ks = tuple(p for b in k_base for p in (b, tuple(-x for x in b)))
-    ms = tuple(p for b in m_base for p in (b, tuple(-x for x in b)))
-    return {"Gamma": (0.0, 0.0, 0.0), "K": ks, "M": ms}
+def _line_k(sym, m, kappa, a):
+    """Components of k = x c + y b on line m at screw coordinate kappa; arrays broadcast.
 
-
-def kappa_period(sym, a=A_DEFAULT):
-    """Length 2 pi q' / a of one screw-coordinate period of a band line."""
-    return 2.0 * math.pi * sym.q_prime / a
-
-
-def _line(sym, m, a):
-    """Line m as its point x c and the map kappa -> y: its points are k = x c + y b.
-
-    The one formula for the allowed-line family; m, and the kappa the map
-    takes, may be arrays.
+    Line m is the line <k, c> = 2 pi m / a, and kappa = q' <k, omega>.
     """
     x = 2.0 * math.pi * m / (a * inner(sym.c, sym.c))
-    shift, bb = x * sym.q_prime * inner(sym.c, sym.omega), inner(sym.b, sym.b)
-    return tuple(x * ci for ci in sym.c), lambda kappa: (kappa - shift) / bb
-
-
-def _line_k(sym, m, kappa, a):
-    """Components of k = x c + y b on line m at screw coordinate kappa; arrays broadcast."""
-    origin, to_y = _line(sym, m, a)
-    y = to_y(kappa)
-    return tuple(o + y * bi for o, bi in zip(origin, sym.b))
-
-
-def _line_moduli(origin, direction, ts, p):
-    """_modulus at k = origin + t direction for each t of a block ts, as a list of Python floats.
-
-    One list comprehension a block, which callers keep to BLOCK points.  The
-    phases and sums are formed in _modulus's order; rect(1, k a) is the
-    cos + i sin that numpy's exp(1j k a) gives.  abs, libm's hypot, rounds
-    apart from numpy's complex abs in the last bit of a few values.
-    """
-    (o0, o1, o2), (d0, d1, d2) = origin, direction
-    g0, g1, g2 = map(complex, p.hoppings)
-    a, rect = p.a, cmath.rect
-    return [abs(g0 * rect(1.0, (o0 + t * d0) * a) + g1 * rect(1.0, (o1 + t * d1) * a)
-                + g2 * rect(1.0, (o2 + t * d2) * a)) for t in ts]
-
-
-def _k_points(a):
-    """K, K' = +-(t, -t, 0) / a, t = K_TURN: _gap_seeds's zeros at zero field, bit for bit."""
-    t = K_TURN
-    return [(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]
-
-
-def k_point_projections(c, sym, a=A_DEFAULT):
-    """(m, kappa) coordinates of the K points that lie on allowed lines.
-
-    Empty for semiconducting tubes.  K and K' lie on lines
-    m = +-(c0 - c1) / 3, taken mod n in integers.  Each kappa before
-    reduction is zero or at least 2 pi q' / (3 a) from zero, so it never
-    rounds up to the period.
-    """
-    if not is_metallic(c):
-        return []
-    line = (c[0] - c[1]) // 3
-    return [(s * line % sym.n, sym.q_prime * inner(kp, sym.omega) % kappa_period(sym, a))
-            for s, kp in zip((1, -1), _k_points(a))]
-
-
-@dataclass(frozen=True)
-class BandTable:
-    """Sampled conduction/valence pair of one m-band, as columns of doubles."""
-
-    c: tuple
-    m: int
-    kappa: array
-    E_minus: array
-    E_plus: array
-
-
-def _injected(c, sym, m, samples, a):
-    """(i, kappa) of the K projections on line m that band_blocks adds, in kappa order.
-
-    i >= 1 counts the grid points at or below kappa.  A projection within
-    1e-9 of a period of a grid point or of one added before is left out.
-    """
-    period = kappa_period(sym, a)
-
-    def grid(j):
-        return period * j / samples
-
-    added = []
-    for mm, kk in k_point_projections(c, sym, a):
-        if mm == m:
-            i = bisect(range(samples), kk, key=grid)  # grid(0) = 0 <= kk
-            near = [grid(j) for j in (i - 1, i) if j < samples] + [k for _, k in added]
-            if all(abs(g - kk) > 1e-9 * period for g in near):
-                added.append((i, kk))
-    return sorted(added)
-
-
-def band_blocks(c, sym, m, samples, p):
-    """Both bands of line m on a uniform kappa grid over one period, BLOCK grid points at a time.
-
-    Yields (key, kappa, E_minus, E_plus), lists of Python floats.  The grid,
-    period * i / samples for i < samples, is the same on every line, and key
-    is the index of its block; callers can share the work of a block between
-    lines by key.  Exact kappa projections of on-line K points are added so
-    that conical touchings appear in the table even off-grid; a block that
-    holds one has key None.
-    """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    period = kappa_period(sym, p.a)
-    added = _injected(c, sym, m, samples, p.a)
-    origin, to_y = _line(sym, m, p.a)
-    for lo in range(0, samples, BLOCK):
-        hi = min(lo + BLOCK, samples)
-        kappa = [period * i / samples for i in range(lo, hi)]
-        key = lo // BLOCK
-        for i, kk in reversed(added):  # kk follows grid point i - 1; last first keeps the order
-            if lo < i <= hi:
-                kappa.insert(i - lo, kk)
-                key = None
-        mod = _line_moduli(origin, sym.b, map(to_y, kappa), p)
-        yield key, kappa, [p.epsilon - v for v in mod], [p.epsilon + v for v in mod]
-
-
-def band_table(c, sym, m, samples, p):
-    """band_blocks of line m joined into one BandTable of array columns."""
-    columns = (array("d"), array("d"), array("d"))
-    for _, *blocks in band_blocks(c, sym, m, samples, p):
-        for column, block in zip(columns, blocks):
-            column.extend(block)
-    return BandTable(tuple(c), m, *columns)
+    y = (kappa - x * sym.q_prime * inner(sym.c, sym.omega)) / inner(sym.b, sym.b)
+    return tuple(x * ci + y * bi for ci, bi in zip(sym.c, sym.b))
 
 
 @dataclass(frozen=True)
@@ -376,24 +189,6 @@ def band_gap(c, sym, p, resolution=None):
         argmin_m=line % sym.n,
         metallic_by_theorem=is_metallic(c),
     )
-
-
-def flux_period(c, a=A_DEFAULT):
-    """Aharonov-Bohm period 2 pi / (a ||c||^2) of the field parameter beta."""
-    return 2.0 * math.pi / (a * inner(c, c))
-
-
-def check_beta(beta, c, a=A_DEFAULT):
-    """Raise ValueError unless beta is finite and within MAX_FLUX_PERIODS flux periods.
-
-    Beyond that bound the phases beta c_j a lose digits to rounding; far
-    beyond it beta and beta plus a flux period are the same double.
-    """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    if abs(beta) > MAX_FLUX_PERIODS * flux_period(c, a):
-        raise ValueError(f"|beta| = {abs(beta)} exceeds {MAX_FLUX_PERIODS} flux periods "
-                         f"of {flux_period(c, a)}")
 
 
 def gap_vs_beta(c, sym, gamma, a, beta_grid, epsilon=0.0):

@@ -6,16 +6,20 @@ failure.
 
 Each command imports only what it computes with, so start-up costs no more
 than the command needs: `classify` and `neighbors` run on integer
-arithmetic, `bands`, `graphene-path`, `gap` and `magsweep` on Python floats
-and integers; numpy and `oracle` load for `verify` alone, and `json` only for
-the commands that print JSON or read --config.  CSV is written in blocks of
-bands.BLOCK rows, each formatted by one %.
+arithmetic, `bands` and `graphene-path` on `lines`, and `gap` and `magsweep`
+on `bands`' gap search, all in Python floats and integers.  numpy and
+`oracle` load for `verify` alone, `dataclasses` (with `inspect`) only for
+`gap`, `magsweep` and `verify`, whose results and oracle records are
+dataclasses, and `json` only for the commands that print JSON or read
+--config.  A band point is the exact product of a line phasor and an offset
+phasor, both reduced in integers (`lines`).  CSV is written in blocks of
+lines.BLOCK rows, each formatted by one %.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from . import tube
 from .geom import inner
@@ -26,22 +30,19 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# bound on the n * resolution band points of bands: 10 to 13 s at the bound (2-vCPU Xeon)
+# bound on the n * resolution band points of bands: 10.6 to 10.9 s at the bound
+# (n = 1, --out to a file, 2-vCPU Xeon)
 MAX_GRID = 2 ** 22
 # bound on the betas of one magsweep: 8 to 13 s at 0.5 to 0.8 ms a gap (2-vCPU Xeon)
 MAX_BETAS = 2 ** 14
 
 
-@dataclass
-class RunConfig:
-    gamma: float = 1.0
-    epsilon: float = 0.0
-    bond_length: float = 1.44
-    resolution: int = 4096
-    tolerance: float = 1e-8
-    out: str = None
+class RunConfig(namedtuple("RunConfig", "gamma epsilon bond_length resolution tolerance out")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, gamma=1.0, epsilon=0.0, bond_length=1.44, resolution=4096, tolerance=1e-8,
+                out=None):
+        self = super().__new__(cls, gamma, epsilon, bond_length, resolution, tolerance, out)
         for key in ("gamma", "epsilon", "bond_length", "tolerance"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -68,6 +69,7 @@ class RunConfig:
         if not math.isfinite(abs(self.epsilon) + 3.0 * self.gamma):
             raise ValueError(f"|epsilon| + 3 gamma = {abs(self.epsilon) + 3.0 * self.gamma} "
                              f"must be finite")
+        return self
 
     @property
     def a(self):
@@ -101,7 +103,7 @@ def _tube(args, max_coord=math.inf):
 
 
 def _load_config(args):
-    keys = [f.name for f in fields(RunConfig)]
+    keys = RunConfig._fields
     values = {}
     if args.config:
         import json
@@ -148,7 +150,7 @@ def _csv(header, blocks):
 
     The columns of a block are equal-length sequences of the values
     row_format takes, one a field; they are interleaved and formatted by one
-    %.  Callers keep blocks to bands.BLOCK rows, which bounds what
+    %.  Callers keep blocks to lines.BLOCK rows, which bounds what
     formatting holds.
     """
     yield ",".join(header) + "\n"
@@ -180,7 +182,7 @@ def cmd_classify(args, cfg):
 
 
 def cmd_bands(args, cfg):
-    from . import bands
+    from . import lines
 
     # beyond MAX_COORD the kappa grid of 2 pi q' / a can overflow the float range
     c, sym = _tube(args, tube.MAX_COORD)
@@ -189,13 +191,13 @@ def cmd_bands(args, cfg):
     if sym.n * cfg.resolution > MAX_GRID:  # before any line is sampled
         raise InputError(f"n * resolution = {sym.n * cfg.resolution} band points "
                          f"exceed {MAX_GRID}")
-    p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
+    p = lines.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
 
     def blocks():  # one block of one line at a time
         kappa_text = {}  # grid block key -> its kappa column, formatted once for all n lines
         for m in range(sym.n):
             row_format = f"{m},%s,%.12g,%.12g\n"
-            for key, kappa, e_minus, e_plus in bands.band_blocks(c, sym, m, cfg.resolution, p):
+            for key, kappa, e_minus, e_plus in lines.band_blocks(c, sym, m, cfg.resolution, p):
                 text = kappa_text.get(key)
                 if text is None:
                     text = ("%.12g\n" * len(kappa)) % tuple(kappa)
@@ -208,19 +210,19 @@ def cmd_bands(args, cfg):
 
 
 def _check_beta(beta, c, cfg):
-    from . import bands
+    from . import lines
 
     try:
-        bands.check_beta(beta, c, cfg.a)
+        lines.check_beta(beta, c, cfg.a)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def _gap_params(c, cfg, beta):
-    from . import bands
+    from . import lines
 
     _check_beta(beta, c, cfg)
-    return bands.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
+    return lines.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
 
 
 def cmd_gap(args, cfg):
@@ -241,14 +243,14 @@ def cmd_gap(args, cfg):
 
 
 def cmd_magsweep(args, cfg):
-    from . import bands
+    from . import bands, lines
 
     c, sym = _tube(args, tube.MAX_COORD)
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
-    period = bands.flux_period(c, cfg.a)
+    period = lines.flux_period(c, cfg.a)
     total = args.periods * (args.samples - 1) + 1
     if total > MAX_BETAS:
         raise InputError(f"periods * (samples - 1) + 1 = {total} betas exceed {MAX_BETAS}")
@@ -257,19 +259,19 @@ def cmd_magsweep(args, cfg):
     # numpy's linspace(0, stop, total): i * (stop / (total - 1)), ending at exactly stop
     betas = [i * (stop / (total - 1)) for i in range(total - 1)] + [stop]
     sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas, epsilon=cfg.epsilon)
-    _emit(_csv(("beta", "gap"), (("%.12g,%.12g\n", tuple(zip(*sweep[i:i + bands.BLOCK])))
-                                 for i in range(0, len(sweep), bands.BLOCK))), cfg)
+    _emit(_csv(("beta", "gap"), (("%.12g,%.12g\n", tuple(zip(*sweep[i:i + lines.BLOCK])))
+                                 for i in range(0, len(sweep), lines.BLOCK))), cfg)
     return EXIT_OK
 
 
 def cmd_graphene_path(args, cfg):
-    from . import bands
+    from . import lines
 
     if args.samples < 2:
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.samples > MAX_GRID:
         raise InputError(f"samples = {args.samples} exceed {MAX_GRID}")
-    points = bands.special_points(cfg.a)
+    points = lines.special_points(cfg.a)
     waypoints = {"G": points["Gamma"], "K": points["K"][0], "M": points["M"][0]}
     labels = [s.strip().upper() for s in args.path.split(",")]
     for lab in labels:
@@ -281,25 +283,25 @@ def cmd_graphene_path(args, cfg):
     for la, lb in segs:
         if la == lb:
             raise InputError(f"path repeats label {la!r}: a segment needs two distinct ends")
-    p = bands.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
+    p = lines.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
     lengths = [math.dist(waypoints[a], waypoints[b]) for a, b in segs]
     total_len = sum(lengths)
 
     def blocks():  # one block of one segment at a time
         arc = 0.0
         for j, ((la, lb), seg_len) in enumerate(zip(segs, lengths)):
-            start = waypoints[la]
+            start, ends = waypoints[la], (lines.WAYPOINTS[la], lines.WAYPOINTS[lb])
             direction = tuple(e - s for s, e in zip(start, waypoints[lb]))
             count = max(2, round(args.samples * seg_len / total_len))
             step = 1.0 / (count - 1)
             # numpy's linspace(0, 1, count): i * step, ending at exactly 1; a segment
             # after the first starts at i = 1, as its start was emitted
-            for lo in range(1 if j else 0, count, bands.BLOCK):
-                hi = min(lo + bands.BLOCK, count)
+            for lo in range(1 if j else 0, count, lines.BLOCK):
+                hi = min(lo + lines.BLOCK, count)
                 ts = [i * step for i in range(lo, hi)]
                 if hi == count:
                     ts[-1] = 1.0
-                mod = bands._line_moduli(start, direction, ts, p)
+                mod = lines.path_moduli(*ends, count, lo, hi, p)
                 yield "%.12g," * 5 + "%.12g\n", (
                     [arc + t * seg_len for t in ts],
                     *([s + t * d for t in ts] for s, d in zip(start, direction)),

@@ -8,7 +8,7 @@ are all integer arithmetic.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 THETA = (1, 0, 0)
 
@@ -59,23 +59,26 @@ def tau(v):
 _GEN_MAP = {"sigma": sigma, "rho": rho, "tau": tau}
 
 
-@dataclass(frozen=True)
-class SymmetryWord:
+class SymmetryWord(namedtuple("SymmetryWord", "gens translation")):
     """A lattice isometry given as generator tags plus a final translation.
 
     Tags are applied to the site first-to-last; the translation (a sum-zero
     integer triple) is added at the end.  An empty word is the identity.
     """
 
-    gens: tuple = ()
-    translation: tuple = (0, 0, 0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.gens:
+    def __new__(cls, gens=(), translation=(0, 0, 0)):
+        for g in gens:
             if g not in _GEN_MAP:
                 raise ValueError(f"unknown generator tag {g!r}")
-        if sum(self.translation) != 0:
+        if sum(translation) != 0:
             raise ValueError("translation must have zero coordinate sum")
+        return super().__new__(cls, gens, translation)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def apply_symmetry(word, v):

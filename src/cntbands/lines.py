@@ -1,0 +1,291 @@
+"""Band lines: the band parameters and the exact modulus along k-lines.
+
+The two-band dispersion is E+-(k) = eps +- |sum_j gamma_j e^{i k_j a}|.  Rolling
+into a tube keeps the straight k-lines with <k, c> in (2 pi / a) Z, indexed by
+a rotation quantum number m and the screw coordinate kappa; band_blocks
+samples one of them on a uniform kappa grid, graphene-path a straight segment
+of the sheet between special points.
+
+Every point either samples is rational in units of 2 pi / a.  With C = <c, c>,
+B = <b, b>, W = <c, omega> and S samples, grid point i of line m sits at
+
+    k_j a / 2 pi = m c_j / C + q' (i C - m W S) b_j / (C B S),
+
+and a path point i of a segment from u to v in count points at
+u + i (v - u) / (count - 1), u and v in sixths.  So each bond phase k_j a -
+k_2 a splits into an integer numerator at the start of a block and i - lo
+integer steps over a common denominator, both reduced exactly in integers:
+the modulus of point i is |L_0 T_0(i - lo) + L_1 T_1(i - lo) + gamma_2|, where
+L_j is gamma_j times the phasor at the block start and T_j is one table of at
+most BLOCK step phasors, shared by every line and block of a run.  Each
+phasor rounds once, from an angle within pi / 4, and a table entry is the
+product of two of them, so rows stay within 2e-15 of 40-digit mpmath however
+large the tube.
+
+Loading this module loads neither numpy nor dataclasses; the parameter and
+table records are named tuples.
+"""
+
+import cmath
+import math
+from array import array
+from bisect import bisect
+from collections import namedtuple
+from functools import lru_cache
+from itertools import islice
+
+from .geom import inner
+from .honeycomb import bond_length_scale
+from .tube import is_metallic, validate_chirality
+
+A_DEFAULT = bond_length_scale(1.44)
+
+K_TURN = math.acos(-0.5)  # K a = (K_TURN, -K_TURN, 0), K' = -K
+
+# bound on |beta| in flux periods: each phase beta c_j a is then below 2^10 pi
+# rad and rounds by less than 1e-12 rad
+MAX_FLUX_PERIODS = 2 ** 10
+
+BLOCK = 4096  # grid points a band block holds: bounds what band tables and their CSV hold
+SPLIT = 64  # a step table of BLOCK phasors is built from two of SPLIT = sqrt(BLOCK)
+
+EIGHTH_TURN = math.pi / 4.0
+QUARTER_TURNS = (1.0, 1j, -1.0, -1j)
+
+# e^{i (k_j - k_2) a}, j = 0, 1, at K and K': with one gamma their sum with 1 is exactly 0
+K_PHASORS = ((complex(-0.5, math.sqrt(3.0) / 2.0), complex(-0.5, -math.sqrt(3.0) / 2.0)),
+             (complex(-0.5, -math.sqrt(3.0) / 2.0), complex(-0.5, math.sqrt(3.0) / 2.0)))
+
+# the sheet's special points in sixths of 2 pi / a: Gamma, K and M of special_points
+WAYPOINTS = {"G": (0, 0, 0), "K": (2, -2, 0), "M": (2, -1, -1)}
+
+
+class BandParams(namedtuple("BandParams", "epsilon gamma a field")):
+    """Onsite energy, the one real hopping gamma > 0, length scale, and an axial field.
+
+    field, when set, is the (beta, c) of an axial magnetic field: the bond
+    along axis j then carries gamma e^{i beta c_j a}, and band_gap reads the
+    flux from beta and c exactly instead of from the rounded phases.  The
+    constructor stores it as a float and a validated chirality; _replace
+    goes through the constructor's checks too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, epsilon=0.0, gamma=1.0, a=A_DEFAULT, field=None):
+        if not a > 0 or math.isinf(a):
+            raise ValueError(f"scale a must be positive and finite, got {a}")
+        if not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon}")
+        if isinstance(gamma, complex) or not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be real, positive and finite, got {gamma}")
+        if field is not None:
+            beta, c = float(field[0]), validate_chirality(field[1])
+            check_beta(beta, c, a)
+            field = (beta, c)
+        return super().__new__(cls, epsilon, gamma, a, field)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @property
+    def hoppings(self):
+        """(gamma_0, gamma_1, gamma_2): gamma, or gamma e^{i beta c_j a} under the field.
+
+        rect(1, x) is the cos + i sin numpy's exp(1j x) gives.
+        """
+        if self.field is None:
+            return (self.gamma,) * 3
+        beta, c = self.field
+        return tuple(self.gamma * cmath.rect(1.0, beta * cj * self.a) for cj in c)
+
+
+def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
+    """The zero-field tube, or the flat graphene sheet."""
+    return BandParams(epsilon, gamma, a)
+
+
+def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
+    """An axial field beta: the dispersion at k is the zero-field one at k + beta c."""
+    return BandParams(epsilon, gamma, a, (beta, c))
+
+
+def flux_period(c, a=A_DEFAULT):
+    """Aharonov-Bohm period 2 pi / (a ||c||^2) of the field parameter beta."""
+    return 2.0 * math.pi / (a * inner(c, c))
+
+
+def check_beta(beta, c, a=A_DEFAULT):
+    """Raise ValueError unless beta is finite and within MAX_FLUX_PERIODS flux periods.
+
+    Beyond that bound the phases beta c_j a lose digits to rounding; far
+    beyond it beta and beta plus a flux period are the same double.
+    """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if abs(beta) > MAX_FLUX_PERIODS * flux_period(c, a):
+        raise ValueError(f"|beta| = {abs(beta)} exceeds {MAX_FLUX_PERIODS} flux periods "
+                         f"of {flux_period(c, a)}")
+
+
+def special_points(a=A_DEFAULT):
+    """Gamma, the six K vertices, and the six M edge midpoints of the zone."""
+    u = 2.0 * math.pi / (3.0 * a)
+    h = math.pi / (3.0 * a)
+    k_base = ((u, -u, 0.0), (u, 0.0, -u), (0.0, u, -u))
+    m_base = ((2.0 * h, -h, -h), (-h, 2.0 * h, -h), (-h, -h, 2.0 * h))
+    ks = tuple(p for b in k_base for p in (b, tuple(-x for x in b)))
+    ms = tuple(p for b in m_base for p in (b, tuple(-x for x in b)))
+    return {"Gamma": (0.0, 0.0, 0.0), "K": ks, "M": ms}
+
+
+def kappa_period(sym, a=A_DEFAULT):
+    """Length 2 pi q' / a of one screw-coordinate period of a band line."""
+    return 2.0 * math.pi * sym.q_prime / a
+
+
+def _turn(num, den):
+    """e^{2 pi i num / den} for integers num and den > 0.
+
+    num / den = (k + f) / 4 with k an integer and |f| <= 1/2, reduced in
+    integers; e^{i pi f / 2}, from an angle within pi / 4 rounded once, is
+    turned by i^k exactly.
+    """
+    k, r = divmod(8 * num + den, 2 * den)
+    return cmath.rect(1.0, EIGHTH_TURN * ((r - den) / den)) * QUARTER_TURNS[k & 3]
+
+
+@lru_cache(maxsize=1)
+def _offsets(steps, den, size):
+    """T_j(r) = e^{2 pi i r steps_j / den} for r < size: one table a run, reused by key.
+
+    With r = SPLIT u + v, v < SPLIT, T_j(r) is the product of the two exact
+    phasors of SPLIT u and v, so 2 size / SPLIT phasors build the table.
+    """
+    tables = []
+    for s in steps:
+        low = [_turn(v * s, den) for v in range(SPLIT)]
+        high = [_turn(SPLIT * u * s, den) for u in range(-(-size // SPLIT))]
+        tables.append(tuple(h * z for h in high for z in low)[:size])
+    return tuple(tables)
+
+
+def _moduli(nums, steps, den, count, size, p):
+    """|L_0 T_0(r) + L_1 T_1(r) + gamma_2| for r < count: the one band-point kernel.
+
+    Point r has the phases 2 pi (nums_j + r steps_j) / den of bonds j = 0, 1
+    relative to bond 2; L_j = gamma_j e^{2 pi i nums_j / den}.  size is the
+    table's length, count <= size; a run keeps one size, so one table.
+    """
+    h0, h1, h2 = p.hoppings
+    l0, l1 = h0 * _turn(nums[0], den), h1 * _turn(nums[1], den)
+    t0, t1 = _offsets(steps, den, size)
+    pairs = zip(t0, t1) if count == size else islice(zip(t0, t1), count)
+    return [abs(l0 * x0 + l1 * x1 + h2) for x0, x1 in pairs]
+
+
+def path_moduli(start, end, count, lo, hi, p):
+    """Moduli at the sheet points start + i (end - start) / (count - 1), lo <= i < hi.
+
+    start and end are triples of sixths of 2 pi / a (WAYPOINTS); hi - lo is
+    at most BLOCK.
+    """
+    den, size = 6 * (count - 1), min(count, BLOCK)
+    steps = tuple((e - s) - (end[2] - start[2]) for s, e in zip(start[:2], end[:2]))
+    nums = [(s - start[2]) * (count - 1) + lo * d for s, d in zip(start[:2], steps)]
+    return _moduli(nums, steps, den, hi - lo, size, p)
+
+
+def _k_points(a):
+    """K, K' = +-(t, -t, 0) / a, t = K_TURN: _gap_seeds's zeros at zero field, bit for bit."""
+    t = K_TURN
+    return [(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]
+
+
+def k_point_projections(c, sym, a=A_DEFAULT):
+    """(m, kappa) coordinates of the K points that lie on allowed lines.
+
+    Empty for semiconducting tubes.  K and K' lie on lines
+    m = +-(c0 - c1) / 3, taken mod n in integers.  Each kappa before
+    reduction is zero or at least 2 pi q' / (3 a) from zero, so it never
+    rounds up to the period.
+    """
+    if not is_metallic(c):
+        return []
+    line = (c[0] - c[1]) // 3
+    return [(s * line % sym.n, sym.q_prime * inner(kp, sym.omega) % kappa_period(sym, a))
+            for s, kp in zip((1, -1), _k_points(a))]
+
+
+class BandTable(namedtuple("BandTable", "c m kappa E_minus E_plus")):
+    """Sampled conduction/valence pair of one m-band, as columns of doubles."""
+
+    __slots__ = ()
+
+
+def _injected(c, sym, m, samples, p):
+    """(i, kappa, modulus) of the K projections on line m that band_blocks adds, in kappa order.
+
+    i >= 1 counts the grid points at or below kappa.  A projection within
+    1e-9 of a period of a grid point or of one added before is left out.
+    The point is K (or K') up to a lattice step, where the phases relative to
+    bond 2 are K_PHASORS: the modulus is exactly 0.0 without a field.
+    """
+    period = kappa_period(sym, p.a)
+    h0, h1, h2 = p.hoppings
+
+    def grid(j):
+        return period * j / samples
+
+    added = []
+    for (mm, kk), (z0, z1) in zip(k_point_projections(c, sym, p.a), K_PHASORS):
+        if mm == m:
+            i = bisect(range(samples), kk, key=grid)  # grid(0) = 0 <= kk
+            near = [grid(j) for j in (i - 1, i) if j < samples] + [k for _, k, _ in added]
+            if all(abs(g - kk) > 1e-9 * period for g in near):
+                added.append((i, kk, abs(h0 * z0 + h1 * z1 + h2)))
+    return sorted(added)
+
+
+def band_blocks(c, sym, m, samples, p):
+    """Both bands of line m on a uniform kappa grid over one period, BLOCK grid points at a time.
+
+    Yields (key, kappa, E_minus, E_plus), lists of Python floats.  The grid,
+    period * i / samples for i < samples, is the same on every line, and key
+    is the index of its block; callers can share the work of a block between
+    lines by key.  Exact kappa projections of on-line K points are added so
+    that conical touchings appear in the table even off-grid; a block that
+    holds one has key None.
+    """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    period = kappa_period(sym, p.a)
+    added = _injected(c, sym, m, samples, p)
+    b, qp = sym.b, sym.q_prime
+    cc, bb, w = inner(c, c), inner(b, b), inner(c, sym.omega)
+    den, size = cc * bb * samples, min(samples, BLOCK)
+    # numerators over den of k_j a / 2 pi - k_2 a / 2 pi at i = 0, and their step in i
+    start = [m * samples * ((c[j] - c[2]) * bb - qp * w * (b[j] - b[2])) for j in (0, 1)]
+    steps = tuple(qp * cc * (b[j] - b[2]) for j in (0, 1))
+    for lo in range(0, samples, BLOCK):
+        hi = min(lo + BLOCK, samples)
+        kappa = [period * i / samples for i in range(lo, hi)]
+        mod = _moduli([x + lo * s for x, s in zip(start, steps)], steps, den, hi - lo, size, p)
+        key = lo // BLOCK
+        # kk follows grid point i - 1; last first keeps the order
+        for i, kk, zero in reversed(added):
+            if lo < i <= hi:
+                kappa.insert(i - lo, kk)
+                mod.insert(i - lo, zero)
+                key = None
+        yield key, kappa, [p.epsilon - v for v in mod], [p.epsilon + v for v in mod]
+
+
+def band_table(c, sym, m, samples, p):
+    """band_blocks of line m joined into one BandTable of array columns."""
+    columns = (array("d"), array("d"), array("d"))
+    for _, *blocks in band_blocks(c, sym, m, samples, p):
+        for column, block in zip(columns, blocks):
+            column.extend(block)
+    return BandTable(tuple(c), m, *columns)

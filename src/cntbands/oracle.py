@@ -51,7 +51,7 @@ Agreement to rounding error is the whole point.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,7 +309,7 @@ def compare_spectra(c, sym, periods, p, tol):
     t = build_hamiltonian(build_finite_tube(sym, periods), p)
     real = not np.iscomplex(p.hoppings).any()
     fin = _paired_spectrum(t, sym.n, periods, real)
-    ana = analytic_spectrum(sym, periods, replace(p, epsilon=0.0))
+    ana = analytic_spectrum(sym, periods, p._replace(epsilon=0.0))
     if len(fin) != len(ana):
         raise AdjacencyError(
             f"spectrum length mismatch: finite {len(fin)} vs analytic {len(ana)}")

@@ -18,7 +18,7 @@ classifying a tube, listing neighbours or tabulating bands does not load it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 
 from .geom import inner
@@ -94,8 +94,7 @@ def canonicalize_chirality(raw):
     return max(images)
 
 
-@dataclass(frozen=True)
-class TubeSymmetry:
+class TubeSymmetry(namedtuple("TubeSymmetry", "c n c_prime R b q q_prime omega")):
     """Symmetry data derived from a chirality vector.
 
     n: rotation order (gcd of c); c_prime: c/n; R: gcd of the pairwise
@@ -104,14 +103,7 @@ class TubeSymmetry:
     omega: shortest screw-generator vector with <omega, b> = ||b||^2/q'.
     """
 
-    c: tuple
-    n: int
-    c_prime: tuple
-    R: int
-    b: tuple
-    q: int
-    q_prime: int
-    omega: tuple
+    __slots__ = ()
 
     def line_spacing(self, a):
         """Distance 2*pi/(a*||c||) between neighboring allowed k-lines."""

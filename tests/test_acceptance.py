@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cntbands import bands, geom, oracle
+from cntbands import bands, geom, lines, oracle
 from cntbands.bands import A_DEFAULT as A
 from cntbands.honeycomb import SymmetryWord, apply_symmetry, distance, nearest_neighbors, nu
 from cntbands.tube import compose, decompose, tube_symmetry
@@ -35,7 +35,7 @@ def report(num, label, start):
 
 def test_criterion_1_graphene_anchors():
     start = time.time()
-    pts = bands.special_points(A)
+    pts = lines.special_points(A)
     for k in pts["K"]:
         assert bands.graphene_E(k, 1.0, A) <= 1e-12
     assert bands.dispersion(pts["Gamma"], P_UNIFORM)[1] == 3.0
@@ -139,7 +139,7 @@ def test_criterion_6_aharonov_bohm():
     start = time.time()
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    period = bands.flux_period(c, A)
+    period = lines.flux_period(c, A)
     for beta in (0.0, 0.37 * period):
         g0 = bands.band_gap(c, sym, bands.magnetic_params(1.0, beta, c, A),
                             resolution=1024).gap

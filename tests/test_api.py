@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cntbands"
-MODULES = ("geom", "honeycomb", "tube", "bands", "oracle", "cli")
+MODULES = ("geom", "honeycomb", "tube", "lines", "bands", "oracle", "cli")
 
 KEPT = {
     "geom.embed": "the triad reconstruction sum u_i e_i, the paper's plane model",

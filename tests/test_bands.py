@@ -1,14 +1,14 @@
-import dataclasses
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from cntbands import bands, geom, tube
+from cntbands import bands, geom, lines, tube
 from cntbands.bands import A_DEFAULT as A
 from cntbands.tube import tube_symmetry
 
@@ -59,7 +59,7 @@ def test_graphene_E_at_m_point():
 
 
 def test_special_points_values():
-    pts = bands.special_points(A)
+    pts = lines.special_points(A)
     assert len(pts["K"]) == 6 and len(pts["M"]) == 6
     assert bands.dispersion(pts["Gamma"], P_UNIFORM)[1] == 3.0
     for k in pts["K"]:
@@ -100,7 +100,7 @@ def test_zeros_only_near_k_points():
     for k in ks:
         dist = min(math.sqrt(geom.inner(np.array(k) - np.array(kp),
                                         np.array(k) - np.array(kp)))
-                   for kp in bands.special_points(A)["K"])
+                   for kp in lines.special_points(A)["K"])
         assert dist < 1e-6 / A
 
 
@@ -111,7 +111,7 @@ def test_line_k_basics():
     rng = np.random.default_rng(5)
     for _ in range(50):
         m = int(rng.integers(0, sym.n))
-        kappa = float(rng.uniform(0, bands.kappa_period(sym, A)))
+        kappa = float(rng.uniform(0, lines.kappa_period(sym, A)))
         k = bands._line_k(sym, m, kappa, A)
         assert sum(k) == pytest.approx(0.0, abs=1e-12)
         assert geom.inner(k, c) * A / (2 * math.pi) == pytest.approx(m, abs=1e-9)
@@ -121,7 +121,7 @@ def test_line_k_basics():
 def test_k_points_on_armchair_lines():
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    proj = bands.k_point_projections(c, sym, A)
+    proj = lines.k_point_projections(c, sym, A)
     assert proj  # c0 - c1 = 6 in 3Z: the conical points are allowed
     for m, kappa in proj:
         k = bands._line_k(sym, m, kappa, A)
@@ -130,7 +130,7 @@ def test_k_points_on_armchair_lines():
 
 def test_no_k_points_on_semiconducting_lines():
     c = (5, 0, -5)
-    assert bands.k_point_projections(c, tube_symmetry(c), A) == []
+    assert lines.k_point_projections(c, tube_symmetry(c), A) == []
 
 
 def test_band_table():
@@ -152,15 +152,15 @@ def test_band_table():
 @pytest.mark.parametrize("c", [(9, -3, -6), (5, 2, -7), (7, -3, -4)])
 def test_band_blocks_share_the_grid_between_lines(c):
     # the CLI formats a block's kappa column once for all lines with its key
-    sym, samples = tube_symmetry(c), 2 * bands.BLOCK + 5
-    period = bands.kappa_period(sym, A)
+    sym, samples = tube_symmetry(c), 2 * lines.BLOCK + 5
+    period = lines.kappa_period(sym, A)
     grid = [period * i / samples for i in range(samples)]
     for m in range(sym.n):
-        blocks = list(bands.band_blocks(c, sym, m, samples, P_UNIFORM))
-        on_line = any(mm == m for mm, _ in bands.k_point_projections(c, sym, A))
+        blocks = list(lines.band_blocks(c, sym, m, samples, P_UNIFORM))
+        on_line = any(mm == m for mm, _ in lines.k_point_projections(c, sym, A))
         assert any(b[0] is None for b in blocks) == on_line
         for j, (key, kappa, e_minus, e_plus) in enumerate(blocks):
-            block = grid[j * bands.BLOCK:(j + 1) * bands.BLOCK]
+            block = grid[j * lines.BLOCK:(j + 1) * lines.BLOCK]
             assert key in (j, None) and (key is None) == (kappa != block)
             assert set(block) <= set(kappa) and len(kappa) == len(e_minus) == len(e_plus)
         t = bands.band_table(c, sym, m, samples, P_UNIFORM)
@@ -168,20 +168,85 @@ def test_band_blocks_share_the_grid_between_lines(c):
         assert list(t.E_plus) == [e for b in blocks for e in b[3]]
 
 
+def mp_row_moduli(c, sym, m, samples, kappa, p, dps=40):
+    """|sum_j gamma_j e^{i k_j a}| at dps digits at each row point of line m, gamma_j = p.hoppings.
+
+    A grid row's point has the screw fraction i / samples, an added K row the
+    fraction s (omega_0 - omega_1) / 3 mod 1 of K (s = 1) or K' (s = -1) whose
+    kappa is nearest.  In units of 2 pi / a the point is k = x c + y b with
+    <k, c> = m and q' <k, omega> = q' fraction, formed in fractions and reduced
+    mod 1 before mpmath sees it.
+    """
+    cc, bb, w = geom.inner(c, c), geom.inner(sym.b, sym.b), geom.inner(c, sym.omega)
+    qp = sym.q_prime
+    period = lines.kappa_period(sym, p.a)
+    grid = {period * i / samples: Fraction(i, samples) for i in range(samples)}
+    ks = [Fraction(s * (sym.omega[0] - sym.omega[1]), 3) % 1 for s in (1, -1)]
+    out = []
+    with mpmath.workdps(dps):
+        hops = [mpmath.mpc(complex(h)) for h in p.hoppings]
+        for kk in kappa:
+            f = grid.get(kk)
+            if f is None:
+                f = min(ks, key=lambda x: abs(x * period - kk))
+            x = Fraction(m, cc)
+            y = (qp * f - x * qp * w) / bb
+            k = [(x * cj + y * bj) % 1 for cj, bj in zip(c, sym.b)]
+            out.append(abs(sum(h * mpmath.expjpi(2 * mpmath.mpf(kj.numerator) / kj.denominator)
+                               for h, kj in zip(hops, k))))
+    return out
+
+
+def worst_row_error(c, sym, m, samples, p):
+    """Largest |E - (epsilon +- exact modulus)| over the rows of band_table's line m."""
+    t = bands.band_table(c, sym, m, samples, p)
+    ref = mp_row_moduli(c, sym, m, samples, t.kappa, p)
+    with mpmath.workdps(40):
+        return max(max(abs(e_plus - (p.epsilon + r)), abs(e_minus - (p.epsilon - r)))
+                   for e_minus, e_plus, r in zip(t.E_minus, t.E_plus, ref))
+
+
 @pytest.mark.parametrize("c", [(4, -2, -2), (7, -3, -4), (8, -1, -7)])
 @pytest.mark.parametrize("params", ["uniform", "flux", "epsilon"])
 def test_band_table_matches_vectorized_modulus(c, params):
-    # the scalar kernel against the oracle's vectorized path, row by row
+    # every row, K rows included, against 40-digit mpmath at its exact point with the same
+    # hoppings, not against the vectorized _modulus, which is itself off by up to 1.4e-14
+    # on these lines
     sym = tube_symmetry(c)
     p = {"uniform": P_UNIFORM,
-         "flux": bands.magnetic_params(1.0, 0.3 * bands.flux_period(c, A), c, A),
+         "flux": bands.magnetic_params(1.0, 0.3 * lines.flux_period(c, A), c, A),
          "epsilon": bands.uniform_params(1.0, 0.1, A)}[params]
     bound = 1e-15 * (abs(p.epsilon) + 3.0)
     for m in range(sym.n):
-        t = bands.band_table(c, sym, m, 512, p)
-        mod = bands._modulus(*bands._line_k(sym, m, np.asarray(t.kappa), A), p)
-        assert np.max(np.abs(np.asarray(t.E_plus) - (p.epsilon + mod))) <= bound
-        assert np.max(np.abs(np.asarray(t.E_minus) - (p.epsilon - mod))) <= bound
+        assert worst_row_error(c, sym, m, 512, p) <= bound
+
+
+@pytest.mark.parametrize("c", [(7, -3, -4), (100001, 100000, -200001),
+                               (1000001, 1000000, -2000001), (2 ** 30, -2 ** 29 + 1, -2 ** 29 - 1)])
+def test_band_table_rows_match_mpmath_on_large_tubes(c):
+    # the phases are reduced in integers, so the error must not grow with q' (phasors at
+    # float angles of size ~q' are off by up to 1.7e-7 here)
+    sym = tube_symmetry(c)
+    for m in range(3):
+        assert worst_row_error(c, sym, m, 64, P_UNIFORM) <= 2e-15, m
+
+
+@pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2), (9, -3, -6)])
+def test_k_rows_are_exactly_epsilon(c):
+    # the rows added at on-line K projections are hopping zeros: modulus 0.0, not rounding
+    sym = tube_symmetry(c)
+    for p in (P_UNIFORM, bands.uniform_params(1.5, 0.25, A)):
+        for samples in (64, 5000):
+            period = lines.kappa_period(sym, A)
+            grid = {period * i / samples for i in range(samples)}
+            added = 0
+            for m in range(sym.n):
+                for key, kappa, e_minus, e_plus in lines.band_blocks(c, sym, m, samples, p):
+                    rows = [(lo, hi) for k, lo, hi in zip(kappa, e_minus, e_plus) if k not in grid]
+                    assert (key is None) == bool(rows)
+                    assert all(lo == hi == p.epsilon for lo, hi in rows)
+                    added += len(rows)
+            assert added == len(lines.k_point_projections(c, sym, A))
 
 
 @pytest.mark.parametrize("a", [A, 1.0, 0.37, 5.9])
@@ -192,7 +257,7 @@ def test_k_points_are_the_uniform_hopping_zeros(a):
         for p in (bands.uniform_params(a=a), bands.magnetic_params(1.0, 0.0, c, a),
                   bands.magnetic_params(1.0, -0.0, c, a)):
             zeros = [zero for zero, *_ in bands._gap_seeds(c, p)][::2]
-            assert repr(bands._k_points(a)) == repr(zeros), (c, p)
+            assert repr(lines._k_points(a)) == repr(zeros), (c, p)
 
 
 GAP_5_0_5 = 0.7639320225002102  # frozen from a 2e6-point-per-line dense scan
@@ -225,7 +290,7 @@ def test_argmin_near_k_point():
         best = min(
             math.sqrt(geom.inner(np.array(res.argmin_k) - np.array(img),
                                  np.array(res.argmin_k) - np.array(img)))
-            for kp in bands.special_points(A)["K"]
+            for kp in lines.special_points(A)["K"]
             for img in k_images(kp, A))
         # the nearest allowed line passes within one line spacing of a cone
         assert best < 0.75 * sym.line_spacing(A)
@@ -266,7 +331,7 @@ def test_flux_opens_gap_in_metallic_tube():
 def test_gap_vs_beta_properties():
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    period = bands.flux_period(c, A)
+    period = lines.flux_period(c, A)
     betas = [0.0, 0.25 * period, period]
     sweep = bands.gap_vs_beta(c, sym, 1.0, A, betas)
     gaps = [g for _, g in sweep]
@@ -281,7 +346,7 @@ def test_bloch_phase_well_defined_on_lines():
     rng = np.random.default_rng(23)
     for _ in range(30):
         m = int(rng.integers(0, sym.n))
-        kappa = float(rng.uniform(0, bands.kappa_period(sym, A)))
+        kappa = float(rng.uniform(0, lines.kappa_period(sym, A)))
         k = bands._line_k(sym, m, kappa, A)
         v = rng.integers(-10, 10, 3)
         v[2] = -v[0] - v[1]
@@ -292,14 +357,14 @@ def test_bloch_phase_well_defined_on_lines():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: bands.BandParams(epsilon=math.nan),
-    lambda: bands.BandParams(epsilon=-math.inf),
-    lambda: bands.BandParams(gamma=math.nan),
-    lambda: bands.BandParams(gamma=math.inf),
+    lambda: lines.BandParams(epsilon=math.nan),
+    lambda: lines.BandParams(epsilon=-math.inf),
+    lambda: lines.BandParams(gamma=math.nan),
+    lambda: lines.BandParams(gamma=math.inf),
     lambda: bands.uniform_params(math.inf, 0.0, A),
-    lambda: bands.BandParams(a=math.nan),
-    lambda: bands.BandParams(a=math.inf),
-    lambda: bands.BandParams(a=0.0),
+    lambda: lines.BandParams(a=math.nan),
+    lambda: lines.BandParams(a=math.inf),
+    lambda: lines.BandParams(a=0.0),
     lambda: bands.uniform_params(1.0, math.nan, A),
     lambda: bands.magnetic_params(1.0, math.nan, (5, 0, -5), A),
     lambda: bands.magnetic_params(1.0, math.inf, (5, 0, -5), A),
@@ -321,7 +386,7 @@ def test_band_gap_large_chiral_tube():
 def test_band_gap_near_end_of_flux_period():
     # resolutions 2^16, 2^18 and 2^20 all give 0.01186417783055612 +- 1e-16
     c = (4, 1, -5)
-    p = bands.magnetic_params(1.0, 0.995 * bands.flux_period(c, A), c, A)
+    p = bands.magnetic_params(1.0, 0.995 * lines.flux_period(c, A), c, A)
     res = bands.band_gap(c, tube_symmetry(c), p)
     assert res.gap == pytest.approx(0.0118641778306, abs=1e-9)
 
@@ -338,7 +403,7 @@ def scanned_gap(sym, p, points=2 ** 16, zooms=3):
     1025 points within one grid step of each line's best point.
     """
     m, rows = np.arange(sym.n)[:, None], np.arange(sym.n)
-    step = bands.kappa_period(sym, p.a) / points
+    step = lines.kappa_period(sym, p.a) / points
     kappa = np.broadcast_to(np.arange(points) * step, (sym.n, points))
     for _ in range(zooms + 1):
         vals = line_modulus(sym, m, kappa, p)
@@ -375,7 +440,7 @@ def test_band_gap_matches_dense_scan(case):
     rng = np.random.default_rng(case)
     c = [(4, -2, -2), (5, 0, -5), (4, 1, -5), (7, -3, -4), (6, 0, -6), (8, -3, -5)][case // 2]
     sym = tube_symmetry(c)
-    beta = rng.uniform(-3.0, 3.0) * bands.flux_period(c, A)
+    beta = rng.uniform(-3.0, 3.0) * lines.flux_period(c, A)
     gamma = 1.0 if case % 2 == 0 else float(rng.uniform(0.3, 3.0))
     if case % 2 == 0 or tube.is_metallic(c):
         p = bands.magnetic_params(gamma, beta, c, A)
@@ -383,7 +448,7 @@ def test_band_gap_matches_dense_scan(case):
         p = bands.uniform_params(gamma, 0.0, A)
     res = bands.band_gap(c, sym, p)
     assert res.gap == pytest.approx(scanned_gap(sym, p), abs=1e-12)
-    unit = bands.band_gap(c, sym, dataclasses.replace(p, gamma=1.0)).gap
+    unit = bands.band_gap(c, sym, p._replace(gamma=1.0)).gap
     assert res.gap > 1e-3 and res.gap == pytest.approx(gamma * unit, rel=1e-14)
     line = geom.inner(res.argmin_k, c) * A / (2 * math.pi)
     assert line == pytest.approx(round(line), abs=1e-12) and round(line) % sym.n == res.argmin_m
@@ -418,10 +483,10 @@ def test_zero_hopping_rejected(zero):
     # means gamma = 0, which every way of building the parameters refuses
     bonds = [0, 1, 2] if zero == "all" else [int(zero[-1])]
     c = (7, -3, -4)
-    builders = [lambda g: bands.BandParams(gamma=g),
+    builders = [lambda g: lines.BandParams(gamma=g),
                 lambda g: bands.uniform_params(g, 0.0, A),
                 lambda g: bands.magnetic_params(g, 0.01, c, A),
-                lambda g: dataclasses.replace(bands.magnetic_params(1.0, 0.01, c, A), gamma=g)]
+                lambda g: bands.magnetic_params(1.0, 0.01, c, A)._replace(gamma=g)]
     for build in builders:
         with pytest.raises(ValueError, match="gamma"):
             build(0.0)
@@ -434,37 +499,37 @@ def test_params_reject_what_they_do_not_model():
     c = (7, -3, -4)
     for gamma in (-1.0, 1j, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma"):
-            bands.BandParams(gamma=gamma)
-    for beta in (math.nan, math.inf, -1.01 * bands.MAX_FLUX_PERIODS * bands.flux_period(c, A)):
+            lines.BandParams(gamma=gamma)
+    for beta in (math.nan, math.inf, -1.01 * lines.MAX_FLUX_PERIODS * lines.flux_period(c, A)):
         with pytest.raises(ValueError, match="beta"):
-            bands.BandParams(field=(beta, c))
+            lines.BandParams(field=(beta, c))
     with pytest.raises(TypeError):
-        bands.BandParams(gamma0=1.0)
+        lines.BandParams(gamma0=1.0)
 
 
 def test_field_must_match_the_hoppings():
     # the hoppings are derived from gamma and the field, so a replace keeps them in step
     c = (7, -3, -4)
-    p = bands.BandParams(epsilon=0.2, gamma=2.0, field=(1, [7, -3, -4]))
-    assert p.field == (1.0, c) == dataclasses.replace(p, epsilon=0.5).field
-    q = dataclasses.replace(p, gamma=0.5)
+    p = lines.BandParams(epsilon=0.2, gamma=2.0, field=(1, [7, -3, -4]))
+    assert p.field == (1.0, c) == p._replace(epsilon=0.5).field
+    q = p._replace(gamma=0.5)
     assert q.field == p.field
     assert q.hoppings == bands.magnetic_params(0.5, 1.0, c, A, epsilon=0.2).hoppings
-    assert dataclasses.replace(p, field=None).hoppings == (2.0, 2.0, 2.0)
-    with pytest.raises(TypeError):
-        dataclasses.replace(p, gamma0=1.0)
+    assert p._replace(field=None).hoppings == (2.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="unexpected field"):
+        p._replace(gamma0=1.0)
 
 
 def test_argmin_within_half_a_line_of_a_hopping_zero():
     rng = np.random.default_rng(29)
     for c in [(5, 0, -5), (4, -1, -3), (7, -1, -6), (11, -4, -7), (20, -9, -11), (56, 55, -111)]:
         sym = tube_symmetry(c)
-        for beta in [0.0] + list(rng.uniform(-3, 3, 3) * bands.flux_period(c, A)):
+        for beta in [0.0] + list(rng.uniform(-3, 3, 3) * lines.flux_period(c, A)):
             p = bands.magnetic_params(1.0, beta, c, A)
             res = bands.band_gap(c, sym, p)
             k = np.array(res.argmin_k)
             zeros = [[kj - beta * cj for kj, cj in zip(kp, c)]
-                     for kp in bands.special_points(A)["K"][:2]]  # K - beta c, K' - beta c
+                     for kp in lines.special_points(A)["K"][:2]]  # K - beta c, K' - beta c
             dist = min(math.sqrt(geom.inner(k - img, k - img))
                        for z in zeros for img in k_images(z, A))
             assert dist < 0.5 * sym.line_spacing(A), (c, beta)
@@ -489,9 +554,9 @@ def test_band_gap_goes_through_no_kappa(monkeypatch):
         raise AssertionError("band_gap must not map through kappa")
 
     monkeypatch.setattr(bands, "_line_k", unused)
-    monkeypatch.setattr(bands, "kappa_period", unused)
+    monkeypatch.setattr(lines, "kappa_period", unused)
     for c in [(4, -2, -2), (5, 0, -5), (4, 1, -5)]:
-        p = bands.magnetic_params(1.0, 0.999 * bands.flux_period(c, A), c, A)
+        p = bands.magnetic_params(1.0, 0.999 * lines.flux_period(c, A), c, A)
         assert bands.band_gap(c, tube_symmetry(c), p).gap >= 0
 
 
@@ -506,10 +571,10 @@ def test_k_point_projections_lie_within_one_period():
                 if (c0 - c1) % 3 or not c1 >= c[2]:
                     continue
                 sym = tube_symmetry(c)
-                proj = bands.k_point_projections(c, sym, a)
+                proj = lines.k_point_projections(c, sym, a)
                 assert len(set(proj)) == len(proj) == 2, c
                 for m, kappa in proj:
-                    assert 0 <= kappa < bands.kappa_period(sym, a)
+                    assert 0 <= kappa < lines.kappa_period(sym, a)
                     k = bands._line_k(sym, m, kappa, a)
                     assert bands.dispersion(k, bands.uniform_params(a=a))[1] < 1e-12
 
@@ -520,16 +585,16 @@ def test_k_point_projections_of_a_large_metallic_tube():
     c = (536870915, 536870909, -1073741824)
     sym = tube_symmetry(c)
     assert sym.n == 1 and tube.is_metallic(c)
-    proj = bands.k_point_projections(c, sym, A)
+    proj = lines.k_point_projections(c, sym, A)
     assert [m for m, _ in proj] == [0, 0] and proj[0][1] != proj[1][1]
-    assert all(0 <= kappa < bands.kappa_period(sym, A) for _, kappa in proj)
+    assert all(0 <= kappa < lines.kappa_period(sym, A) for _, kappa in proj)
     assert len(bands.band_table(c, sym, 0, 64, P_UNIFORM).kappa) == 64 + 2
 
 
 def test_magnetic_hoppings_are_numpy_exp_bit_for_bit():
     rng = np.random.default_rng(31)
     for c in [(4, -2, -2), (5, 0, -5), (7, -3, -4), (2 ** 30, 0, -2 ** 30)]:
-        period = bands.flux_period(c, A)
+        period = lines.flux_period(c, A)
         for beta in [0.0, -0.0] + [float(x) for x in rng.uniform(-5, 5, 40) * period]:
             gamma = float(rng.uniform(0.2, 3.0))
             p = bands.magnetic_params(gamma, beta, c, A)
@@ -585,7 +650,7 @@ def mp_line_minima(c, beta, a=A, steps=170):
 @pytest.mark.parametrize("flux", [0.0, 0.3, 1e-6, -2.7])
 def test_band_gap_matches_mpmath_line_minima(c, flux):
     """Relative 1e-13, for gaps from 0.58 down to 1e-14 (a metallic tube under 1e-6 of a flux)."""
-    beta = flux * bands.flux_period(c, A)
+    beta = flux * lines.flux_period(c, A)
     p = bands.magnetic_params(1.0, beta, c, A) if flux else P_UNIFORM
     gap = bands.band_gap(c, tube_symmetry(c), p).gap
     if flux == 0 and tube.is_metallic(c):
@@ -604,7 +669,7 @@ def test_zero_modulus_matches_vectorized_modulus(hoppings):
     7.4e-16 gamma of 50-digit mpmath.
     """
     c = (7, -3, -4)
-    period = bands.flux_period(c, A)
+    period = lines.flux_period(c, A)
     p = {"uniform": P_UNIFORM,
          "flux": bands.magnetic_params(1.0, 0.3 * period, c, A),
          "flux-gamma": bands.magnetic_params(0.45, 1.3 * period, c, A)}[hoppings]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cntbands import bands, cli, oracle, tube
+from cntbands import bands, cli, lines, oracle, tube
 from cntbands.bands import A_DEFAULT as A
 from cntbands.cli import main
 from cntbands.honeycomb import nearest_neighbors, next_nearest_neighbors
@@ -75,7 +75,7 @@ def test_bands_csv(tmp_path):
     header, rows = read_csv(out)
     assert header == ["m", "kappa", "E_minus", "E_plus"]
     sym = tube_symmetry((4, -2, -2))
-    injected = bands.k_point_projections((4, -2, -2), sym, A)
+    injected = lines.k_point_projections((4, -2, -2), sym, A)
     assert len(rows) == sym.n * 64 + len(injected)
     eplus = [float(r[3]) for r in rows]
     assert min(eplus) < 1e-9  # metallic: a band touches zero
@@ -336,7 +336,7 @@ def test_invalid_number_rejected(capsys, argv):
 
 def test_beta_bounded_by_flux_periods(monkeypatch, capsys):
     c = (4, -2, -2)
-    bound = bands.MAX_FLUX_PERIODS * bands.flux_period(c, A)
+    bound = lines.MAX_FLUX_PERIODS * lines.flux_period(c, A)
     beyond = math.nextafter(bound, math.inf)
     for beta in (bound, -bound):
         # a whole number of flux periods: the metallic tube stays gapless
@@ -355,7 +355,7 @@ def test_beta_bounded_by_flux_periods(monkeypatch, capsys):
     assert main(["magsweep", "--c", "4,-2,-2", "--periods", "1025", "--samples", "2"]) == 2
     # magsweep's last beta is periods flux periods
     argv = ["magsweep", "--c", "5,0,-5", "--resolution", "64", "--samples", "2"]
-    monkeypatch.setattr(bands, "MAX_FLUX_PERIODS", 2)
+    monkeypatch.setattr(lines, "MAX_FLUX_PERIODS", 2)
     assert main(argv + ["--periods", "2"]) == 0
     assert main(argv + ["--periods", "3"]) == 2
 
@@ -608,6 +608,14 @@ def test_only_the_gap_search_and_oracle_load_numpy(argv):
 
 
 @EVERY_COMMAND
+def test_only_the_gap_search_and_oracle_load_dataclasses(argv):
+    # GapResult and the oracle's records are the only dataclasses; dataclasses imports inspect
+    loaded = modules_after_main(*argv)
+    for name in ("dataclasses", "inspect"):
+        assert (name in loaded) == (argv[0] in ("gap", "magsweep", "verify")), name
+
+
+@EVERY_COMMAND
 def test_only_json_commands_load_json(argv):
     loaded = modules_after_main(*argv)
     assert ("json" in loaded) == (argv[0] in ("classify", "gap", "verify", "neighbors"))
@@ -658,7 +666,7 @@ def test_magsweep_betas_are_numpy_linspace(monkeypatch, c, periods, samples, bon
     monkeypatch.setattr(bands, "gap_vs_beta", record)
     assert main(["magsweep", "--c", ",".join(map(str, c)), "--periods", str(periods),
                  "--samples", str(samples), "--bond-length", str(bond)]) == 0
-    stop = periods * bands.flux_period(c, cli.RunConfig(bond_length=bond).a)
+    stop = periods * lines.flux_period(c, cli.RunConfig(bond_length=bond).a)
     want = np.linspace(0.0, stop, periods * (samples - 1) + 1)
     assert [repr(b) for b in seen[0]] == [repr(float(b)) for b in want]
 

@@ -13,16 +13,16 @@ from cntbands.cli import main
 
 GOLDEN = [
     (["bands", "--c", "4,-2,-2"],
-     "74f4b599a6559f11d8ffce655123c1192a3c78bd31428468f1c73c3d2f270a92"),
+     "583d2f616c2693112d9637aa27df7edc3f85183dd2b8a4154a00419ae3e990b1"),
     (["bands", "--c", "5,0,-5"],
-     "3a4c272b573ecb4de75034038407f3f749629adcdb0e624e4530e71e625efc86"),
+     "55125f3409a8033003499b3cd55d6dedc11dfae1a8ce1b2085d6c624c1559e06"),
     (["bands", "--c", "8,-1,-7"],
-     "4881955aa0f9504ebaf95167106cc2b74f97859b5095b4f2281ae3365ef19717"),
+     "9c48a044facdfec3a832332d63df4f2ddeaeb326a0ab56357e944395389f469d"),
     (["bands", "--c", "9,-3,-6"],
-     "ee06ce104847dcafe6fa2129a32414c9518ee03dd7860bd812815e70bedf7ef8"),
+     "86becd9fb3d93ee9c6d8a6127768b9fef1101077dddb437a9395f6ed5d04df32"),
     # a block boundary inside each line, K rows on lines 1 and 2, non-default epsilon and gamma
     (["bands", "--c", "9,-3,-6", "--resolution", "5000", "--epsilon", "0.25", "--gamma", "1.5"],
-     "77d223fdd688ab321d0a3295db4f61b3f29dfc9586e9df55aa6313d4d0ac5587"),
+     "36cbaa1c4834fb46c8f7a423ad365a64e6062ccf5dfe2b98d5172c6904ff2e1b"),
     (["gap", "--c", "5,0,-5"],
      "af57f044eacdf0a7c64be31043ff62970366585f6254662a87908d7975910003"),
     (["gap", "--c", "4,-1,-3"],
@@ -37,12 +37,12 @@ GOLDEN = [
     (["magsweep", "--c", "5,0,-5", "--samples", "17", "--gamma", "0.5"],
      "5cf7aa0be32647ba5d805bf12ffac75a7a2701a183a3afa1d623e2ed6e4cd1b9"),
     (["graphene-path"],
-     "3bd85a979f94924b0873502ce3e1b496ab31f486feffc4c6f0d739cd59fec774"),
+     "2d8057ee5c1ee1ac7b0225bcef758526d4ec5a2810aca61a0e5ca59d4942fd8d"),
     (["graphene-path", "--path", "K,G,M,K,G", "--samples", "500"],
-     "23c9913cdbfeca9410bd8486d8c7a933ecabbbfa7b8a7b4b1ec8235342ddf349"),
+     "84dbf24c159cc645be506cc0207658a11742af922201a953b5823326d842f7c3"),
     # segments of several blocks
     (["graphene-path", "--samples", "9000", "--path", "K,M,G,K"],
-     "00f990213099600307203b4d6891cdf28ab664b152e28270bb22b7470a23bec2"),
+     "e9f944c590a578c365d9b016269e9637c3031c5d639b501e5943405e4cf74c4e"),
     (["classify", "--c", "4,-2,-2"],
      "0e612caa2f793bddfdaf358e7ccc9896ce44be3bc95b099631be75f6df08d553"),
     (["neighbors", "--v", "0,0,1", "--c", "4,-2,-2"],

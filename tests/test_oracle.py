@@ -501,9 +501,9 @@ def test_inexact_representatives_fail_decomposition():
     with pytest.raises(DecompositionError, match="coordinate sum"):
         decompose(np.array([[1, 1, 0]]), sym)
     # with b doubled, <omega, b> q' / ||b||^2 = 1/2
-    doubled_b = dataclasses.replace(sym, b=tuple(2 * v for v in sym.b))
+    doubled_b = sym._replace(b=tuple(2 * v for v in sym.b))
     with pytest.raises(DecompositionError, match="integer screw power"):
         decompose(omega, doubled_b)
-    skew = dataclasses.replace(sym, c_prime=(2, 0, -2))
+    skew = sym._replace(c_prime=(2, 0, -2))
     with pytest.raises(DecompositionError, match="parallel to c_prime"):
         decompose(np.array([sym.c_prime]), skew)
