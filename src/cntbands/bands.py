@@ -1,26 +1,18 @@
-"""Analytic spectra: graphene dispersion and zone-folded nanotube bands.
+"""Band gaps: the sheet dispersion and the gap search over a tube's k-lines.
 
-The two-band dispersion E+-(k) = eps +- |sum_j gamma_j e^{i k_j a}|, with
-gamma_j the hopping of the bond along axis j, lives on the sum-zero k-plane
-and extends periodically to all of R^3.  Rolling into a tube keeps only the
-family of straight k-lines with <k, c> in (2 pi / a) Z; each line is indexed
-by a rotation quantum number m and parametrized by the screw coordinate
-kappa.  The band gap is twice the minimum of the modulus over that family;
-it vanishes exactly when the lines pass through the conical K points, i.e.
-when c0 - c1 is a multiple of 3.  Every bond carries one real hopping gamma;
-an axial magnetic field enters as the phases gamma_j = gamma e^{i beta c_j a}
-and acts as a rigid shift k -> k + beta c of the lines.  The gap search
-samples no grid: it starts on the two lines next to each zero of the
-hopping sum (a Dirac point, moved rigidly to K - beta c by flux).
-
-Band lines, their parameters and the exact band-point kernel live in
-`lines`, which loads no dataclasses; this module re-exports band_table and
-uniform_params from it.  The gap search runs in Python floats and loading
-this module does not load numpy; only the vectorized modulus the oracle
-uses imports it, inside its body.  The gap search measures k from the
-hopping zero: with w_j = gamma e^{i K_j a} summing to zero, the modulus is
-|sum_j w_j (e^{i delta_j a} - 1)|, delta = k - K, which keeps its relative
-precision as k nears K, and each seed's line offset comes from integers.
+The band lines, their parameters and the exact band-point kernel live in
+`lines`, whose docstring states the model; this module re-exports
+band_table and uniform_params from it.  The band gap is twice the minimum
+of the modulus over the n allowed lines; it vanishes exactly when they pass
+through the conical K points, i.e. when c0 - c1 is a multiple of 3.  An
+axial field, the phases gamma_j = gamma e^{i beta c_j a}, shifts the lines
+rigidly, k -> k + beta c.  The gap search samples no grid: it starts on the
+two lines next to each zero of the hopping sum (a Dirac point, moved to
+K - beta c by flux) and measures k from that zero.  With w_j = gamma
+e^{i K_j a} summing to zero, the modulus is |sum_j w_j (e^{i delta_j a} - 1)|,
+delta = k - K, which keeps its relative precision as k nears K, and each
+seed's line offset comes from integers.  Everything here runs in Python
+floats; loading or running it does not load numpy.
 """
 
 import cmath
@@ -40,20 +32,9 @@ HALF_K_DISTANCE = math.sqrt(2.0) * math.pi / 3.0  # a |K - K'| / 2 for neighbour
 TWO_PI_RATIO = (884279719003555 * 2 ** 57 + 4967757600021511, 2 ** 104)
 
 
-def _modulus(k0, k1, k2, p):
-    """|gamma_0 e^{i k0 a} + gamma_1 e^{i k1 a} + gamma_2 e^{i k2 a}|, vectorized."""
-    import numpy as np
-
-    g0, g1, g2 = p.hoppings
-    f = (g0 * np.exp(1j * np.asarray(k0) * p.a)
-         + g1 * np.exp(1j * np.asarray(k1) * p.a)
-         + g2 * np.exp(1j * np.asarray(k2) * p.a))
-    return np.abs(f)
-
-
 def dispersion(k, p):
-    """The eigenvalue pair (E_minus, E_plus) at a k triple."""
-    m = float(_modulus(k[0], k[1], k[2], p))
+    """The eigenvalue pair (E_minus, E_plus) at an arbitrary k triple."""
+    m = abs(sum(h * cmath.rect(1.0, kj * p.a) for h, kj in zip(p.hoppings, k)))
     return (p.epsilon - m, p.epsilon + m)
 
 
@@ -69,16 +50,6 @@ def graphene_E(k, gamma=1.0, a=A_DEFAULT):
     s = (3.0 + 2.0 * math.cos((k0 - k1) * a) + 2.0 * math.cos((k1 - k2) * a)
          + 2.0 * math.cos((k2 - k0) * a))
     return gamma * math.sqrt(max(s, 0.0))
-
-
-def _line_k(sym, m, kappa, a):
-    """Components of k = x c + y b on line m at screw coordinate kappa; arrays broadcast.
-
-    Line m is the line <k, c> = 2 pi m / a, and kappa = q' <k, omega>.
-    """
-    x = 2.0 * math.pi * m / (a * inner(sym.c, sym.c))
-    y = (kappa - x * sym.q_prime * inner(sym.c, sym.omega)) / inner(sym.b, sym.b)
-    return tuple(x * ci + y * bi for ci, bi in zip(sym.c, sym.b))
 
 
 @dataclass(frozen=True)

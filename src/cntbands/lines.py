@@ -9,18 +9,19 @@ of the sheet between special points.
 Every point either samples is rational in units of 2 pi / a.  With C = <c, c>,
 B = <b, b>, W = <c, omega> and S samples, grid point i of line m sits at
 
-    k_j a / 2 pi = m c_j / C + q' (i C - m W S) b_j / (C B S),
+    k_j a / 2 pi = m c_j / C + q' (i C - m W S) b_j / (C B S)
 
-and a path point i of a segment from u to v in count points at
-u + i (v - u) / (count - 1), u and v in sixths.  So each bond phase k_j a -
-k_2 a splits into an integer numerator at the start of a block and i - lo
-integer steps over a common denominator, both reduced exactly in integers:
-the modulus of point i is |L_0 T_0(i - lo) + L_1 T_1(i - lo) + gamma_2|, where
-L_j is gamma_j times the phasor at the block start and T_j is one table of at
-most BLOCK step phasors, shared by every line and block of a run.  Each
-phasor rounds once, from an angle within pi / 4, and a table entry is the
-product of two of them, so rows stay within 2e-15 of 40-digit mpmath however
-large the tube.
+(line_numerators; the oracle's Bloch points are such grid points), and a
+path point i of a segment from u to v in count points at u + i (v - u) /
+(count - 1), u and v in sixths.  So each bond phase k_j a - k_2 a splits into
+an integer numerator at the start of a block and i - lo integer steps over a
+common denominator, both reduced exactly in integers: the modulus of point i
+is |L_0 T_0(i - lo) + L_1 T_1(i - lo) + gamma_2|, where L_j is gamma_j times
+the phasor at the block start and T_j is one table of at most BLOCK step
+phasors, shared by every line and block of a run.  Each phasor rounds once,
+from an angle within pi / 4, and a table entry is the product of two of
+them, so rows stay within 2e-15 of 40-digit mpmath however large the tube;
+rows at K, on a line or a path, are exactly epsilon without a field.
 
 Loading this module loads neither numpy nor dataclasses; the parameter and
 table records are named tuples.
@@ -194,7 +195,17 @@ def path_moduli(start, end, count, lo, hi, p):
     den, size = 6 * (count - 1), min(count, BLOCK)
     steps = tuple((e - s) - (end[2] - start[2]) for s, e in zip(start[:2], end[:2]))
     nums = [(s - start[2]) * (count - 1) + lo * d for s, d in zip(start[:2], steps)]
-    return _moduli(nums, steps, den, hi - lo, size, p)
+    mod = _moduli(nums, steps, den, hi - lo, size, p)
+    for i, point in ((0, start), (count - 1, end)):
+        if point == WAYPOINTS["K"] and lo <= i < hi:
+            mod[i - lo] = _k_modulus(K_PHASORS[0], p)
+    return mod
+
+
+def _k_modulus(phasors, p):
+    """The modulus at K or K' (phasors K_PHASORS[0] or [1]): exactly 0.0 without a field."""
+    h0, h1, h2 = p.hoppings
+    return abs(h0 * phasors[0] + h1 * phasors[1] + h2)
 
 
 def _k_points(a):
@@ -233,19 +244,32 @@ def _injected(c, sym, m, samples, p):
     bond 2 are K_PHASORS: the modulus is exactly 0.0 without a field.
     """
     period = kappa_period(sym, p.a)
-    h0, h1, h2 = p.hoppings
 
     def grid(j):
         return period * j / samples
 
     added = []
-    for (mm, kk), (z0, z1) in zip(k_point_projections(c, sym, p.a), K_PHASORS):
+    for (mm, kk), phasors in zip(k_point_projections(c, sym, p.a), K_PHASORS):
         if mm == m:
             i = bisect(range(samples), kk, key=grid)  # grid(0) = 0 <= kk
             near = [grid(j) for j in (i - 1, i) if j < samples] + [k for _, k, _ in added]
             if all(abs(g - kk) > 1e-9 * period for g in near):
-                added.append((i, kk, abs(h0 * z0 + h1 * z1 + h2)))
+                added.append((i, kk, _k_modulus(phasors, p)))
     return sorted(added)
+
+
+def line_numerators(sym, samples):
+    """(across, along, den): grid point i of line m, of samples a period, in integers.
+
+    Its bond j = 0, 1 has the phase 2 pi (m across_j + i along_j) / den
+    relative to bond 2, den = C B samples: the points of band_blocks and of
+    the oracle's Bloch spectrum.
+    """
+    c, b, qp = sym.c, sym.b, sym.q_prime
+    cc, bb, w = inner(c, c), inner(b, b), inner(c, sym.omega)
+    across = tuple(samples * ((c[j] - c[2]) * bb - qp * w * (b[j] - b[2])) for j in (0, 1))
+    along = tuple(qp * cc * (b[j] - b[2]) for j in (0, 1))
+    return across, along, cc * bb * samples
 
 
 def band_blocks(c, sym, m, samples, p):
@@ -262,16 +286,13 @@ def band_blocks(c, sym, m, samples, p):
         raise ValueError(f"samples must be >= 2, got {samples}")
     period = kappa_period(sym, p.a)
     added = _injected(c, sym, m, samples, p)
-    b, qp = sym.b, sym.q_prime
-    cc, bb, w = inner(c, c), inner(b, b), inner(c, sym.omega)
-    den, size = cc * bb * samples, min(samples, BLOCK)
-    # numerators over den of k_j a / 2 pi - k_2 a / 2 pi at i = 0, and their step in i
-    start = [m * samples * ((c[j] - c[2]) * bb - qp * w * (b[j] - b[2])) for j in (0, 1)]
-    steps = tuple(qp * cc * (b[j] - b[2]) for j in (0, 1))
+    across, along, den = line_numerators(sym, samples)
+    size = min(samples, BLOCK)
     for lo in range(0, samples, BLOCK):
         hi = min(lo + BLOCK, samples)
         kappa = [period * i / samples for i in range(lo, hi)]
-        mod = _moduli([x + lo * s for x, s in zip(start, steps)], steps, den, hi - lo, size, p)
+        nums = [m * x + lo * s for x, s in zip(across, along)]
+        mod = _moduli(nums, along, den, hi - lo, size, p)
         key = lo // BLOCK
         # kk follows grid point i - 1; last first keeps the order
         for i, kk, zero in reversed(added):

@@ -46,8 +46,9 @@ Under flux the hoppings are complex, no block has a partner, and every
 block is diagonalized.
 
 The sorted values of all blocks must reproduce, as a multiset, the analytic
-two-band values taken at the Bloch-quantized points of the allowed k-lines.
-Agreement to rounding error is the whole point.
+two-band values at the Bloch-quantized points of the allowed k-lines: grid
+points of lines.line_numerators, whose integer phases `bands` prints from,
+evaluated here in numpy.  Agreement to rounding error is the whole point.
 """
 
 import math
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _line_k, _modulus
 from .geom import inner
+from .lines import EIGHTH_TURN, QUARTER_TURNS, line_numerators
 from .tube import canonical_rep, compose, decompose
 
 MAX_DIM = 4096
@@ -151,13 +152,10 @@ def build_hamiltonian(tube, p):
     or gamma e^{i beta c_j a} under a field) when the source site is on the
     sum-0 sublattice and its conjugate otherwise, times
     e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its target's
-    row.  The two halves are assembled apart, each entry summing its bonds
-    in the order j: the p = 1 rows must equal the conjugate transpose of T
-    exactly, and are freed before T is returned, so the returned stack owns
-    its buffer and no other stack stays alive.  The Theta flip that pairs
-    the two sublattices' rows makes T symmetric, and T must equal its
-    transpose exactly too.  The stack is real exactly when every phase and
-    hopping is (n <= 2, P <= 2, zero flux).
+    row.  The two halves are assembled apart, each entry summing its bonds in
+    the order j, and checked exactly: the p = 1 rows against T^H, then T
+    against T^T.  The p = 1 half is freed before T is returned, so no other
+    stack stays alive.  T is real exactly when n <= 2, P <= 2 and no flux.
     """
     n, periods = tube.sym.n, tube.periods
     qp = tube.sym.q_prime
@@ -195,14 +193,11 @@ def build_hamiltonian(tube, p):
 def eigenvalues(t, epsilon):
     """All eigenvalues of the blocks [[epsilon I, T], [T^H, epsilon I]], ascending.
 
-    t is one square hopping block T or a stack of them.  Each block's
+    t is one square hopping block T or a stack of them; each block's
     eigenvalues are epsilon +- the singular values of its T.  A real t must
-    be exactly symmetric, as build_hamiltonian's blocks are: its singular
-    values are then the |eigenvalues| lambda of T, and the spectrum is
-    epsilon +- lambda from one batched eigvalsh, which reads only one
-    triangle of T.  A complex t takes one batched singular value
-    decomposition.  Neither forms T T^H, whose eigenvalues would lose half
-    the digits of a small singular value.
+    be exactly symmetric and takes one batched eigvalsh (singular values
+    |lambda|), a complex t one batched SVD.  Neither forms T T^H, whose
+    eigenvalues would lose half the digits of a small singular value.
     """
     t = np.asarray(t)
     if t.shape[-1] != t.shape[-2]:
@@ -259,23 +254,35 @@ def _paired_spectrum(t, n, periods, real):
     return np.sort(np.concatenate(parts))
 
 
-def analytic_spectrum(sym, periods, p):
-    """Zone-folded eigenvalues of the same segment, sorted.
+def _bloch_numerators(sym, periods):
+    """(nums, den): Bloch point (m, l) has the bond phases 2 pi nums[j, m, l] / den, j = 0, 1.
 
-    Bloch closure over the axial period quantizes the screw coordinate to
-    P*q' points per line; each quantized k contributes the two band values.
+    Axial closure puts line m's point l < P q' at kappa a / 2 pi =
+    (m twist mod n) / n + l / P: grid point (m twist mod n) P + n l of
+    lines.line_numerators at S = n P q' samples.  den = C B S = 3 q^3 P <=
+    3 * 2^33 as MAX_DIM bounds 2 q P by 2^12, so with the numerators reduced
+    mod den in Python ints first, every int64 product stays below 3 * 2^44 <
+    2^46 (n <= q) and every sum below 2^47.
     """
+    n, points = sym.n, periods * sym.q_prime
+    across, along, den = line_numerators(sym, n * points)
+    x, s = (np.array([v % den for v in pair])[:, None, None] for pair in (across, along))
+    m = np.arange(n)[:, None]
+    first = m * (_axial_twist(sym) % n) % n * periods  # grid index of (m, 0)
+    return (m * x + first * s) % den + np.arange(points) * (n * s % den), den
+
+
+def analytic_spectrum(sym, periods, p):
+    """Zone-folded eigenvalues of the same segment, sorted: at each of the P*q' Bloch points
+    of each line, eps +- |gamma_0 e^{i (k_0 - k_2) a} + gamma_1 e^{i (k_1 - k_2) a} + gamma_2|."""
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    # <k,c> a = 2 pi m on line m; axial closure <k,Pb> a in 2 pi Z puts the
-    # screw coordinate at kappa = 2 pi (m j / n + l / P) / a, l < P q', with j
-    # the axial twist.  A 2 pi / a step of kappa only relabels l, so m j is
-    # reduced mod n to keep kappa small.
-    m = np.arange(sym.n)[:, None]
-    l = np.arange(periods * sym.q_prime)
-    twist = _axial_twist(sym) % sym.n
-    kappa = 2.0 * math.pi * (m * twist % sym.n / sym.n + l / periods) / p.a
-    mod = _modulus(*_line_k(sym, m, kappa, p.a), p).ravel()
+    nums, den = _bloch_numerators(sym, periods)
+    # each phasor as lines._turn rounds it: from an angle within pi / 4, turned by i^k
+    k, r = np.divmod(8 * nums + den, 2 * den)
+    z = np.exp(1j * EIGHTH_TURN * ((r - den) / den)) * np.array(QUARTER_TURNS)[k & 3]
+    h0, h1, h2 = p.hoppings
+    mod = np.abs(h0 * z[0] + h1 * z[1] + h2).ravel()
     return np.sort(np.concatenate([p.epsilon + mod, p.epsilon - mod]))
 
 

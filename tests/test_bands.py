@@ -16,6 +16,30 @@ P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
+def np_modulus(k0, k1, k2, p):
+    """|sum_j gamma_j e^{i k_j a}| in numpy, gamma_j = p.hoppings: the dense scans' evaluator."""
+    g0, g1, g2 = p.hoppings
+    return np.abs(g0 * np.exp(1j * np.asarray(k0) * p.a) + g1 * np.exp(1j * np.asarray(k1) * p.a)
+                  + g2 * np.exp(1j * np.asarray(k2) * p.a))
+
+
+def exact_k(sym, m, i, samples):
+    """k a / 2 pi, in fractions, at grid point i of line m from lines.line_numerators.
+
+    The numerators give the phases of bonds 0 and 1 relative to bond 2,
+    d_j = (k_j - k_2) a / 2 pi, unreduced; k itself sums to zero.
+    """
+    across, along, den = lines.line_numerators(sym, samples)
+    d0, d1 = (Fraction(m * x + i * s, den) for x, s in zip(across, along))
+    k2 = -(d0 + d1) / 3
+    return (d0 + k2, d1 + k2, k2)
+
+
+def k_fraction(s, sym):
+    """kappa / period mod 1 of K (s = 1) or K' (s = -1): <K, omega> a / 2 pi = s (w0 - w1) / 3."""
+    return Fraction(s * (sym.omega[0] - sym.omega[1]), 3) % 1
+
+
 def k_images(point, a):
     """Periodic images of a k triple under the reciprocal translations."""
     g1 = tuple(2 * math.pi / (3 * a) * x for x in (2, -1, -1))
@@ -94,7 +118,7 @@ def test_zeros_only_near_k_points():
     k0, k1 = np.meshgrid(grid, grid)
     k2 = -k0 - k1
     inside = (np.abs(k2) <= u)
-    mod = bands._modulus(k0, k1, k2, P_UNIFORM)
+    mod = np_modulus(k0, k1, k2, P_UNIFORM)
     small = inside & (mod < 1e-6)
     ks = np.stack([k0[small], k1[small], k2[small]], axis=-1)
     for k in ks:
@@ -105,17 +129,39 @@ def test_zeros_only_near_k_points():
 
 
 def test_line_k_basics():
+    # grid point i of line m sits on <k, c> a / 2 pi = m at kappa a / 2 pi = q' i / samples
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    assert bands._line_k(sym, 0, 0.0, A) == (0.0, 0.0, 0.0)
+    assert exact_k(sym, 0, 0, 64) == (0, 0, 0)
     rng = np.random.default_rng(5)
     for _ in range(50):
         m = int(rng.integers(0, sym.n))
-        kappa = float(rng.uniform(0, lines.kappa_period(sym, A)))
-        k = bands._line_k(sym, m, kappa, A)
-        assert sum(k) == pytest.approx(0.0, abs=1e-12)
-        assert geom.inner(k, c) * A / (2 * math.pi) == pytest.approx(m, abs=1e-9)
-        assert sym.q_prime * geom.inner(k, sym.omega) == pytest.approx(kappa, abs=1e-9)
+        samples = int(rng.integers(2, 2 ** 22))
+        i = int(rng.integers(0, samples))
+        k = exact_k(sym, m, i, samples)
+        assert sum(k) == 0
+        assert geom.inner(k, c) == m
+        assert sym.q_prime * geom.inner(k, sym.omega) == Fraction(sym.q_prime * i, samples)
+
+
+@pytest.mark.parametrize("c", [(7, -3, -4), (9, -3, -6), (100001, 100000, -200001),
+                               (1000001, 1000000, -2000001), (2 ** 30, -2 ** 29 + 1, -2 ** 29 - 1),
+                               (536870915, 536870909, -1073741824), (2 ** 30, 0, -2 ** 30)])
+def test_line_numerators_are_the_phases_of_the_line_points(c):
+    # k = x c + y b on <k, c> a / 2 pi = m with <k, omega> a / 2 pi = i / samples, solved
+    # in fractions; its phases (k_j - k_2) a / 2 pi mod 1 are the numerators over den
+    sym = tube_symmetry(c)
+    cc, w, bw = geom.inner(c, c), geom.inner(c, sym.omega), geom.inner(sym.b, sym.omega)
+    rng = np.random.default_rng(41)
+    for samples in (64, 4096, 4194304, 3 * sym.n * sym.q_prime):
+        across, along, den = lines.line_numerators(sym, samples)
+        for _ in range(20):
+            m, i = int(rng.integers(0, sym.n)), int(rng.integers(0, samples))
+            x = Fraction(m, cc)
+            y = (Fraction(i, samples) - x * w) / bw
+            k = [x * cj + y * bj for cj, bj in zip(c, sym.b)]
+            assert [Fraction(m * u + i * v, den) % 1 for u, v in zip(across, along)] == \
+                [(kj - k[2]) % 1 for kj in k[:2]], (samples, m, i)
 
 
 def test_k_points_on_armchair_lines():
@@ -123,9 +169,13 @@ def test_k_points_on_armchair_lines():
     sym = tube_symmetry(c)
     proj = lines.k_point_projections(c, sym, A)
     assert proj  # c0 - c1 = 6 in 3Z: the conical points are allowed
-    for m, kappa in proj:
-        k = bands._line_k(sym, m, kappa, A)
-        assert bands.graphene_E(k, 1.0, A) < 1e-9
+    for (m, kappa), s in zip(proj, (1, -1)):
+        f = k_fraction(s, sym)
+        assert kappa == pytest.approx(float(f) * lines.kappa_period(sym, A), abs=1e-12)
+        k = exact_k(sym, m, f.numerator, f.denominator)
+        # the phases of K (s = 1) or K' relative to bond 2, exactly
+        assert [(kj - k[2]) % 1 for kj in k[:2]] == [Fraction(s, 3) % 1, Fraction(-s, 3) % 1]
+        assert bands.graphene_E([2 * math.pi * kj / A for kj in k], 1.0, A) < 1e-9
 
 
 def test_no_k_points_on_semiconducting_lines():
@@ -210,8 +260,8 @@ def worst_row_error(c, sym, m, samples, p):
 @pytest.mark.parametrize("params", ["uniform", "flux", "epsilon"])
 def test_band_table_matches_vectorized_modulus(c, params):
     # every row, K rows included, against 40-digit mpmath at its exact point with the same
-    # hoppings, not against the vectorized _modulus, which is itself off by up to 1.4e-14
-    # on these lines
+    # hoppings, not against numpy at a float k, which is itself off by up to 1.4e-14 on
+    # these lines
     sym = tube_symmetry(c)
     p = {"uniform": P_UNIFORM,
          "flux": bands.magnetic_params(1.0, 0.3 * lines.flux_period(c, A), c, A),
@@ -346,14 +396,13 @@ def test_bloch_phase_well_defined_on_lines():
     rng = np.random.default_rng(23)
     for _ in range(30):
         m = int(rng.integers(0, sym.n))
-        kappa = float(rng.uniform(0, lines.kappa_period(sym, A)))
-        k = bands._line_k(sym, m, kappa, A)
-        v = rng.integers(-10, 10, 3)
+        samples = int(rng.integers(2, 2 ** 22))
+        k = exact_k(sym, m, int(rng.integers(0, samples)), samples)
+        v = [int(x) for x in rng.integers(-10, 10, 3)]
         v[2] = -v[0] - v[1]
-        shifted = v + np.array(c)
-        phase = (geom.inner(k, v) - geom.inner(k, shifted)) * A
-        assert phase / (2 * math.pi) == pytest.approx(round(phase / (2 * math.pi)),
-                                                      abs=1e-9)
+        shifted = [vj + cj for vj, cj in zip(v, c)]
+        # the phase difference over 2 pi, exactly an integer
+        assert (geom.inner(k, v) - geom.inner(k, shifted)).denominator == 1
 
 
 @pytest.mark.parametrize("make", [
@@ -392,8 +441,14 @@ def test_band_gap_near_end_of_flux_period():
 
 
 def line_modulus(sym, m, kappa, p):
-    """Hopping-sum modulus along line m at screw coordinates kappa (array)."""
-    return bands._modulus(*bands._line_k(sym, m, np.asarray(kappa, dtype=float), p.a), p)
+    """Hopping-sum modulus along line m at screw coordinates kappa (array), in numpy floats.
+
+    Line m is <k, c> = 2 pi m / a, and kappa = q' <k, omega>: k = x c + y b.
+    """
+    x = 2.0 * math.pi * m / (p.a * geom.inner(sym.c, sym.c))
+    y = (np.asarray(kappa, dtype=float) - x * sym.q_prime * geom.inner(sym.c, sym.omega)) \
+        / geom.inner(sym.b, sym.b)
+    return np_modulus(*(x * ci + y * bi for ci, bi in zip(sym.c, sym.b)), p)
 
 
 def scanned_gap(sym, p, points=2 ** 16, zooms=3):
@@ -553,8 +608,8 @@ def test_band_gap_goes_through_no_kappa(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("band_gap must not map through kappa")
 
-    monkeypatch.setattr(bands, "_line_k", unused)
     monkeypatch.setattr(lines, "kappa_period", unused)
+    monkeypatch.setattr(lines, "line_numerators", unused)
     for c in [(4, -2, -2), (5, 0, -5), (4, 1, -5)]:
         p = bands.magnetic_params(1.0, 0.999 * lines.flux_period(c, A), c, A)
         assert bands.band_gap(c, tube_symmetry(c), p).gap >= 0
@@ -573,9 +628,15 @@ def test_k_point_projections_lie_within_one_period():
                 sym = tube_symmetry(c)
                 proj = lines.k_point_projections(c, sym, a)
                 assert len(set(proj)) == len(proj) == 2, c
-                for m, kappa in proj:
-                    assert 0 <= kappa < lines.kappa_period(sym, a)
-                    k = bands._line_k(sym, m, kappa, a)
+                for (m, kappa), s in zip(proj, (1, -1)):
+                    period = lines.kappa_period(sym, a)
+                    assert 0 <= kappa < period
+                    f = k_fraction(s, sym)
+                    # (15,-6,-9) puts K' at kappa 0 but prints it an ulp below the period
+                    d = abs(kappa - float(f) * period)
+                    assert min(d, period - d) <= 1e-12 * period, (c, a)
+                    k = exact_k(sym, m, f.numerator, f.denominator)
+                    k = [2 * math.pi * kj / a for kj in k]
                     assert bands.dispersion(k, bands.uniform_params(a=a))[1] < 1e-12
 
 
@@ -661,12 +722,13 @@ def test_band_gap_matches_mpmath_line_minima(c, flux):
 
 @pytest.mark.parametrize("hoppings", ["uniform", "flux", "flux-gamma"])
 def test_zero_modulus_matches_vectorized_modulus(hoppings):
-    """The gap search's modulus, measured from a hopping zero, against _modulus at k.
+    """The gap search's modulus, measured from a hopping zero, against 50-digit mpmath.
 
-    Both near the zero and 0.5 / a from it.  The bound is 1e-15 per unit of
-    gamma at K and K'.  Under flux _modulus multiplies two rounded phasors a
-    term: the two then differ by up to 1.4e-15 gamma, while each stays within
-    7.4e-16 gamma of 50-digit mpmath.
+    Both near the zero and 0.5 / a from it.  The referee sums the hoppings
+    p.hoppings times e^{i k_j a} at k = zero + theta / a, exactly as the
+    doubles give them.  The bound is 1e-15 per unit of gamma at K and K',
+    under flux too (the former referee, numpy at the rounded k, was itself
+    up to 1.4e-15 gamma off there).
     """
     c = (7, -3, -4)
     period = lines.flux_period(c, A)
@@ -675,11 +737,15 @@ def test_zero_modulus_matches_vectorized_modulus(hoppings):
          "flux-gamma": bands.magnetic_params(0.45, 1.3 * period, c, A)}[hoppings]
     rng = np.random.default_rng(37)
     worst = 0.0
-    for zero, w, _, _ in bands._gap_seeds(c, p):
-        for scale in (1e-9, 1e-3, 0.5):
-            for dk in rng.uniform(-scale, scale, (500, 3)) / A:
-                k = [z + d for z, d in zip(zero, dk)]
-                theta = [(kj - z) * A for kj, z in zip(k, zero)]
-                got = bands._zero_modulus(w, theta, (0.0, 0.0, 0.0))(0.0)
-                worst = max(worst, abs(got - float(bands._modulus(*k, p))))
-    assert worst <= (1e-15 if p.field is None else 1.5e-15) * p.gamma
+    with mpmath.workdps(50):
+        hops, a = [mpmath.mpc(complex(h)) for h in p.hoppings], mpmath.mpf(A)
+        for zero, w, _, _ in bands._gap_seeds(c, p):
+            for scale in (1e-9, 1e-3, 0.5):
+                for dk in rng.uniform(-scale, scale, (500, 3)) / A:
+                    k = [z + d for z, d in zip(zero, dk)]
+                    theta = [(kj - z) * A for kj, z in zip(k, zero)]
+                    got = bands._zero_modulus(w, theta, (0.0, 0.0, 0.0))(0.0)
+                    ref = abs(sum(h * mpmath.expj(mpmath.mpf(z) * a + t)
+                                  for h, z, t in zip(hops, zero, theta)))
+                    worst = max(worst, abs(got - ref))
+    assert worst <= 1e-15 * p.gamma

@@ -144,6 +144,22 @@ def test_graphene_path_default(tmp_path):
     assert any(abs(e - 1.0) < 1e-9 for e in eplus)  # passes through M
 
 
+@pytest.mark.parametrize("argv", [["--samples", "8"], ["--path", "K,G,M,K,G", "--samples", "500"],
+                                  ["--path", "K,M,G,K", "--samples", "9000", "--epsilon", "0.25",
+                                   "--gamma", "1.5"]])
+def test_graphene_path_k_rows_are_exactly_epsilon(tmp_path, argv):
+    # a row on the K waypoint is a hopping zero: its modulus is exactly 0.0, not rounding
+    out = tmp_path / "path.csv"
+    assert main(["graphene-path", *argv, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    options = dict(zip(argv[::2], argv[1::2]))
+    eps = float(options.get("--epsilon", 0.0))
+    k_point = ["%.12g" % x for x in lines.special_points()["K"][0]]
+    k_rows = [r for r in rows if r[1:4] == k_point]
+    assert len(k_rows) == options.get("--path", "G,K,M,G").count("K")
+    assert all(float(r[4]) == float(r[5]) == eps for r in k_rows)
+
+
 def test_graphene_path_bad_label(capsys):
     assert main(["graphene-path", "--path", "G,X"]) == 2
 
@@ -180,10 +196,11 @@ def test_verify_magnetic(capsys):
 
 
 def test_verify_fails_at_impossible_tolerance(capsys):
-    code, rep = run_json(capsys, ["verify", "--c", "4,-2,-2", "--periods", "2",
+    # a chiral tube, whose eigensolver leaves ulps; the small achiral blocks can agree exactly
+    code, rep = run_json(capsys, ["verify", "--c", "4,-1,-3", "--periods", "2",
                                   "--tol", "1e-18"])
     assert code == 1
-    assert rep["passed"] is False
+    assert rep["passed"] is False and rep["max_deviation"] >= 1e-18
 
 
 @pytest.mark.parametrize("tol,gamma", [("1e300", "1e300"), ("1e-300", "1e-300")])
@@ -649,6 +666,16 @@ def test_bands_memory_is_bounded(tmp_path, c, resolution, n):
 def test_gap_with_flux_runs_without_numpy():
     loaded = modules_after_main("gap", "--c", "7,-3,-4", "--beta", "0.01")
     assert "numpy" not in loaded and "cntbands.oracle" not in loaded
+
+
+def test_dispersion_and_band_gap_load_no_numpy():
+    loaded = modules_after("from cntbands import bands\n"
+                           "from cntbands.tube import tube_symmetry\n"
+                           "c = (7, -3, -4)\n"
+                           "p = bands.magnetic_params(1.5, 0.01, c)\n"
+                           "res = bands.band_gap(c, tube_symmetry(c), p)\n"
+                           "bands.dispersion(res.argmin_k, p)")
+    assert "cntbands.bands" in loaded and "numpy" not in loaded
 
 
 @pytest.mark.parametrize("c,periods,samples,bond", [

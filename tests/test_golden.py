@@ -37,12 +37,12 @@ GOLDEN = [
     (["magsweep", "--c", "5,0,-5", "--samples", "17", "--gamma", "0.5"],
      "5cf7aa0be32647ba5d805bf12ffac75a7a2701a183a3afa1d623e2ed6e4cd1b9"),
     (["graphene-path"],
-     "2d8057ee5c1ee1ac7b0225bcef758526d4ec5a2810aca61a0e5ca59d4942fd8d"),
+     "51df45020b4aadb61f8036e6a5910606ad970d800e105f8d043a8c7267555e47"),
     (["graphene-path", "--path", "K,G,M,K,G", "--samples", "500"],
-     "84dbf24c159cc645be506cc0207658a11742af922201a953b5823326d842f7c3"),
+     "32ad0dbd2c4486737ce4cb685d5acbdf38883a8e458e33d213d8183a637e5b77"),
     # segments of several blocks
     (["graphene-path", "--samples", "9000", "--path", "K,M,G,K"],
-     "e9f944c590a578c365d9b016269e9637c3031c5d639b501e5943405e4cf74c4e"),
+     "757114f0de1311bf208198e0d27e102124d74b984d808dac82f19eaba4bfafe6"),
     (["classify", "--c", "4,-2,-2"],
      "0e612caa2f793bddfdaf358e7ccc9896ce44be3bc95b099631be75f6df08d553"),
     (["neighbors", "--v", "0,0,1", "--c", "4,-2,-2"],

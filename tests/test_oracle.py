@@ -3,11 +3,13 @@ import math
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from cntbands import bands, oracle
+from cntbands import bands, geom, lines, oracle
 from cntbands.bands import A_DEFAULT as A
 from cntbands.honeycomb import nearest_neighbors, nu
 from cntbands.tube import DecompositionError, canonical_rep, compose, decompose, tube_symmetry
@@ -276,6 +278,68 @@ def test_analytic_spectrum_structure():
     assert spec == pytest.approx(-spec[::-1], abs=1e-12)  # half filling symmetry
     assert spec[0] == pytest.approx(-3.0, abs=1e-12)
     assert spec[-1] == pytest.approx(3.0, abs=1e-12)
+
+
+def mp_bloch_moduli(sym, periods, p, dps=40):
+    """|sum_j gamma_j e^{i k_j a}|, gamma_j = p.hoppings, at dps digits at the Bloch points.
+
+    Point (m, l), l < P q', has <k, c> a / 2 pi = m and screw coordinate
+    kappa a / 2 pi = (m j mod n) / n + l / P, with j = q <c, omega> / <c, c>
+    the axial twist; k = x c + y b is solved in fractions and reduced mod 1
+    before mpmath sees it.
+    """
+    c, b, omega = sym.c, sym.b, sym.omega
+    cc, w, bw = geom.inner(c, c), geom.inner(c, omega), geom.inner(b, omega)
+    twist = sym.q * w // cc
+    out = []
+    with mpmath.workdps(dps):
+        hops = [mpmath.mpc(complex(h)) for h in p.hoppings]
+        for m in range(sym.n):
+            for l in range(periods * sym.q_prime):
+                kappa = Fraction(m * twist % sym.n, sym.n) + Fraction(l, periods)
+                x = Fraction(m, cc)
+                y = (kappa / sym.q_prime - x * w) / bw
+                k = [(x * cj + y * bj) % 1 for cj, bj in zip(c, b)]
+                out.append(abs(sum(h * mpmath.expjpi(2 * mpmath.mpf(kj.numerator) / kj.denominator)
+                                   for h, kj in zip(hops, k))))
+    return out
+
+
+@pytest.mark.parametrize("c,periods,flux", [
+    ((18, 7, -25), 1, 0.0), ((25, -7, -18), 1, 0.0), ((7, 4, -11), 13, 0.0),
+    ((7, 4, -11), 13, 0.37), ((8, 0, -8), 33, 0.21)])
+def test_analytic_spectrum_matches_mpmath(c, periods, flux):
+    # the Bloch points' phases are reduced in integers, so no float kappa of size ~q' rounds
+    # into them (a float parametrization was up to 3.7e-14 off here)
+    sym = tube_symmetry(c)
+    p = bands.magnetic_params(1.0, flux * lines.flux_period(c, A), c, A) if flux else P_UNIFORM
+    got = oracle.analytic_spectrum(sym, periods, p)
+    with mpmath.workdps(40):
+        ref = sorted(s * r for r in mp_bloch_moduli(sym, periods, p) for s in (1, -1))
+        assert len(got) == len(ref) == 2 * sym.q * periods
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 2e-15 * p.gamma
+
+
+@pytest.mark.parametrize("c,periods", [
+    ((47, 14, -61), 1), ((1024, 0, -1024), 1), ((2048, -1024, -1024), 1), ((8, 0, -8), 128)])
+def test_bloch_numerators_stay_exact_in_int64(c, periods):
+    # the largest segments MAX_DIM allows: den = 3 q^3 P <= 3 * 2^33 and every numerator
+    # below 2^46, equal mod den to its Python-int value
+    sym = tube_symmetry(c)
+    assert 4000 < 2 * sym.q * periods <= oracle.MAX_DIM
+    (n0, n1), den = oracle._bloch_numerators(sym, periods)
+    assert den == 3 * sym.q ** 3 * periods <= 3 * 2 ** 33
+    across, along, whole = lines.line_numerators(sym, sym.n * periods * sym.q_prime)
+    assert whole == den
+    twist = oracle._axial_twist(sym) % sym.n
+    for nums, x, s in ((n0, across[0], along[0]), (n1, across[1], along[1])):
+        assert nums.dtype == np.int64 and nums.shape == (sym.n, periods * sym.q_prime)
+        assert 0 <= nums.min() and nums.max() < 2 ** 46
+        exact = [[(m * x + (m * twist % sym.n * periods + sym.n * l) * s) % den
+                  for l in range(periods * sym.q_prime)] for m in range(sym.n)]
+        assert (nums % den).tolist() == exact
+    spec = oracle.analytic_spectrum(sym, periods, P_UNIFORM)
+    assert len(spec) == 2 * sym.q * periods and np.all(np.abs(spec) <= 3.0)
 
 
 @pytest.mark.parametrize("c,periods", [
