@@ -30,7 +30,6 @@ table records are named tuples.
 import cmath
 import math
 from array import array
-from bisect import bisect
 from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
@@ -208,25 +207,17 @@ def _k_modulus(phasors, p):
     return abs(h0 * phasors[0] + h1 * phasors[1] + h2)
 
 
-def _k_points(a):
-    """K, K' = +-(t, -t, 0) / a, t = K_TURN: _gap_seeds's zeros at zero field, bit for bit."""
-    t = K_TURN
-    return [(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]
+def k_point_projections(c, sym):
+    """(m, f) of K and K' when they lie on allowed lines: line m at kappa period f / 3.
 
-
-def k_point_projections(c, sym, a=A_DEFAULT):
-    """(m, kappa) coordinates of the K points that lie on allowed lines.
-
-    Empty for semiconducting tubes.  K and K' lie on lines
-    m = +-(c0 - c1) / 3, taken mod n in integers.  Each kappa before
-    reduction is zero or at least 2 pi q' / (3 a) from zero, so it never
-    rounds up to the period.
+    Empty for semiconducting tubes.  K (s = 1) and K' (s = -1) lie on line
+    m = s (c0 - c1) / 3 mod n at <K, omega> a / 2 pi = s (omega0 - omega1) / 3
+    of the kappa period, f = s (omega0 - omega1) mod 3, both in integers.
     """
     if not is_metallic(c):
         return []
-    line = (c[0] - c[1]) // 3
-    return [(s * line % sym.n, sym.q_prime * inner(kp, sym.omega) % kappa_period(sym, a))
-            for s, kp in zip((1, -1), _k_points(a))]
+    line, turn = (c[0] - c[1]) // 3, sym.omega[0] - sym.omega[1]
+    return [(s * line % sym.n, s * turn % 3) for s in (1, -1)]
 
 
 class BandTable(namedtuple("BandTable", "c m kappa E_minus E_plus")):
@@ -235,27 +226,24 @@ class BandTable(namedtuple("BandTable", "c m kappa E_minus E_plus")):
     __slots__ = ()
 
 
-def _injected(c, sym, m, samples, p):
-    """(i, kappa, modulus) of the K projections on line m that band_blocks adds, in kappa order.
+def _k_rows(c, sym, m, samples, p):
+    """(i, kappa, modulus) of the K points on line m, in the order of i.
 
-    i >= 1 counts the grid points at or below kappa.  A projection within
-    1e-9 of a period of a grid point or of one added before is left out.
-    The point is K (or K') up to a lattice step, where the phases relative to
-    bond 2 are K_PHASORS: the modulus is exactly 0.0 without a field.
+    K at screw fraction f / 3 is grid point i = samples f / 3 when 3 divides
+    samples f; kappa is then None and the grid row takes the modulus.
+    Otherwise it is added after grid point i - 1, i = samples f // 3 + 1, at
+    kappa period f / 3.  The point is K (or K') up to a lattice step, where
+    the phases relative to bond 2 are K_PHASORS: the modulus is exactly 0.0
+    without a field.
     """
     period = kappa_period(sym, p.a)
-
-    def grid(j):
-        return period * j / samples
-
-    added = []
-    for (mm, kk), phasors in zip(k_point_projections(c, sym, p.a), K_PHASORS):
+    rows = []
+    for (mm, f), phasors in zip(k_point_projections(c, sym), K_PHASORS):
         if mm == m:
-            i = bisect(range(samples), kk, key=grid)  # grid(0) = 0 <= kk
-            near = [grid(j) for j in (i - 1, i) if j < samples] + [k for _, k, _ in added]
-            if all(abs(g - kk) > 1e-9 * period for g in near):
-                added.append((i, kk, _k_modulus(phasors, p)))
-    return sorted(added)
+            i, rem = divmod(samples * f, 3)
+            zero = _k_modulus(phasors, p)
+            rows.append((i + 1, period * f / 3, zero) if rem else (i, None, zero))
+    return sorted(rows, key=lambda row: row[0])
 
 
 def line_numerators(sym, samples):
@@ -278,14 +266,14 @@ def band_blocks(c, sym, m, samples, p):
     Yields (key, kappa, E_minus, E_plus), lists of Python floats.  The grid,
     period * i / samples for i < samples, is the same on every line, and key
     is the index of its block; callers can share the work of a block between
-    lines by key.  Exact kappa projections of on-line K points are added so
-    that conical touchings appear in the table even off-grid; a block that
-    holds one has key None.
+    lines by key.  An on-line K point that is a grid point gives its row
+    the K modulus; one off the grid is added at its kappa, so that conical
+    touchings appear in the table, and a block that holds it has key None.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     period = kappa_period(sym, p.a)
-    added = _injected(c, sym, m, samples, p)
+    k_rows = _k_rows(c, sym, m, samples, p)
     across, along, den = line_numerators(sym, samples)
     size = min(samples, BLOCK)
     for lo in range(0, samples, BLOCK):
@@ -294,9 +282,12 @@ def band_blocks(c, sym, m, samples, p):
         nums = [m * x + lo * s for x, s in zip(across, along)]
         mod = _moduli(nums, along, den, hi - lo, size, p)
         key = lo // BLOCK
-        # kk follows grid point i - 1; last first keeps the order
-        for i, kk, zero in reversed(added):
-            if lo < i <= hi:
+        # an added kk follows grid point i - 1; last first keeps the order
+        for i, kk, zero in reversed(k_rows):
+            if kk is None:
+                if lo <= i < hi:
+                    mod[i - lo] = zero
+            elif lo < i <= hi:
                 kappa.insert(i - lo, kk)
                 mod.insert(i - lo, zero)
                 key = None

@@ -3,13 +3,15 @@
 A tube segment of P translational periods, closed with axial periodic
 boundary, has 2*q*P atoms.  Translation by c' = c/n and translation by the
 axial period b both map atoms to atoms and bonds to bonds, and they generate
-a group Z_n x Z_P that splits the atoms into 2*q' orbits.  We build one
-representative (s', 0, p), s' < q', per orbit and decompose its three
-neighbours exactly (integer reduction modulo Zc via the screw/rotation/flip
-coordinates) into a target orbit and an integer (c', b) offset.  The hopping
-matrix then splits into n*P Hermitian blocks of size 2*q', one per pair
-(m, l) of quantum numbers.  The blocks use only this relabelling, not the
-screw-line formula under test.
+a group Z_n x Z_P that splits the atoms into 2*q' orbits, one representative
+(s', 0, p), s' < q', each.  The screw omega^s' is a lattice translation, so
+the bonds of row s' are those of row 0 moved by it: we decompose the three
+neighbours of (0, 0, p), p = 0, 1, exactly (integer reduction modulo Zc via
+the screw/rotation/flip coordinates), and shift their screw powers for every
+other row, which gives each bond a target orbit and an integer (c', b)
+offset.  The hopping matrix then splits into n*P Hermitian blocks of size
+2*q', one per pair (m, l) of quantum numbers.  The blocks use only this
+relabelling, not the screw-line formula under test.
 
 Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
@@ -58,7 +60,8 @@ import numpy as np
 
 from .geom import inner
 from .lines import EIGHTH_TURN, QUARTER_TURNS, line_numerators
-from .tube import canonical_rep, compose, decompose
+from .honeycomb import nearest_neighbors
+from .tube import compose, decompose
 
 MAX_DIM = 4096
 
@@ -76,15 +79,14 @@ class FiniteTube:
     """Orbit representatives and bond table of a P-period tube segment.
 
     The translations by c' and by b split the segment's 2qP atoms into 2q'
-    orbits; row p*q' + s' is the representative (s', 0, p), s' < q'.  sign is
-    the (2q',) array of the rows' nu.  bonds is a (2q', 3, 3) integer array:
-    bonds[r, j] = (row, x, y) for the bond v -> v^j leaving row r, which ends
-    at row's atom moved x steps along c' and y steps along b.
+    orbits; row p*q' + s' is the representative (s', 0, p), s' < q', so the
+    rows below q' are the sum-0 sublattice.  bonds is a (2q', 3, 3) integer
+    array: bonds[r, j] = (row, x, y) for the bond v -> v^j leaving row r,
+    which ends at row's atom moved x steps along c' and y steps along b.
     """
 
     sym: object
     periods: int
-    sign: np.ndarray
     bonds: np.ndarray
 
 
@@ -108,23 +110,27 @@ def _axial_twist(sym):
 
 
 def build_finite_tube(sym, periods):
-    """The segment's 2q' orbit representatives and their (row, x, y) bonds."""
+    """The segment's 2q' orbit representatives and their (row, x, y) bonds.
+
+    Six decompositions give every bond.  The neighbour v^j of row (0, 0, p)
+    is (s_j, m_j, 1 - p).  Row (s', 0, p) is row (0, 0, p) translated by the
+    lattice vector (1 - 2p) s' omega, which lowers a screw power on the other
+    sublattice by s', so its bond j ends at (s_j - s', m_j, 1 - p).
+    """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     _check_dimension(sym, periods)
-    qp = sym.q_prime
-    # the rows (s', 0, p), s' < q'; nu is +1 on the sum-0 sublattice p = 0
-    p, s = np.indices((2, qp)).reshape(2, -1)
-    sign = 1 - 2 * p
-    # the bond v -> v^j adds nu(v) to coordinate j
-    nbs = compose(s, 0, p, sym)[:, None, :] + sign[:, None, None] * np.eye(3, dtype=int)
-    s, m, p = decompose(canonical_rep(nbs, sym.c), sym)
-    # q' omega = b + j c', so (u q' + s'', m, p) is the row p q' + s'' moved
-    # (m + j u, u) steps along (c', b), mirrored by tau when p = 1
-    u, s = np.divmod(s, qp)
-    flip = 1 - 2 * p
-    bonds = np.stack([p * qp + s, flip * (m + _axial_twist(sym) * u), flip * u], axis=-1)
-    return FiniteTube(sym=sym, periods=periods, sign=sign, bonds=bonds)
+    qp, twist = sym.q_prime, _axial_twist(sym)
+    bonds = np.empty((2, qp, 3, 3), dtype=np.int64)
+    for p in (0, 1):
+        for j, nb in enumerate(nearest_neighbors(compose(0, 0, p, sym))):
+            s, m, target = decompose(nb, sym)
+            # q' omega = b + twist c', so (u q' + s'', m, target) is row target q' + s''
+            # moved (m + twist u, u) steps along (c', b), mirrored by tau when target = 1
+            u, s = np.divmod(s - np.arange(qp), qp)
+            flip = 1 - 2 * target
+            bonds[p, :, j] = np.stack([target * qp + s, flip * (m + twist * u), flip * u], axis=-1)
+    return FiniteTube(sym=sym, periods=periods, bonds=bonds.reshape(2 * qp, 3, 3))
 
 
 def _roots(n):
@@ -168,7 +174,8 @@ def build_hamiltonian(tube, p):
     gammas = np.array(p.hoppings, dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
-    hop = np.where(tube.sign[:, None] == 1, gammas, gammas.conj())
+    # the rows below q' hop from the sum-0 sublattice, the rest from the sum-1 one
+    hop = np.repeat([gammas, gammas.conj()], qp, axis=0)
     m = np.arange(n)[:, None, None, None]
     l = np.arange(periods)[:, None, None]
     values = hop * _roots(n)[m * x % n] * _roots(periods)[l * y % periods]

@@ -11,10 +11,9 @@ order n = gcd(c), the shortest pure translation b, the helical (screw)
 generator omega, and the counts q, q' that organize atoms into the
 (s, m, p) coordinates: screw power, rotation power, sublattice flip.
 
-The symmetry data are Python integers, and so is the class of one site
-and of its neighbours.  Only the array kernels (canonical_rep of a stack,
-decompose, compose), which the oracle runs, import numpy, so that
-classifying a tube, listing neighbours or tabulating bands does not load it.
+Every map takes one triple and returns Python ints, which never wrap or
+round: the symmetry data, the class of a site and of its neighbours, and
+the (s, m, p) coordinates of a class.  No array library is loaded.
 """
 
 import math
@@ -22,7 +21,7 @@ from collections import namedtuple
 from itertools import permutations
 
 from .geom import inner
-from .honeycomb import THETA, nearest_neighbors, next_nearest_neighbors
+from .honeycomb import nearest_neighbors, next_nearest_neighbors, tau
 
 
 class ChiralityError(ValueError):
@@ -37,7 +36,9 @@ class DecompositionError(RuntimeError):
     """Internal consistency failure while decomposing a class."""
 
 
-MAX_COORD = 2 ** 30  # coordinate bound that keeps canonical_rep's int64 arithmetic exact
+# largest |coordinate| of a chirality or site the CLI accepts: the range over which
+# its band rows, gaps and classes are tested
+MAX_COORD = 2 ** 30
 
 ARMCHAIR = "armchair"
 ZIGZAG = "zigzag"
@@ -187,28 +188,10 @@ def canonical_rep(v, c):
 
     Subtracts floor(<v,c>/||c||^2) copies of c, landing the projection on c
     in [0, ||c||^2); equal reps iff same class.  v is one triple (a tuple
-    or list), reduced in Python ints, which never overflow, or an (..., 3)
-    integer array, giving an array.  The array arithmetic is int64 and wraps
-    silently on overflow.  It is exact when every coordinate of v and c lies
-    within +-MAX_COORD = 2**30: the result then has norm below 2.3 * 2**30,
-    and <u,c> stays below 2**63 for it and for each of its nearest and
-    next-nearest neighbours u.
+    or list) of ints, reduced exactly at any size.
     """
-    if isinstance(v, (tuple, list)):
-        j = sum(x * y for x, y in zip(v, c)) // sum(y * y for y in c)
-        return tuple(x - j * y for x, y in zip(v, c))
-    import numpy as np
-
-    v, c = np.asarray(v, dtype=np.int64), np.asarray(c)
-    rep = v - ((v @ c) // (c @ c))[..., None] * c
-    return tuple(rep.tolist()) if rep.ndim == 1 else rep
-
-
-def _flip(v, p):
-    """tau^p: the sublattice flip v -> Theta - v where p is 1, v where p is 0."""
-    import numpy as np
-
-    return np.where(p[..., None] == 1, np.subtract(THETA, v), v)
+    j = sum(x * y for x, y in zip(v, c)) // sum(y * y for y in c)
+    return tuple(x - j * y for x, y in zip(v, c))
 
 
 def class_neighbors(rep, c):
@@ -224,44 +207,32 @@ def class_next_nearest_neighbors(rep, c):
 def decompose(rep, sym):
     """Coordinates (s, m, p) of a class: screw power, rotation power, flip.
 
-    p is the coordinate sum of the representative; s comes from the exact
-    axial projection; the residual must be an integer multiple of c_prime,
-    reduced mod n to give m.  A non-integer s or a skew residual means the
-    inputs are inconsistent and raises DecompositionError.  rep is one
-    triple, giving Python ints, or an (..., 3) array, giving three arrays.
+    p is the coordinate sum of rep; s comes from the exact axial projection;
+    the residual must be an integer multiple of c_prime, reduced mod n to
+    give m.  rep may be any member of its class: c is orthogonal to b and a
+    multiple n c_prime, so moving along c changes neither s nor m.  A
+    non-integer s or a skew residual means the inputs are inconsistent and
+    raises DecompositionError.
     """
-    import numpy as np
-
-    rep = np.asarray(rep, dtype=np.int64)
-    p = rep.sum(axis=-1)
-    if not ((p == 0) | (p == 1)).all():
+    p = sum(rep)
+    if p not in (0, 1):
         raise DecompositionError("a representative has coordinate sum outside {0, 1}")
-    w = _flip(rep, p)
-    b, omega, c_prime = (np.array(x) for x in (sym.b, sym.omega, sym.c_prime))
-    s, rem = np.divmod(sym.q_prime * (w @ b), b @ b)
-    if rem.any():
+    w = tau(rep) if p else rep
+    s, rem = divmod(sym.q_prime * inner(w, sym.b), inner(sym.b, sym.b))
+    if rem:
         raise DecompositionError("an axial projection is not an integer screw power")
-    r = w - s[..., None] * omega
-    t, rem = np.divmod(r[..., 0], c_prime[0])
-    if rem.any() or not np.array_equal(r, t[..., None] * c_prime):
+    r = tuple(x - s * y for x, y in zip(w, sym.omega))
+    t, rem = divmod(r[0], sym.c_prime[0])
+    if rem or r != tuple(t * y for y in sym.c_prime):
         raise DecompositionError("a residual is not parallel to c_prime")
-    out = (s, t % sym.n, p)
-    return tuple(int(x) for x in out) if rep.ndim == 1 else out
+    return s, t % sym.n, p
 
 
 def compose(s, m, p, sym):
-    """Canonical representative of tau^p g_omega^s g_c'^m applied to [0,0,0].
-
-    s, m and p are ints, giving one triple, or broadcastable integer
-    arrays, giving an (..., 3) array.
-    """
-    import numpy as np
-
-    s, m, p = np.asarray(s), np.asarray(m), np.asarray(p)
-    if np.any((m < 0) | (m >= sym.n)):
+    """Canonical representative of tau^p g_omega^s g_c'^m applied to [0,0,0]."""
+    if not 0 <= m < sym.n:
         raise ValueError(f"m must lie in [0, {sym.n}), got {m}")
-    if np.any((p != 0) & (p != 1)):
+    if p not in (0, 1):
         raise ValueError(f"p must be 0 or 1, got {p}")
-    x = s[..., None] * np.array(sym.omega) + m[..., None] * np.array(sym.c_prime)
-    return canonical_rep(_flip(x, p), sym.c)
-
+    x = tuple(s * y + m * z for y, z in zip(sym.omega, sym.c_prime))
+    return canonical_rep(tau(x) if p else x, sym.c)

@@ -167,11 +167,11 @@ def test_line_numerators_are_the_phases_of_the_line_points(c):
 def test_k_points_on_armchair_lines():
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    proj = lines.k_point_projections(c, sym, A)
+    proj = lines.k_point_projections(c, sym)
     assert proj  # c0 - c1 = 6 in 3Z: the conical points are allowed
-    for (m, kappa), s in zip(proj, (1, -1)):
+    for (m, thirds), s in zip(proj, (1, -1)):
         f = k_fraction(s, sym)
-        assert kappa == pytest.approx(float(f) * lines.kappa_period(sym, A), abs=1e-12)
+        assert Fraction(thirds, 3) == f
         k = exact_k(sym, m, f.numerator, f.denominator)
         # the phases of K (s = 1) or K' relative to bond 2, exactly
         assert [(kj - k[2]) % 1 for kj in k[:2]] == [Fraction(s, 3) % 1, Fraction(-s, 3) % 1]
@@ -180,7 +180,7 @@ def test_k_points_on_armchair_lines():
 
 def test_no_k_points_on_semiconducting_lines():
     c = (5, 0, -5)
-    assert lines.k_point_projections(c, tube_symmetry(c), A) == []
+    assert lines.k_point_projections(c, tube_symmetry(c)) == []
 
 
 def test_band_table():
@@ -207,7 +207,8 @@ def test_band_blocks_share_the_grid_between_lines(c):
     grid = [period * i / samples for i in range(samples)]
     for m in range(sym.n):
         blocks = list(lines.band_blocks(c, sym, m, samples, P_UNIFORM))
-        on_line = any(mm == m for mm, _ in lines.k_point_projections(c, sym, A))
+        # samples is not a multiple of 3: only a K point at kappa 0 (f = 0) is a grid point
+        on_line = any(mm == m and f for mm, f in lines.k_point_projections(c, sym))
         assert any(b[0] is None for b in blocks) == on_line
         for j, (key, kappa, e_minus, e_plus) in enumerate(blocks):
             block = grid[j * lines.BLOCK:(j + 1) * lines.BLOCK]
@@ -281,33 +282,48 @@ def test_band_table_rows_match_mpmath_on_large_tubes(c):
         assert worst_row_error(c, sym, m, 64, P_UNIFORM) <= 2e-15, m
 
 
-@pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2), (9, -3, -6)])
+@pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2), (9, -3, -6), (15, -6, -9),
+                               (21, -9, -12)])
 def test_k_rows_are_exactly_epsilon(c):
-    # the rows added at on-line K projections are hopping zeros: modulus 0.0, not rounding
+    # a row at an on-line K point is a hopping zero: modulus 0.0, not rounding.  A K point on
+    # the grid keeps its grid row, one off the grid is added once; (15,-6,-9) and (21,-9,-12)
+    # put K' at kappa 0, and at 192 = 3 * 64 samples every K point is a grid point
     sym = tube_symmetry(c)
+    period = lines.kappa_period(sym, A)
     for p in (P_UNIFORM, bands.uniform_params(1.5, 0.25, A)):
-        for samples in (64, 5000):
-            period = lines.kappa_period(sym, A)
-            grid = {period * i / samples for i in range(samples)}
-            added = 0
+        for samples in (64, 192, 5000):
+            grid = [period * i / samples for i in range(samples)]
+            on_grid = set(grid)
+            k_rows = {m: [] for m in range(sym.n)}  # line m -> kappas of its K rows
+            added = dict.fromkeys(range(sym.n), 0)
+            for (m, _), s in zip(lines.k_point_projections(c, sym), (1, -1)):
+                f = k_fraction(s, sym)
+                if (f * samples).denominator == 1:
+                    k_rows[m].append(grid[int(f * samples)])
+                else:  # the double nearest period f
+                    k_rows[m].append(float(Fraction(period) * f))
+                    added[m] += 1
             for m in range(sym.n):
+                rows = {}
                 for key, kappa, e_minus, e_plus in lines.band_blocks(c, sym, m, samples, p):
-                    rows = [(lo, hi) for k, lo, hi in zip(kappa, e_minus, e_plus) if k not in grid]
-                    assert (key is None) == bool(rows)
-                    assert all(lo == hi == p.epsilon for lo, hi in rows)
-                    added += len(rows)
-            assert added == len(lines.k_point_projections(c, sym, A))
+                    assert (key is None) == any(k not in on_grid for k in kappa)
+                    rows.update(zip(kappa, zip(e_minus, e_plus)))
+                kappas = list(rows)
+                assert kappas == sorted(kappas) and len(kappas) == samples + added[m]
+                assert set(kappas) - on_grid <= set(k_rows[m])
+                assert all(rows[k] == (p.epsilon, p.epsilon) for k in k_rows[m]), (m, samples)
 
 
 @pytest.mark.parametrize("a", [A, 1.0, 0.37, 5.9])
 def test_k_points_are_the_uniform_hopping_zeros(a):
-    # the zeros _gap_seeds yields at zero field, two seeds each; repr tells -0.0 from
-    # 0.0: equal reprs are equal bits
+    # the zeros _gap_seeds yields at zero field, two seeds each, are K and K' = +-(t, -t, 0) / a
+    # with t = K_TURN; repr tells -0.0 from 0.0: equal reprs are equal bits
+    t = lines.K_TURN
     for c in [(5, 0, -5), (7, -3, -4)]:
         for p in (bands.uniform_params(a=a), bands.magnetic_params(1.0, 0.0, c, a),
                   bands.magnetic_params(1.0, -0.0, c, a)):
             zeros = [zero for zero, *_ in bands._gap_seeds(c, p)][::2]
-            assert repr(lines._k_points(a)) == repr(zeros), (c, p)
+            assert repr([(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]) == repr(zeros), (c, p)
 
 
 GAP_5_0_5 = 0.7639320225002102  # frozen from a 2e6-point-per-line dense scan
@@ -616,9 +632,9 @@ def test_band_gap_goes_through_no_kappa(monkeypatch):
 
 
 def test_k_point_projections_lie_within_one_period():
-    # each unreduced kappa is zero or at least 2 pi q' / (3 a) from zero, so `% period`
-    # never rounds a tiny negative kappa up to the period; K and K' give distinct
-    # projections, so none needs deduplicating
+    # K sits at kappa period f / 3 with f = 0, 1 or 2 taken in integers; an off-grid K row
+    # prints the double nearest it, and (15,-6,-9) puts K' at exactly 0.0, not at the
+    # period less an ulp.  K and K' give distinct projections, so none needs deduplicating
     for a in (A, 1.0, 0.37, 5.9):
         for c0 in range(2, 25):
             for c1 in range(-(c0 // 2), c0):
@@ -626,18 +642,18 @@ def test_k_point_projections_lie_within_one_period():
                 if (c0 - c1) % 3 or not c1 >= c[2]:
                     continue
                 sym = tube_symmetry(c)
-                proj = lines.k_point_projections(c, sym, a)
+                proj = lines.k_point_projections(c, sym)
                 assert len(set(proj)) == len(proj) == 2, c
-                for (m, kappa), s in zip(proj, (1, -1)):
-                    period = lines.kappa_period(sym, a)
-                    assert 0 <= kappa < period
+                period = lines.kappa_period(sym, a)
+                p = bands.uniform_params(a=a)
+                for (m, thirds), s in zip(proj, (1, -1)):
                     f = k_fraction(s, sym)
-                    # (15,-6,-9) puts K' at kappa 0 but prints it an ulp below the period
-                    d = abs(kappa - float(f) * period)
-                    assert min(d, period - d) <= 1e-12 * period, (c, a)
+                    assert Fraction(thirds, 3) == f, c
+                    kappa = list(bands.band_table(c, sym, m, 64, p).kappa)
+                    assert kappa[-1] < period and float(Fraction(period) * f) in kappa, (c, a)
                     k = exact_k(sym, m, f.numerator, f.denominator)
                     k = [2 * math.pi * kj / a for kj in k]
-                    assert bands.dispersion(k, bands.uniform_params(a=a))[1] < 1e-12
+                    assert bands.dispersion(k, p)[1] < 1e-12
 
 
 def test_k_point_projections_of_a_large_metallic_tube():
@@ -646,10 +662,10 @@ def test_k_point_projections_of_a_large_metallic_tube():
     c = (536870915, 536870909, -1073741824)
     sym = tube_symmetry(c)
     assert sym.n == 1 and tube.is_metallic(c)
-    proj = lines.k_point_projections(c, sym, A)
+    proj = lines.k_point_projections(c, sym)
     assert [m for m, _ in proj] == [0, 0] and proj[0][1] != proj[1][1]
-    assert all(0 <= kappa < lines.kappa_period(sym, A) for _, kappa in proj)
-    assert len(bands.band_table(c, sym, 0, 64, P_UNIFORM).kappa) == 64 + 2
+    kappa = bands.band_table(c, sym, 0, 64, P_UNIFORM).kappa
+    assert len(kappa) == 64 + 2 and max(kappa) < lines.kappa_period(sym, A)
 
 
 def test_magnetic_hoppings_are_numpy_exp_bit_for_bit():

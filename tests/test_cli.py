@@ -75,8 +75,9 @@ def test_bands_csv(tmp_path):
     header, rows = read_csv(out)
     assert header == ["m", "kappa", "E_minus", "E_plus"]
     sym = tube_symmetry((4, -2, -2))
-    injected = lines.k_point_projections((4, -2, -2), sym, A)
-    assert len(rows) == sym.n * 64 + len(injected)
+    # a K point off the grid adds a row
+    added = [f for _, f in lines.k_point_projections((4, -2, -2), sym) if 64 * f % 3]
+    assert len(rows) == sym.n * 64 + len(added) == sym.n * 64 + 2
     eplus = [float(r[3]) for r in rows]
     assert min(eplus) < 1e-9  # metallic: a band touches zero
     assert all(abs(float(r[2])) <= 3 + 1e-9 and abs(float(r[3])) <= 3 + 1e-9

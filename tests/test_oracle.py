@@ -67,21 +67,28 @@ def test_site_counts(c, periods, expected):
     assert oracle.compare_spectra(c, sym, periods, P_UNIFORM, tol=1e-8).dimension == expected
 
 
-@pytest.mark.parametrize("c", [(4, -1, -3), (2, 0, -2), (4, -2, -2), (5, 0, -5),
-                               (7, -1, -6), (6, -2, -4), (9, -3, -6), (7, -3, -4),
-                               (8, -4, -4), (10, -1, -9)])
-@pytest.mark.parametrize("periods", [1, 2, 3])
+BUILD_TUBES = [(4, -1, -3), (2, 0, -2), (4, -2, -2), (5, 0, -5), (7, -1, -6), (6, -2, -4),
+               (9, -3, -6), (7, -3, -4), (8, -4, -4), (10, -1, -9)]
+
+
+# every tube at P = 1, 2, 3, then two chiral n = 1 tubes: q' = 998 at P = 1 and q' = 86 at P = 3
+@pytest.mark.parametrize("c,periods", [
+    *(pytest.param(c, periods, id=f"{periods}-c{i}")
+      for i, c in enumerate(BUILD_TUBES) for periods in (1, 2, 3)),
+    pytest.param((25, -7, -18), 1, id="1-c10"),
+    pytest.param((13, -5, -8), 3, id="3-c11"),
+])
 def test_array_build_matches_scalar_reference(c, periods):
     sym = tube_symmetry(c)
     qp = sym.q_prime
     tube = oracle.build_finite_tube(sym, periods)
     atoms = segment_atoms(sym, periods)
     assert tube.periods == periods
-    assert tube.sign.shape == (2 * qp,)
     assert tube.bonds.shape == (2 * qp, 3, 3)
     for r in range(2 * qp):
         rep = compose(r % qp, 0, r // qp, sym)
-        assert tube.sign[r] == nu(rep)
+        # the rows below q' are the sum-0 sublattice, whose bonds carry gamma unconjugated
+        assert nu(rep) == (1 if r < qp else -1)
         for j, nb in enumerate(nearest_neighbors(rep)):
             # the key's s differs from the neighbour's own by a multiple of P q'
             s, _, p = atoms[segment_key(nb, sym, periods)]
@@ -91,6 +98,21 @@ def test_array_build_matches_scalar_reference(c, periods):
             moved = [v + x * cp + y * b for v, cp, b in
                      zip(compose(row % qp, 0, row // qp, sym), sym.c_prime, sym.b)]
             assert canonical_rep(moved, sym.c) == canonical_rep(nb, sym.c)
+
+
+@pytest.mark.parametrize("c", [(4, -2, -2), (5, 0, -5), (4, -1, -3), (25, -7, -18)])
+@pytest.mark.parametrize("periods", [1, 2])
+def test_build_decomposes_six_bonds(monkeypatch, c, periods):
+    # the bonds of rows (0, 0, 0) and (0, 0, 1) give every row's, whatever q' is
+    calls = []
+
+    def counted(rep, sym):
+        calls.append(rep)
+        return decompose(rep, sym)
+
+    monkeypatch.setattr(oracle, "decompose", counted)
+    oracle.build_finite_tube(tube_symmetry(c), periods)
+    assert len(calls) == 6
 
 
 def test_three_regular_symmetric_bonds():
@@ -561,13 +583,13 @@ def test_paired_spectrum_matches_full_stack(periods, beta):
 
 def test_inexact_representatives_fail_decomposition():
     sym = tube_symmetry((4, -2, -2))
-    omega = np.array([compose(1, 0, 0, sym)])
+    omega = compose(1, 0, 0, sym)
     with pytest.raises(DecompositionError, match="coordinate sum"):
-        decompose(np.array([[1, 1, 0]]), sym)
+        decompose((1, 1, 0), sym)
     # with b doubled, <omega, b> q' / ||b||^2 = 1/2
     doubled_b = sym._replace(b=tuple(2 * v for v in sym.b))
     with pytest.raises(DecompositionError, match="integer screw power"):
         decompose(omega, doubled_b)
     skew = sym._replace(c_prime=(2, 0, -2))
     with pytest.raises(DecompositionError, match="parallel to c_prime"):
-        decompose(np.array([sym.c_prime]), skew)
+        decompose(sym.c_prime, skew)
