@@ -208,10 +208,9 @@ def test_compose_examples():
     assert compose(0, 0, 0, sym) == (0, 0, 0)
     assert compose(0, 1, 0, sym) == (2, -1, -1)
     assert compose(1, 0, 1, sym) == (2, 0, -1)
-    for m in (-1, sym.n):
-        with pytest.raises(ValueError, match="m must"):
-            compose(0, m, 0, sym)
-    with pytest.raises(ValueError, match="p must"):
+    with pytest.raises(ValueError):
+        compose(0, 2, 0, sym)
+    with pytest.raises(ValueError):
         compose(0, 0, 2, sym)
 
 
@@ -236,6 +235,17 @@ def test_single_triple_gives_python_ints():
         assert type(out) is tuple and len(out) == 3
         assert all(type(x) is int for x in out)
     assert json.loads(json.dumps(outs)) == [list(x) for x in outs]
+
+
+def test_compose_stack_rejects_out_of_range():
+    # a stack of coordinates is composed one triple at a time; one bad entry raises
+    sym = tube_symmetry((5, 0, -5))
+    s = range(4)
+    for ms in ([0, 1, 5, 2], [0, -1, 0, 0]):
+        with pytest.raises(ValueError, match="m must"):
+            [compose(si, m, 0, sym) for si, m in zip(s, ms)]
+    with pytest.raises(ValueError, match="p must"):
+        [compose(si, 0, p, sym) for si, p in zip(s, [0, 1, 2, 1])]
 
 
 def test_maps_run_without_numpy():
