@@ -17,12 +17,14 @@ Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
 [[eps I, T], [T^H, eps I]] for a q' x q' hopping block T, and its
 eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
-only T, never the 2q' x 2q' block.  The p = 1 rows are assembled into a
-stack of their own, compared exactly with T^H and freed before any block
-is diagonalized.  So while the blocks are diagonalized only T and LAPACK's
-working copy are alive: verify holds at most two stacks of
-n*P*q'^2*itemsize bytes at once (16 MB for (25,-7,-18), P = 1), plus one
-byte per entry for the boolean of an exact check.
+only T, never the 2q' x 2q' block, and assembles it from the p = 0 rows
+alone: that the p = 1 rows hold exactly T^H is a property of the integer
+bond table (bond j of a row is reversed by bond j of its target row), and
+is checked there.  T is the one stack built, and verify holds at most two
+stacks' worth at once: T and LAPACK's working copy, or T and the halves of
+compare_spectra's pairing check.  Each is n*P*q'^2*itemsize <= (qP)^2 *
+itemsize bytes, at most 32 MiB real or 64 MiB complex under MAX_DIM (8 MB
+for the real T of (25,-7,-18), P = 1).
 
 The involution v -> Theta - v swaps the sublattices: it maps row a, the
 atom a omega, to row q' + a, the atom Theta - a omega, and the bond
@@ -31,11 +33,12 @@ hopping and the opposite (c', b) offset.  So row q' + a of a block holds
 conj(T[a, b]) in column b, where Hermiticity puts conj(T[b, a]): every T is
 symmetric, T = T^T (the U axis of the tube's line group).  This holds bit
 for bit, because conjugate phases are paired exactly and each entry sums
-its bonds in the same order j.  A real symmetric T with eigenvalues lambda
-has singular values |lambda|, so its block's spectrum is eps +- lambda from
-one eigvalsh of T.  A complex T is complex symmetric, not Hermitian, and
-keeps the singular value decomposition.  T is real exactly when n <= 2,
-P <= 2 and no flux is applied.
+its bonds in the same order j, so it too is checked on the bond table.  A
+real symmetric T with eigenvalues lambda has singular values |lambda|, so
+its block's spectrum is eps +- lambda from one eigvalsh of T.  A complex T
+is complex symmetric, not Hermitian, and keeps the singular value
+decomposition.  T is real exactly when n <= 2, P <= 2 and no flux is
+applied.
 
 With real hoppings every phase of block (-m mod n, -l mod P) is the exact
 conjugate of the same phase of block (m, l), so T_{-m,-l} = conj(T_{m,l})
@@ -91,7 +94,12 @@ class FiniteTube:
 
 
 def _check_dimension(sym, periods):
-    """Raise DimensionError when the segment's 2qP atoms exceed MAX_DIM."""
+    """Raise DimensionError when the segment's 2qP atoms exceed MAX_DIM.
+
+    This bounds verify's memory: T and LAPACK's working copy each take at
+    most n*P*q'^2*itemsize = P*q*q'*itemsize <= (qP)^2 * itemsize bytes, and
+    qP <= MAX_DIM / 2 = 2048 makes that 32 MiB real or 64 MiB complex.
+    """
     if 2 * sym.q * periods > MAX_DIM:
         raise DimensionError(
             f"oracle dimension 2qP = {2 * sym.q * periods} exceeds {MAX_DIM}")
@@ -121,15 +129,15 @@ def build_finite_tube(sym, periods):
         raise ValueError(f"periods must be >= 1, got {periods}")
     _check_dimension(sym, periods)
     qp, twist = sym.q_prime, _axial_twist(sym)
-    bonds = np.empty((2, qp, 3, 3), dtype=np.int64)
-    for p in (0, 1):
-        for j, nb in enumerate(nearest_neighbors(compose(0, 0, p, sym))):
-            s, m, target = decompose(nb, sym)
-            # q' omega = b + twist c', so (u q' + s'', m, target) is row target q' + s''
-            # moved (m + twist u, u) steps along (c', b), mirrored by tau when target = 1
-            u, s = np.divmod(s - np.arange(qp), qp)
-            flip = 1 - 2 * target
-            bonds[p, :, j] = np.stack([target * qp + s, flip * (m + twist * u), flip * u], axis=-1)
+    # s_j, m_j and target_j of rows (0, 0, p), each shaped (p, 1, j) to broadcast over s'
+    decomposed = np.array([[decompose(nb, sym) for nb in nearest_neighbors(compose(0, 0, p, sym))]
+                           for p in (0, 1)])
+    s, m, target = decomposed.transpose(2, 0, 1)[:, :, None]
+    # q' omega = b + twist c', so (u q' + s'', m, target) is row target q' + s''
+    # moved (m + twist u, u) steps along (c', b), mirrored by tau when target = 1
+    u, s = np.divmod(s - np.arange(qp)[:, None], qp)
+    flip = 1 - 2 * target
+    bonds = np.stack([target * qp + s, flip * (m + twist * u), flip * u], axis=-1)
     return FiniteTube(sym=sym, periods=periods, bonds=bonds.reshape(2 * qp, 3, 3))
 
 
@@ -158,42 +166,45 @@ def build_hamiltonian(tube, p):
     or gamma e^{i beta c_j a} under a field) when the source site is on the
     sum-0 sublattice and its conjugate otherwise, times
     e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its target's
-    row.  The two halves are assembled apart, each entry summing its bonds in
-    the order j, and checked exactly: the p = 1 rows against T^H, then T
-    against T^T.  The p = 1 half is freed before T is returned, so no other
-    stack stays alive.  T is real exactly when n <= 2, P <= 2 and no flux.
+    row.  Each entry sums its bonds in the order j.  The bond table is
+    checked in integers before T is built: bond j of row r reversed by bond
+    j of its target row (the p = 1 rows are then exactly T^H), and row
+    q' + a holding row a's bonds mirrored (then T = T^T bit for bit).  With
+    x compared mod n and y mod P, as the phases see them, and bonds matched
+    by their order j, each check is exactly as strict as the dense identity
+    it stands for.  Only the p = 0 rows are assembled, so T is the one stack
+    built.  T is real exactly when n <= 2, P <= 2 and no flux.
     """
     n, periods = tube.sym.n, tube.periods
     qp = tube.sym.q_prime
-    row, x, y = np.moveaxis(tube.bonds, -1, 0)
+    row, x, y = tube.bonds.transpose(2, 0, 1)
     # the translations act freely, so an orbit receives as many bonds as each atom in it
     if np.any(np.bincount(row.ravel(), minlength=2 * qp) != 3):
         raise AdjacencyError("every atom must receive exactly three bonds")
     if np.any(row // qp == (np.arange(2 * qp) // qp)[:, None]):
         raise AdjacencyError("a bond joins two atoms of the same sublattice")
+    # only x mod n and y mod P enter a phase, so the offsets are compared as those residues
+    residues = [n, periods]
+    # bond j reverses bond j: the one of row r ending at (t, x, y) is met by row t's,
+    # ending at (r, -x, -y), so each conjugate pair sums the same bonds in the same order
+    back = tube.bonds[row, np.arange(3)]
+    if ((back[..., 0] != np.arange(2 * qp)[:, None]).any()
+            or ((back[..., 1:] + tube.bonds[..., 1:]) % residues).any()):
+        raise AdjacencyError("assembled matrix is not exactly Hermitian")
+    # the involution maps row a's bonds to row q' + a's, so with the reversal T = T^T
+    if ((row[qp:] != row[:qp] - qp).any()
+            or ((tube.bonds[qp:, :, 1:] + tube.bonds[:qp, :, 1:]) % residues).any()):
+        raise AdjacencyError("hopping block T is not exactly symmetric")
     gammas = np.array(p.hoppings, dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
-    # the rows below q' hop from the sum-0 sublattice, the rest from the sum-1 one
-    hop = np.repeat([gammas, gammas.conj()], qp, axis=0)
     m = np.arange(n)[:, None, None, None]
     l = np.arange(periods)[:, None, None]
-    values = hop * _roots(n)[m * x % n] * _roots(periods)[l * y % periods]
-    block = m * periods + l
-    rows = np.arange(qp)[:, None]
-    # row r of a half holds the bonds leaving row r, summed in bond order j; its
-    # columns are the other sublattice's rows
+    values = gammas * _roots(n)[m * x[:qp] % n] * _roots(periods)[l * y[:qp] % periods]
+    # row a of T sums the bonds leaving row a in bond order j; its columns are the
+    # p = 1 rows
     t = np.zeros((n * periods, qp, qp), dtype=values.dtype)
-    np.add.at(t, (block, rows, row[:qp] % qp), values[..., :qp, :])
-    back = np.zeros_like(t)
-    np.add.at(back, (block, rows, row[qp:] % qp), values[..., qp:, :])
-    # conjugating the p = 1 rows in place spares a conjugate copy of T
-    np.conjugate(back, out=back)
-    if not np.array_equal(back, np.swapaxes(t, -1, -2)):
-        raise AdjacencyError("assembled matrix is not exactly Hermitian")
-    del back
-    if not np.array_equal(t, np.swapaxes(t, -1, -2)):
-        raise AdjacencyError("hopping block T is not exactly symmetric")
+    np.add.at(t, (m * periods + l, np.arange(qp)[:, None], row[:qp] - qp), values)
     return t
 
 

@@ -115,6 +115,36 @@ def test_build_decomposes_six_bonds(monkeypatch, c, periods):
     assert len(calls) == 6
 
 
+def loop_bond_table(sym, periods):
+    """build_finite_tube's bond table one (p, j) at a time, as a reference."""
+    qp, twist = sym.q_prime, oracle._axial_twist(sym)
+    bonds = np.empty((2, qp, 3, 3), dtype=np.int64)
+    for p in (0, 1):
+        for j, nb in enumerate(nearest_neighbors(compose(0, 0, p, sym))):
+            s, m, target = decompose(nb, sym)
+            u, s = np.divmod(s - np.arange(qp), qp)
+            flip = 1 - 2 * target
+            bonds[p, :, j] = np.stack([target * qp + s, flip * (m + twist * u), flip * u], axis=-1)
+    return bonds.reshape(2 * qp, 3, 3)
+
+
+def pool(c0_max):
+    """The benchmark's survey pool of chiralities c0 > c1 >= c2, up to a largest c0."""
+    return [(c0, c1, -c0 - c1) for c0 in range(1, c0_max + 1) for c1 in range(-(c0 // 2), c0)]
+
+
+@pytest.mark.parametrize("periods", [1, 2])
+def test_bond_table_matches_loop_reference(periods):
+    for c in pool(44):
+        sym = tube_symmetry(c)
+        if 2 * sym.q * periods > oracle.MAX_DIM:
+            continue
+        bonds = oracle.build_finite_tube(sym, periods).bonds
+        ref = loop_bond_table(sym, periods)
+        assert bonds.dtype == ref.dtype and bonds.flags.c_contiguous
+        assert np.array_equal(bonds, ref), c
+
+
 def test_three_regular_symmetric_bonds():
     for c in [(5, 0, -5), (4, -1, -3), (6, -2, -4)]:
         sym = tube_symmetry(c)
@@ -153,6 +183,86 @@ def assembled_blocks(t, epsilon):
     return np.concatenate([np.concatenate([diag, t], axis=-1),
                            np.concatenate([np.swapaxes(t, -1, -2).conj(), diag], axis=-1)],
                           axis=-2)
+
+
+def two_half_hamiltonian(tube, p):
+    """build_hamiltonian's T with both halves assembled densely, as a reference.
+
+    The p = 1 rows are assembled into a stack of their own, conjugated and
+    compared exactly with T^T, then with T, which given the first identity is
+    T = T^T; either failure raises build_hamiltonian's AdjacencyError.  Bond
+    degrees and sublattices are not checked.
+    """
+    n, periods = tube.sym.n, tube.periods
+    qp = tube.sym.q_prime
+    row, x, y = np.moveaxis(tube.bonds, -1, 0)
+    gammas = np.array(p.hoppings, dtype=complex)
+    if not gammas.imag.any():
+        gammas = gammas.real
+    hop = np.repeat([gammas, gammas.conj()], qp, axis=0)
+    m = np.arange(n)[:, None, None, None]
+    l = np.arange(periods)[:, None, None]
+    values = hop * oracle._roots(n)[m * x % n] * oracle._roots(periods)[l * y % periods]
+    block = m * periods + l
+    rows = np.arange(qp)[:, None]
+    t = np.zeros((n * periods, qp, qp), dtype=values.dtype)
+    np.add.at(t, (block, rows, row[:qp] % qp), values[..., :qp, :])
+    back = np.zeros_like(t)
+    np.add.at(back, (block, rows, row[qp:] % qp), values[..., qp:, :])
+    np.conjugate(back, out=back)
+    if not np.array_equal(back, np.swapaxes(t, -1, -2)):
+        raise oracle.AdjacencyError("assembled matrix is not exactly Hermitian")
+    if not np.array_equal(back, t):
+        raise oracle.AdjacencyError("hopping block T is not exactly symmetric")
+    return t
+
+
+def flux_params(c, flux):
+    """Unit hopping with `flux` flux periods through the tube; P_UNIFORM at zero flux."""
+    return bands.magnetic_params(1.0, flux * lines.flux_period(c, A), c, A) if flux else P_UNIFORM
+
+
+def same_bits(a, b):
+    """Equal dtypes, shapes and bits: values and sign bits, which array_equal alone misses."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def builds_like_reference(tube, p):
+    """build_hamiltonian's T, or None where it raises, checked against two_half_hamiltonian's."""
+    try:
+        want = two_half_hamiltonian(tube, p)
+    except oracle.AdjacencyError as exc:
+        with pytest.raises(oracle.AdjacencyError, match=str(exc)):
+            oracle.build_hamiltonian(tube, p)
+        return None
+    t = oracle.build_hamiltonian(tube, p)
+    assert same_bits(t, want)
+    return t
+
+
+@pytest.mark.parametrize("flux", [0.0, 0.37])
+@pytest.mark.parametrize("periods", [1, 2, 3])
+def test_hamiltonian_matches_two_half_reference(periods, flux):
+    for c in pool(30):
+        sym = tube_symmetry(c)
+        if 2 * sym.q * periods > oracle.MAX_DIM:
+            continue
+        tube = oracle.build_finite_tube(sym, periods)
+        assert builds_like_reference(tube, flux_params(c, flux)) is not None, c
+
+
+@pytest.mark.parametrize("c,periods", [((5, 0, -5), 2), ((4, -1, -3), 3), ((7, -3, -4), 1),
+                                       ((8, -4, -4), 3), ((25, -7, -18), 1)])
+@pytest.mark.parametrize("flux", [0.0, 0.37])
+def test_compare_spectra_matches_two_half_reference(monkeypatch, c, periods, flux):
+    sym, p = tube_symmetry(c), flux_params(c, flux)
+    got = oracle.compare_spectra(c, sym, periods, p, tol=1e-8)
+    monkeypatch.setattr(oracle, "build_hamiltonian", two_half_hamiltonian)
+    want = oracle.compare_spectra(c, sym, periods, p, tol=1e-8)
+    assert repr(got.max_deviation) == repr(want.max_deviation)
+    assert got.passed and want.passed
+    assert got.finite.tobytes() == want.finite.tobytes()
 
 
 def test_hamiltonian_uniform_real_symmetric():
@@ -210,12 +320,12 @@ def test_blocks_match_dense_reference(c, beta):
 
 
 def test_hopping_stack_holds_one_buffer():
-    # the p = 1 rows are checked and freed: only T stays allocated
+    # the p = 1 rows are checked in the bond table: only T is allocated
     tube = oracle.build_finite_tube(tube_symmetry((14, 1, -15)), 1)
     tracemalloc.start()
     try:
         t = oracle.build_hamiltonian(tube, P_UNIFORM)
-        current, _ = tracemalloc.get_traced_memory()
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert t.shape == (1, 422, 422)
@@ -224,6 +334,8 @@ def test_hopping_stack_holds_one_buffer():
         root = root.base
     assert root.nbytes == t.nbytes
     assert current <= 1.25 * t.nbytes
+    # no second stack is built beside it, even for a moment
+    assert peak <= 1.25 * t.nbytes
 
 
 def test_oversized_segment_rejected_before_assembly(monkeypatch):
@@ -334,7 +446,7 @@ def test_analytic_spectrum_matches_mpmath(c, periods, flux):
     # the Bloch points' phases are reduced in integers, so no float kappa of size ~q' rounds
     # into them (a float parametrization was up to 3.7e-14 off here)
     sym = tube_symmetry(c)
-    p = bands.magnetic_params(1.0, flux * lines.flux_period(c, A), c, A) if flux else P_UNIFORM
+    p = flux_params(c, flux)
     got = oracle.analytic_spectrum(sym, periods, p)
     with mpmath.workdps(40):
         ref = sorted(s * r for r in mp_bloch_moduli(sym, periods, p) for s in (1, -1))
@@ -477,6 +589,13 @@ def test_shifted_bond_offset_fails_hermitian_check():
             oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
 
 
+def reversed_bond(bonds, n, r, j):
+    """(target, i): bonds[target, i] reverses bonds[r, j], with x compared mod n."""
+    target, x, y = bonds[r, j].tolist()
+    return target, next(i for i, (row, xr, yr) in enumerate(bonds[target].tolist())
+                        if (row, xr % n, yr) == (r, -x % n, -y))
+
+
 @pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2)])
 @pytest.mark.parametrize("axis", [1, 2])  # along c', or along b
 def test_shifted_bond_pair_fails_symmetric_check(c, axis):
@@ -485,14 +604,42 @@ def test_shifted_bond_pair_fails_symmetric_check(c, axis):
     bonds = tube.bonds.copy()
     # a bond row 0 -> row q' + k, k != 0, and its reverse row q' + k -> row 0
     j = next(j for j in range(3) if bonds[0, j, 0] != qp)
-    target, x, y = bonds[0, j].tolist()
-    rev = next(i for i, (row, xr, yr) in enumerate(bonds[target].tolist())
-               if (row, xr % n, yr) == (0, -x % n, -y))
+    target, rev = reversed_bond(bonds, n, 0, j)
     # moving both ends keeps the pair Hermitian and every degree at 3
     bonds[0, j, axis] += 1
     bonds[target, rev, axis] -= 1
     with pytest.raises(oracle.AdjacencyError, match="symmetric"):
         oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+
+
+@pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2), (7, -3, -4)])
+@pytest.mark.parametrize("axis", [1, 2])  # along c', or along b
+def test_bond_offsets_count_modulo_their_period(c, axis):
+    # a phase sees x mod n and y mod P: moving a bond by a whole period builds the same T,
+    # moving it by one step raises, unless that step is a whole period (n = 1), exactly
+    # where the dense two-half checks do
+    periods = 3
+    tube = oracle.build_finite_tube(tube_symmetry(c), periods)
+    n, qp = tube.sym.n, tube.sym.q_prime
+    period = (n, periods)[axis - 1]
+    j = next(j for j in range(3) if tube.bonds[0, j, 0] != qp)
+    target, rev = reversed_bond(tube.bonds, n, 0, j)
+    for p in (P_UNIFORM, bands.magnetic_params(1.0, 0.2 / A, c, A)):
+        want = oracle.build_hamiltonian(tube, p)
+        for step in (period, -period, 1):
+            one, pair = tube.bonds.copy(), tube.bonds.copy()
+            one[0, j, axis] += step
+            # moving both ends of the pair keeps it Hermitian
+            pair[0, j, axis] += step
+            pair[target, rev, axis] -= step
+            for bonds, match in ((one, "Hermitian"), (pair, "symmetric")):
+                t = builds_like_reference(dataclasses.replace(tube, bonds=bonds), p)
+                if step % period:
+                    assert t is None
+                    with pytest.raises(oracle.AdjacencyError, match=match):
+                        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), p)
+                else:
+                    assert same_bits(t, want)
 
 
 def test_dropped_block_fails_spectrum_length_check(monkeypatch):
