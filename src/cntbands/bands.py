@@ -5,14 +5,14 @@ The band lines, their parameters and the exact band-point kernel live in
 band_table and uniform_params from it.  The band gap is twice the minimum
 of the modulus over the n allowed lines; it vanishes exactly when they pass
 through the conical K points, i.e. when c0 - c1 is a multiple of 3.  An
-axial field, the phases gamma_j = gamma e^{i beta c_j a}, shifts the lines
-rigidly, k -> k + beta c.  The gap search samples no grid: it starts on the
-two lines next to each zero of the hopping sum (a Dirac point, moved to
-K - beta c by flux) and measures k from that zero.  With w_j = gamma
-e^{i K_j a} summing to zero, the modulus is |sum_j w_j (e^{i delta_j a} - 1)|,
-delta = k - K, which keeps its relative precision as k nears K, and each
-seed's line offset comes from integers.  Everything here runs in Python
-floats; loading or running it does not load numpy.
+axial field of phi flux periods shifts the lines rigidly, k a / 2 pi -> k a
+/ 2 pi + phi c / <c, c>.  The gap search samples no grid: it starts on the
+two lines next to each zero of the hopping sum (a Dirac point, moved by
+flux) and measures k from that zero.  With w_j = gamma e^{i K_j a} summing
+to exactly zero, the modulus is |sum_j w_j (e^{i delta_j a} - 1)|, delta =
+k - K, which keeps its relative precision as k nears K.  The seeds are
+integers over one denominator, so the gap is exactly periodic in phi.  All
+of it runs in Python floats and integers, without numpy.
 """
 
 import cmath
@@ -20,16 +20,13 @@ import math
 from dataclasses import dataclass
 
 from .geom import inner
-from .lines import A_DEFAULT, K_TURN, band_table, magnetic_params, uniform_params  # noqa: F401
+from .lines import (A_DEFAULT, K_PHASORS, TWO_PI_RATIO, BandParams, band_table,  # noqa: F401
+                    magnetic_params, uniform_params)
 from .tube import is_metallic, validate_chirality
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 64  # band_gap's bracket shrinks by 0.618^64 ~ 4e-14
 HALF_K_DISTANCE = math.sqrt(2.0) * math.pi / 3.0  # a |K - K'| / 2 for neighbouring K, K'
-
-# 2 pi as a ratio of integers, within 1e-31: the double 2 pi, 884279719003555 / 2^47,
-# plus the double nearest the rest, 4967757600021511 / 2^104 = 2.4492935982947064e-16
-TWO_PI_RATIO = (884279719003555 * 2 ** 57 + 4967757600021511, 2 ** 104)
 
 
 def dispersion(k, p):
@@ -63,29 +60,32 @@ class GapResult:
 
 
 def _gap_seeds(c, p):
-    """(zero, w, line, offset) of the four lines next to the two hopping zeros.
+    """(w, line, seed, x, den) of the four lines next to the two hopping zeros.
 
-    A field (beta, c_f) puts the zeros at K - beta c_f, K' - beta c_f (beta = 0
-    without one).  w_j = gamma e^{i K_j a}, which sum to zero, and the seed,
-    line's point nearest the zero, is zero + offset step c.  With the flux
-    fraction phi = beta a <c_f, c> / 2 pi, the offsets of the lines next to
-    m = +-(c0 - c1) / 3 - phi come from integer ratios, rounded once.
+    In units of 2 pi / a, a field of phi periods through tube c_f puts the
+    zeros at K - phi c_f / <c_f, c_f> and K' - phi c_f / <c_f, c_f>, K = (1,
+    -1, 0) / 3 = -K' (phi = 0 without one); each component is reduced mod 1,
+    a lattice step.  w_j = gamma e^{i K_j a}, gamma times K_PHASORS, sum to
+    exactly zero.  line is one of the two lines <k, c> = line next to the
+    zero, and seed, its point nearest the zero, is zero + x, x = (line -
+    <zero, c>) c / <c, c>: seed and x are integer triples over den.
     """
-    beta, c_f = p.field or (0.0, c)
-    (bn, bd), (an, ad) = beta.as_integer_ratio(), float(p.a).as_integer_ratio()
-    # m = sign (c0 - c1) / 3 - phi = num / (3 unit), exact but for 2 pi's 1e-31
-    unit = bd * ad * TWO_PI_RATIO[0]
-    flux = 3 * bn * an * inner(c_f, c) * TWO_PI_RATIO[1]  # 3 unit phi
-    for sign in (1, -1):
-        k_a = (sign * K_TURN, -sign * K_TURN, 0.0)
-        # beta c_f wrapped by whole lattice steps, which move m by multiples of n
-        zero = tuple((x - math.remainder(beta * cj * p.a, 2.0 * math.pi)) / p.a
-                     for x, cj in zip(k_a, c_f))
-        w = tuple(p.gamma * cmath.rect(1.0, x) for x in k_a)
-        num = sign * (c[0] - c[1]) * unit - flux
-        low = num // (3 * unit)
+    (num, den_f), c_f = p.field or ((0, 1), c)
+    unit, cc = 3 * den_f * inner(c_f, c_f), inner(c, c)
+    for sign, (k0, k1) in zip((1, -1), K_PHASORS):
+        w = (p.gamma * k0, p.gamma * k1, p.gamma)
+        zero = [sign * e * unit // 3 - 3 * num * cj for e, cj in zip((1, -1, 0), c_f)]
+        zero = [z - unit * ((2 * z + unit) // (2 * unit)) for z in zero]  # over unit
+        m = inner(zero, c)
+        low = m // unit
         for line in (low, low + 1):
-            yield zero, w, line, (3 * unit * line - num) / (3 * unit)  # int / int rounds once
+            x = [(unit * line - m) * cj for cj in c]
+            yield w, line, [z * cc + xj for z, xj in zip(zero, x)], x, unit * cc
+
+
+def _angle(num, den):
+    """2 pi num / den radians for integers num and den > 0, rounded once."""
+    return num * TWO_PI_RATIO[0] / (den * TWO_PI_RATIO[1])
 
 
 def _zero_modulus(w, x, d):
@@ -125,14 +125,15 @@ def _golden_min(f, half):
 def band_gap(c, sym, p, resolution=None):
     """Minimize the modulus over all n allowed lines; gap is twice the minimum.
 
-    Seeds: for each hopping zero K, with m = <K, c> a / 2 pi, the point of
-    line M = floor(m), floor(m) + 1 nearest K.  A golden-section search in
+    Seeds: for each hopping zero z, with m = <z, c> a / 2 pi, the point of
+    line M = floor(m), floor(m) + 1 nearest z.  A golden-section search in
     t, k = seed + t b / ||b||, on each; t = 0 is scored too, which makes
-    metallic gaps exactly 0.0.  argmin_m is M mod n.  The counting-rule
-    verdict is computed independently.  resolution is ignored (no grid is
-    sampled); benchmarks/workloads.py still passes it.
+    metallic gaps exactly 0.0, at any whole number of flux periods too.
+    argmin_m is M mod n.  The counting-rule verdict is computed
+    independently.  resolution is ignored (no grid is sampled);
+    benchmarks/workloads.py still passes it.
 
-    Precision: the offsets come from integers and the modulus is measured
+    Precision: the seeds come from integers and the modulus is measured
     from the zero (_gap_seeds, _zero_modulus), so the gap holds its
     relative precision, about 1e-15, however small it is or large c is.
 
@@ -143,29 +144,24 @@ def band_gap(c, sym, p, resolution=None):
     tubes with c0 <= 120, is their test.
     """
     c = validate_chirality(c)
-    step = 2.0 * math.pi / (p.a * inner(c, c))  # x distance between neighbouring lines
     norm_b = math.sqrt(inner(sym.b, sym.b))
     axis = tuple(bj / norm_b for bj in sym.b)
     searched, scored = [], []
-    for zero, w, line, offset in _gap_seeds(c, p):
-        x = tuple(offset * step * cj for cj in c)  # the seed minus the zero
-        modulus = _zero_modulus(w, [xj * p.a for xj in x], [aj * p.a for aj in axis])
+    for w, line, seed, x, den in _gap_seeds(c, p):
+        modulus = _zero_modulus(w, [_angle(xj, den) for xj in x], [aj * p.a for aj in axis])
         t = _golden_min(modulus, HALF_K_DISTANCE / p.a)
-        scored.append((modulus(0.0), zero, x, 0.0, line))
-        searched.append((modulus(t), zero, x, t, line))
-    value, zero, x, t, line = min(scored + searched, key=lambda v: v[0])
+        scored.append((modulus(0.0), seed, den, 0.0, line))
+        searched.append((modulus(t), seed, den, t, line))
+    value, seed, den, t, line = min(scored + searched, key=lambda v: v[0])
+    an, ad = float(p.a).as_integer_ratio()  # k = 2 pi seed / (den a), a = an / ad
     return GapResult(
         gap=2.0 * value,
-        argmin_k=tuple(zj + xj + t * aj for zj, xj, aj in zip(zero, x, axis)),
+        argmin_k=tuple(_angle(sj * ad, den * an) + t * aj for sj, aj in zip(seed, axis)),
         argmin_m=line % sym.n,
         metallic_by_theorem=is_metallic(c),
     )
 
 
-def gap_vs_beta(c, sym, gamma, a, beta_grid, epsilon=0.0):
-    """Band gap as a function of the axial field parameter beta."""
-    out = []
-    for beta in beta_grid:
-        p = magnetic_params(gamma, beta, c, a, epsilon=epsilon)
-        out.append((float(beta), band_gap(c, sym, p).gap))
-    return out
+def gap_vs_beta(c, sym, gamma, a, fluxes, epsilon=0.0):
+    """Band gaps under an axial field at each flux (num, den): phi = num / den periods."""
+    return [band_gap(c, sym, BandParams(epsilon, gamma, a, (flux, c))).gap for flux in fluxes]

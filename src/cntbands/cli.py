@@ -33,7 +33,8 @@ EXIT_NUMERIC = 3
 # bound on the n * resolution band points of bands: 10.6 to 10.9 s at the bound
 # (n = 1, --out to a file, 2-vCPU Xeon)
 MAX_GRID = 2 ** 22
-# bound on the betas of one magsweep: 8 to 13 s at 0.5 to 0.8 ms a gap (2-vCPU Xeon)
+# bound on the betas of one magsweep: 7.4 to 10.5 s at the bound, 0.45 to 0.64 ms a gap,
+# for (4,-2,-2), (7,-3,-4) and (2^30,0,-2^30) (whole process, 2-vCPU Xeon)
 MAX_BETAS = 2 ** 14
 
 
@@ -209,20 +210,13 @@ def cmd_bands(args, cfg):
     return EXIT_OK
 
 
-def _check_beta(beta, c, cfg):
-    from . import lines
-
-    try:
-        lines.check_beta(beta, c, cfg.a)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _gap_params(c, cfg, beta):
     from . import lines
 
-    _check_beta(beta, c, cfg)
-    return lines.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
+    try:
+        return lines.magnetic_params(cfg.gamma, beta, c, cfg.a, epsilon=cfg.epsilon)
+    except ValueError as exc:  # beta not finite, or beyond the flux bound
+        raise InputError(str(exc)) from exc
 
 
 def cmd_gap(args, cfg):
@@ -250,17 +244,19 @@ def cmd_magsweep(args, cfg):
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
-    period = lines.flux_period(c, cfg.a)
     total = args.periods * (args.samples - 1) + 1
     if total > MAX_BETAS:
         raise InputError(f"periods * (samples - 1) + 1 = {total} betas exceed {MAX_BETAS}")
-    stop = args.periods * period
-    _check_beta(stop, c, cfg)
-    # numpy's linspace(0, stop, total): i * (stop / (total - 1)), ending at exactly stop
+    if args.periods > lines.MAX_FLUX_PERIODS:
+        raise InputError(f"periods = {args.periods} exceed {lines.MAX_FLUX_PERIODS} flux periods")
+    # prints numpy's linspace(0, stop, total) and the gaps at exact fluxes i periods / (total - 1)
+    stop = args.periods * lines.flux_period(c, cfg.a)
     betas = [i * (stop / (total - 1)) for i in range(total - 1)] + [stop]
-    sweep = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a, betas, epsilon=cfg.epsilon)
-    _emit(_csv(("beta", "gap"), (("%.12g,%.12g\n", tuple(zip(*sweep[i:i + lines.BLOCK])))
-                                 for i in range(0, len(sweep), lines.BLOCK))), cfg)
+    gaps = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a,
+                             [(i * args.periods, total - 1) for i in range(total)], cfg.epsilon)
+    rows = (betas, gaps)
+    _emit(_csv(("beta", "gap"), (("%.12g,%.12g\n", [x[i:i + lines.BLOCK] for x in rows])
+                                 for i in range(0, total, lines.BLOCK))), cfg)
     return EXIT_OK
 
 

@@ -21,7 +21,10 @@ the phasor at the block start and T_j is one table of at most BLOCK step
 phasors, shared by every line and block of a run.  Each phasor rounds once,
 from an angle within pi / 4, and a table entry is the product of two of
 them, so rows stay within 2e-15 of 40-digit mpmath however large the tube;
-rows at K, on a line or a path, are exactly epsilon without a field.
+rows at K, on a line or a path, are exactly epsilon without a field.  An
+axial field is its flux phi in periods, an exact ratio of integers, so its
+bond phases 2 pi phi c_j / C reduce in integers too; magnetic_params turns a
+float beta into phi once.
 
 Loading this module loads neither numpy nor dataclasses; the parameter and
 table records are named tuples.
@@ -40,11 +43,13 @@ from .tube import is_metallic, validate_chirality
 
 A_DEFAULT = bond_length_scale(1.44)
 
-K_TURN = math.acos(-0.5)  # K a = (K_TURN, -K_TURN, 0), K' = -K
-
-# bound on |beta| in flux periods: each phase beta c_j a is then below 2^10 pi
-# rad and rounds by less than 1e-12 rad
+# largest |flux| in periods a field may carry: the range over which the gap's
+# flux periodicity is tested
 MAX_FLUX_PERIODS = 2 ** 10
+
+# 2 pi as a ratio of integers, within 1e-31: the double 2 pi, 884279719003555 / 2^47,
+# plus the double nearest the rest, 4967757600021511 / 2^104 = 2.4492935982947064e-16
+TWO_PI_RATIO = (884279719003555 * 2 ** 57 + 4967757600021511, 2 ** 104)
 
 BLOCK = 4096  # grid points a band block holds: bounds what band tables and their CSV hold
 SPLIT = 64  # a step table of BLOCK phasors is built from two of SPLIT = sqrt(BLOCK)
@@ -63,11 +68,11 @@ WAYPOINTS = {"G": (0, 0, 0), "K": (2, -2, 0), "M": (2, -1, -1)}
 class BandParams(namedtuple("BandParams", "epsilon gamma a field")):
     """Onsite energy, the one real hopping gamma > 0, length scale, and an axial field.
 
-    field, when set, is the (beta, c) of an axial magnetic field: the bond
-    along axis j then carries gamma e^{i beta c_j a}, and band_gap reads the
-    flux from beta and c exactly instead of from the rounded phases.  The
-    constructor stores it as a float and a validated chirality; _replace
-    goes through the constructor's checks too.
+    field, when set, is the ((num, den), c) of an axial magnetic field of
+    flux phi = num / den periods through tube c, integers with den > 0 and
+    |phi| <= MAX_FLUX_PERIODS: the bond along axis j then carries
+    gamma e^{2 pi i phi c_j / <c, c>}.  The constructor validates the
+    chirality; _replace goes through its checks too.
     """
 
     __slots__ = ()
@@ -80,9 +85,12 @@ class BandParams(namedtuple("BandParams", "epsilon gamma a field")):
         if isinstance(gamma, complex) or not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be real, positive and finite, got {gamma}")
         if field is not None:
-            beta, c = float(field[0]), validate_chirality(field[1])
-            check_beta(beta, c, a)
-            field = (beta, c)
+            (num, den), c = field
+            if not (isinstance(num, int) and isinstance(den, int) and den > 0):
+                raise ValueError(f"the flux must be integers num / den, den > 0, got {field[0]}")
+            if abs(num) > MAX_FLUX_PERIODS * den:
+                raise ValueError(f"the flux exceeds {MAX_FLUX_PERIODS} flux periods")
+            field = ((num, den), validate_chirality(c))
         return super().__new__(cls, epsilon, gamma, a, field)
 
     @classmethod
@@ -91,14 +99,11 @@ class BandParams(namedtuple("BandParams", "epsilon gamma a field")):
 
     @property
     def hoppings(self):
-        """(gamma_0, gamma_1, gamma_2): gamma, or gamma e^{i beta c_j a} under the field.
-
-        rect(1, x) is the cos + i sin numpy's exp(1j x) gives.
-        """
+        """(gamma_0, gamma_1, gamma_2): gamma, or gamma e^{2 pi i phi c_j / <c, c>} in a field."""
         if self.field is None:
             return (self.gamma,) * 3
-        beta, c = self.field
-        return tuple(self.gamma * cmath.rect(1.0, beta * cj * self.a) for cj in c)
+        (num, den), c = self.field
+        return tuple(self.gamma * _turn(num * cj, den * inner(c, c)) for cj in c)
 
 
 def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
@@ -106,27 +111,28 @@ def uniform_params(gamma=1.0, epsilon=0.0, a=A_DEFAULT):
     return BandParams(epsilon, gamma, a)
 
 
+def _flux(beta, c, a):
+    """(num, den): the flux beta a <c, c> / 2 pi in periods, exact but for TWO_PI_RATIO's 1e-31."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    (bn, bd), (an, ad) = float(beta).as_integer_ratio(), float(a).as_integer_ratio()
+    return bn * an * inner(c, c) * TWO_PI_RATIO[1], bd * ad * TWO_PI_RATIO[0]
+
+
 def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
     """An axial field beta: the dispersion at k is the zero-field one at k + beta c."""
-    return BandParams(epsilon, gamma, a, (beta, c))
+    return BandParams(epsilon, gamma, a, (_flux(beta, c, a), c))
 
 
 def flux_period(c, a=A_DEFAULT):
-    """Aharonov-Bohm period 2 pi / (a ||c||^2) of the field parameter beta."""
-    return 2.0 * math.pi / (a * inner(c, c))
+    """Aharonov-Bohm period 2 pi / (a ||c||^2) of beta: the largest double of at most one period.
 
-
-def check_beta(beta, c, a=A_DEFAULT):
-    """Raise ValueError unless beta is finite and within MAX_FLUX_PERIODS flux periods.
-
-    Beyond that bound the phases beta c_j a lose digits to rounding; far
-    beyond it beta and beta plus a flux period are the same double.
+    MAX_FLUX_PERIODS times it is then the largest beta magnetic_params accepts.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    if abs(beta) > MAX_FLUX_PERIODS * flux_period(c, a):
-        raise ValueError(f"|beta| = {abs(beta)} exceeds {MAX_FLUX_PERIODS} flux periods "
-                         f"of {flux_period(c, a)}")
+    num, den = _flux(1.0, c, a)
+    period = den / num
+    pn, pd = period.as_integer_ratio()
+    return math.nextafter(period, 0.0) if pn * num > pd * den else period
 
 
 def special_points(a=A_DEFAULT):

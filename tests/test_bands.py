@@ -316,14 +316,21 @@ def test_k_rows_are_exactly_epsilon(c):
 
 @pytest.mark.parametrize("a", [A, 1.0, 0.37, 5.9])
 def test_k_points_are_the_uniform_hopping_zeros(a):
-    # the zeros _gap_seeds yields at zero field, two seeds each, are K and K' = +-(t, -t, 0) / a
-    # with t = K_TURN; repr tells -0.0 from 0.0: equal reprs are equal bits
-    t = lines.K_TURN
+    # the zeros _gap_seeds yields at zero field, two seeds each, are exactly K and
+    # K' = +-(1, -1, 0) / 3 in units of 2 pi / a; each seed lies on its line, and its
+    # w_j = gamma e^{i K_j a} are gamma K_PHASORS, which sum to exactly zero
+    k = (Fraction(1, 3), Fraction(-1, 3), Fraction(0))
     for c in [(5, 0, -5), (7, -3, -4)]:
-        for p in (bands.uniform_params(a=a), bands.magnetic_params(1.0, 0.0, c, a),
-                  bands.magnetic_params(1.0, -0.0, c, a)):
-            zeros = [zero for zero, *_ in bands._gap_seeds(c, p)][::2]
-            assert repr([(t / a, -t / a, 0.0), (-t / a, t / a, 0.0)]) == repr(zeros), (c, p)
+        for p in (bands.uniform_params(2.5, a=a), bands.magnetic_params(2.5, 0.0, c, a),
+                  bands.magnetic_params(2.5, -0.0, c, a)):
+            seeds = list(bands._gap_seeds(c, p))
+            zeros = [tuple(Fraction(s - x, den) for s, x in zip(seed, xs))
+                     for _, _, seed, xs, den in seeds]
+            assert zeros[::2] == zeros[1::2] == [k, tuple(-x for x in k)], (c, p)
+            for w, line, seed, _, den in seeds:
+                assert geom.inner(seed, c) == line * den
+                assert w in [tuple(2.5 * x for x in pair + (1.0,)) for pair in lines.K_PHASORS]
+                assert sum(w) == 0
 
 
 GAP_5_0_5 = 0.7639320225002102  # frozen from a 2e6-point-per-line dense scan
@@ -397,13 +404,10 @@ def test_flux_opens_gap_in_metallic_tube():
 def test_gap_vs_beta_properties():
     c = (4, -2, -2)
     sym = tube_symmetry(c)
-    period = lines.flux_period(c, A)
-    betas = [0.0, 0.25 * period, period]
-    sweep = bands.gap_vs_beta(c, sym, 1.0, A, betas)
-    gaps = [g for _, g in sweep]
+    gaps = bands.gap_vs_beta(c, sym, 1.0, A, [(0, 1), (1, 4), (1, 1)])
     assert gaps[0] == 0.0  # metallic at zero flux
     assert all(g >= 0 for g in gaps)
-    assert abs(gaps[0] - gaps[-1]) < 1e-8  # one-quantum periodicity
+    assert gaps[-1] == gaps[0]  # one-quantum periodicity
 
 
 def test_bloch_phase_well_defined_on_lines():
@@ -454,6 +458,46 @@ def test_band_gap_near_end_of_flux_period():
     p = bands.magnetic_params(1.0, 0.995 * lines.flux_period(c, A), c, A)
     res = bands.band_gap(c, tube_symmetry(c), p)
     assert res.gap == pytest.approx(0.0118641778306, abs=1e-9)
+
+
+METALLIC = [(4, -2, -2), (6, 0, -6), (8, -4, -4), (9, -3, -6), (536870915, 536870909, -1073741824)]
+FLUX_TUBES = [(4, -2, -2), (5, 0, -5), (4, 1, -5), (7, -3, -4), (56, 55, -111),
+              (2 ** 30, -2 ** 29 + 1, -2 ** 29 - 1), (1000001, 1000000, -2000001)]
+
+
+@pytest.mark.parametrize("c", METALLIC)
+def test_metallic_gap_vanishes_at_every_whole_flux_period(c):
+    # the Aharonov-Bohm period: the float beta of k periods had left these tubes up to
+    # 8e-16 off; the flux k, in any denominator, puts the lines through the zeros
+    sym = tube_symmetry(c)
+    fluxes = [(s * k * d, d) for k in range(1, 6) for d in (1, 32, 3 * 2 ** 61 + 1) for s in (1, -1)]
+    assert bands.gap_vs_beta(c, sym, 1.0, A, fluxes) == [0.0] * len(fluxes)
+    assert bands.gap_vs_beta(c, sym, 2.7, A, [(5, 1)], epsilon=0.3) == [0.0]
+
+
+@pytest.mark.parametrize("c", FLUX_TUBES)
+def test_gap_is_periodic_in_flux_bit_for_bit(c):
+    # gap(phi + k) == gap(phi) for whole k over the whole range MAX_FLUX_PERIODS allows
+    rng = np.random.default_rng(sum(map(abs, c)) % 2 ** 32)
+    sym, bound = tube_symmetry(c), lines.MAX_FLUX_PERIODS
+    for den in (7, 200, 2 ** 70 + 3):
+        num = 1 + int(rng.integers(0, 2 ** 62)) % (den - 1)
+        shifts = (1, -1, 2, 5, -37, bound - 1, -bound)
+        gaps = bands.gap_vs_beta(c, sym, 1.0, A, [(num + k * den, den) for k in (0,) + shifts])
+        assert gaps[0] > 0.0
+        assert [repr(g) for g in gaps[1:]] == [repr(gaps[0])] * len(shifts), (c, num, den)
+
+
+@pytest.mark.parametrize("c", FLUX_TUBES + METALLIC)
+def test_gap_is_even_in_flux(c):
+    # K - phi c and K' + phi c mirror each other; a golden-section tie may break the
+    # mirror in the last bit
+    rng = np.random.default_rng(41)
+    sym = tube_symmetry(c)
+    for den in (3, 64, 10 ** 20):
+        num = int(rng.integers(1, 1000 * den)) if den < 2 ** 60 else 12345678901234567890123
+        plus, minus = bands.gap_vs_beta(c, sym, 1.0, A, [(num, den), (-num, den)])
+        assert minus == pytest.approx(plus, rel=4e-16, abs=0.0), (c, num, den)
 
 
 def line_modulus(sym, m, kappa, p):
@@ -566,14 +610,21 @@ def test_zero_hopping_rejected(zero):
 
 
 def test_params_reject_what_they_do_not_model():
-    # one real hopping gamma > 0, and a field (beta, c) within MAX_FLUX_PERIODS
+    # one real hopping gamma > 0, and a field ((num, den), c) of at most MAX_FLUX_PERIODS
     c = (7, -3, -4)
     for gamma in (-1.0, 1j, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma"):
             lines.BandParams(gamma=gamma)
-    for beta in (math.nan, math.inf, -1.01 * lines.MAX_FLUX_PERIODS * lines.flux_period(c, A)):
+    for beta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="beta"):
-            lines.BandParams(field=(beta, c))
+            bands.magnetic_params(1.0, beta, c, A)
+    with pytest.raises(ValueError, match="flux periods"):
+        bands.magnetic_params(1.0, -1.01 * lines.MAX_FLUX_PERIODS * lines.flux_period(c, A), c, A)
+    bound = lines.MAX_FLUX_PERIODS
+    for flux in ((-bound * 3 - 1, 3), (bound + 1, 1), (0.5, 1), (1, 0), (1, -2), (1, 2.0)):
+        with pytest.raises(ValueError, match="flux"):
+            lines.BandParams(field=(flux, c))
+    assert lines.BandParams(field=((-bound * 3, 3), c)).field == ((-bound * 3, 3), c)
     with pytest.raises(TypeError):
         lines.BandParams(gamma0=1.0)
 
@@ -581,11 +632,14 @@ def test_params_reject_what_they_do_not_model():
 def test_field_must_match_the_hoppings():
     # the hoppings are derived from gamma and the field, so a replace keeps them in step
     c = (7, -3, -4)
-    p = lines.BandParams(epsilon=0.2, gamma=2.0, field=(1, [7, -3, -4]))
-    assert p.field == (1.0, c) == p._replace(epsilon=0.5).field
+    p = lines.BandParams(epsilon=0.2, gamma=2.0, field=((1, 3), [7, -3, -4]))
+    assert p.field == ((1, 3), c) == p._replace(epsilon=0.5).field
     q = p._replace(gamma=0.5)
     assert q.field == p.field
-    assert q.hoppings == bands.magnetic_params(0.5, 1.0, c, A, epsilon=0.2).hoppings
+    assert q.hoppings == lines.BandParams(0.2, 0.5, field=((2, 6), c)).hoppings
+    assert q.hoppings == tuple(h / 4.0 for h in p.hoppings)
+    m = bands.magnetic_params(2.0, 1.0, c, A, epsilon=0.2)
+    assert m._replace(gamma=0.5).hoppings == bands.magnetic_params(0.5, 1.0, c, A).hoppings
     assert p._replace(field=None).hoppings == (2.0, 2.0, 2.0)
     with pytest.raises(ValueError, match="unexpected field"):
         p._replace(gamma0=1.0)
@@ -668,22 +722,32 @@ def test_k_point_projections_of_a_large_metallic_tube():
     assert len(kappa) == 64 + 2 and max(kappa) < lines.kappa_period(sym, A)
 
 
-def test_magnetic_hoppings_are_numpy_exp_bit_for_bit():
+def test_magnetic_hoppings_match_mpmath():
+    # gamma e^{2 pi i phi c_j / <c, c>} from the exact flux phi = num / den that beta
+    # becomes: one exact quarter turn times a phasor rounded once, times gamma
     rng = np.random.default_rng(31)
+    worst = 0.0
     for c in [(4, -2, -2), (5, 0, -5), (7, -3, -4), (2 ** 30, 0, -2 ** 30)]:
         period = lines.flux_period(c, A)
         for beta in [0.0, -0.0] + [float(x) for x in rng.uniform(-5, 5, 40) * period]:
             gamma = float(rng.uniform(0.2, 3.0))
             p = bands.magnetic_params(gamma, beta, c, A)
-            want = [gamma * np.exp(1j * beta * cj * A) for cj in c]
-            got = p.hoppings
-            assert [(repr(g.real), repr(g.imag)) for g in got] == \
-                [(repr(float(g.real)), repr(float(g.imag))) for g in want], (c, beta)
+            (num, den), _ = p.field
+            assert Fraction(num, den) == Fraction(beta) * Fraction(A) * geom.inner(c, c) \
+                * lines.TWO_PI_RATIO[1] / lines.TWO_PI_RATIO[0]
+            if beta == 0:
+                assert p.hoppings == (gamma,) * 3
+            with mpmath.workdps(40):
+                for h, cj in zip(p.hoppings, c):
+                    want = gamma * mpmath.expj(2 * mpmath.pi * mpmath.mpf(num * cj)
+                                               / (den * geom.inner(c, c)))
+                    worst = max(worst, abs(h - want) / gamma)
+    assert worst <= 2.5e-16
 
 
 def test_two_pi_ratio():
     with mpmath.workdps(60):
-        assert abs(mpmath.mpf(bands.TWO_PI_RATIO[0]) / bands.TWO_PI_RATIO[1]
+        assert abs(mpmath.mpf(lines.TWO_PI_RATIO[0]) / lines.TWO_PI_RATIO[1]
                    - 2 * mpmath.pi) < 1e-31
 
 
@@ -741,8 +805,8 @@ def test_zero_modulus_matches_vectorized_modulus(hoppings):
     """The gap search's modulus, measured from a hopping zero, against 50-digit mpmath.
 
     Both near the zero and 0.5 / a from it.  The referee sums the hoppings
-    p.hoppings times e^{i k_j a} at k = zero + theta / a, exactly as the
-    doubles give them.  The bound is 1e-15 per unit of gamma at K and K',
+    p.hoppings times e^{i k_j a} at k = zero + theta / a, the hoppings exactly as
+    the doubles give them and the zero exactly.  The bound is 1e-15 per unit of gamma at K and K',
     under flux too (the former referee, numpy at the rounded k, was itself
     up to 1.4e-15 gamma off there).
     """
@@ -754,14 +818,14 @@ def test_zero_modulus_matches_vectorized_modulus(hoppings):
     rng = np.random.default_rng(37)
     worst = 0.0
     with mpmath.workdps(50):
-        hops, a = [mpmath.mpc(complex(h)) for h in p.hoppings], mpmath.mpf(A)
-        for zero, w, _, _ in bands._gap_seeds(c, p):
+        hops = [mpmath.mpc(complex(h)) for h in p.hoppings]
+        for w, _, seed, x, den in bands._gap_seeds(c, p):
+            # the exact zero, in units of 2 pi / a
+            zero = [mpmath.mpf(s - xj) / den for s, xj in zip(seed, x)]
             for scale in (1e-9, 1e-3, 0.5):
-                for dk in rng.uniform(-scale, scale, (500, 3)) / A:
-                    k = [z + d for z, d in zip(zero, dk)]
-                    theta = [(kj - z) * A for kj, z in zip(k, zero)]
+                for theta in rng.uniform(-scale, scale, (500, 3)):
                     got = bands._zero_modulus(w, theta, (0.0, 0.0, 0.0))(0.0)
-                    ref = abs(sum(h * mpmath.expj(mpmath.mpf(z) * a + t)
+                    ref = abs(sum(h * mpmath.expj(2 * mpmath.pi * z + t)
                                   for h, z, t in zip(hops, zero, theta)))
                     worst = max(worst, abs(got - ref))
     assert worst <= 1e-15 * p.gamma

@@ -639,6 +639,14 @@ def test_only_json_commands_load_json(argv):
     assert ("json" in loaded) == (argv[0] in ("classify", "gap", "verify", "neighbors"))
 
 
+@EVERY_COMMAND
+def test_no_command_loads_fractions_or_decimal(argv):
+    # flux fractions and k-points are held as integer pairs: importing fractions
+    # (with decimal and numbers) would add milliseconds to every gap
+    loaded = modules_after_main(*argv)
+    assert {"fractions", "decimal"} & loaded == set()
+
+
 def test_config_file_loads_json(tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"resolution": 64}')
@@ -682,21 +690,44 @@ def test_dispersion_and_band_gap_load_no_numpy():
 @pytest.mark.parametrize("c,periods,samples,bond", [
     ((4, -2, -2), 1, 201, 1.44), ((5, 0, -5), 3, 33, 1.44), ((7, -3, -4), 2, 7, 0.9),
     ((1073741824, 0, -1073741824), 1, 1000, 1.44)])
-def test_magsweep_betas_are_numpy_linspace(monkeypatch, c, periods, samples, bond):
+def test_magsweep_betas_are_numpy_linspace(monkeypatch, capsys, c, periods, samples, bond):
+    # the printed beta column is numpy's linspace; each gap is taken at the exact flux
+    # i * periods / (total - 1) of row i
     import numpy as np
 
-    seen = []
+    fluxes, printed = [], []
 
-    def record(c, sym, gamma, a, betas, epsilon):
-        seen.append(betas)
-        return []
+    def record(c, sym, gamma, a, flux, epsilon):
+        fluxes.extend(flux)
+        return [0.0] * len(flux)
+
+    def csv(header, blocks):
+        for row_format, (betas, gaps) in blocks:
+            printed.extend(betas)
+            yield row_format % (betas[0], gaps[0])
 
     monkeypatch.setattr(bands, "gap_vs_beta", record)
+    monkeypatch.setattr(cli, "_csv", csv)
     assert main(["magsweep", "--c", ",".join(map(str, c)), "--periods", str(periods),
                  "--samples", str(samples), "--bond-length", str(bond)]) == 0
+    capsys.readouterr()
+    total = periods * (samples - 1) + 1
     stop = periods * lines.flux_period(c, cli.RunConfig(bond_length=bond).a)
-    want = np.linspace(0.0, stop, periods * (samples - 1) + 1)
-    assert [repr(b) for b in seen[0]] == [repr(float(b)) for b in want]
+    want = np.linspace(0.0, stop, total)
+    assert [repr(b) for b in printed] == [repr(float(b)) for b in want]
+    assert fluxes == [(i * periods, total - 1) for i in range(total)]
+
+
+def test_magsweep_is_gapless_at_every_whole_period(capsys):
+    # a metallic tube at a whole number of flux periods; the float beta of a whole
+    # period had left it 7.22216944169e-17 off
+    for periods in (1, 3):
+        assert main(["magsweep", "--c", "4,-2,-2", "--samples", "33",
+                     "--periods", str(periods)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 32 * periods + 1
+        assert [rows[32 * k].split(",")[1] for k in range(periods + 1)] == ["0"] * (periods + 1)
+        assert all(float(row.split(",")[1]) > 0.0 for i, row in enumerate(rows) if i % 32)
 
 
 def test_package_import_loads_no_module():

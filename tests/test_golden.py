@@ -24,16 +24,16 @@ GOLDEN = [
     (["bands", "--c", "9,-3,-6", "--resolution", "5000", "--epsilon", "0.25", "--gamma", "1.5"],
      "36cbaa1c4834fb46c8f7a423ad365a64e6062ccf5dfe2b98d5172c6904ff2e1b"),
     (["gap", "--c", "5,0,-5"],
-     "af57f044eacdf0a7c64be31043ff62970366585f6254662a87908d7975910003"),
+     "fd7924cdb9775449f23840811fac1e413119c1c5506f5d87bcec89a324739335"),
     (["gap", "--c", "4,-1,-3"],
-     "ca6ef3a96eec56eecb4c1db1ed007e223e798e7d6de9a5b49eb1e693de078398"),
+     "bac7930295fcba6e2aada0827d0a65c200833f76dc69087a5cb2d266f244d139"),
     (["gap", "--c", "4,-2,-2", "--beta", "0.041"],
-     "f684d84fe0fadeded9ae8adb179237051a1d799bb84f4dd497946642b6ed9396"),
+     "e18f7cb6d4318e509f99c1cd1d228fcb676e850c83c1a09f0549fed6e01e9063"),
     # the field path at gamma != 1
     (["gap", "--c", "7,-3,-4", "--beta", "0.01", "--gamma", "2.7", "--epsilon", "0.3"],
-     "e6f5d3cb60a292a2351e8495deb99dff6572707844d9d096f6945c88451bd982"),
+     "465d09a7e5ff99d399072f759a5a05ad7f49f18a902bb4a390507a435193bb76"),
     (["magsweep", "--c", "4,-2,-2", "--samples", "33", "--resolution", "256"],
-     "226407ac0153bdbbc89304002a757a637e22b7409392ea271b4d9a8912a6da7c"),
+     "74c6b67b483d56fb3ad90b8b1e76341a30f04d9711fb835e9975051c84b90ce4"),
     (["magsweep", "--c", "5,0,-5", "--samples", "17", "--gamma", "0.5"],
      "5cf7aa0be32647ba5d805bf12ffac75a7a2701a183a3afa1d623e2ed6e4cd1b9"),
     (["graphene-path"],
