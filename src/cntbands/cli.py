@@ -9,7 +9,7 @@ than the command needs: `classify` and `neighbors` run on integer
 arithmetic, `bands` and `graphene-path` on `lines`, and `gap` and `magsweep`
 on `bands`' gap search, all in Python floats and integers.  numpy and
 `oracle` load for `verify` alone, `dataclasses` (with `inspect`) only for
-`gap`, `magsweep` and `verify`, whose results and oracle records are
+`gap`, `magsweep` and `verify`, whose `GapResult` and `SpectrumReport` are
 dataclasses, and `json` only for the commands that print JSON or read
 --config.  A band point is the exact product of a line phasor and an offset
 phasor, both reduced in integers (`lines`).  CSV is written in blocks of
@@ -18,6 +18,7 @@ lines.BLOCK rows, each formatted by one %.
 
 import argparse
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -428,11 +429,16 @@ def main(argv=None):
         cfg = _load_config(args)
         return args.func(args, cfg)
     except (InputError, tube.ChiralityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = exc, EXIT_INPUT
     except Exception as exc:  # exit 1 is reserved for a failed verification
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        message, code = f"{type(exc).__name__}: {exc}", EXIT_NUMERIC
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout: quiet the last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except BrokenPipeError:  # stderr is a closed pipe too; the exit code still says why
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -7,38 +7,34 @@ a group Z_n x Z_P that splits the atoms into 2*q' orbits, one representative
 (s', 0, p), s' < q', each.  The screw omega^s' is a lattice translation, so
 the bonds of row s' are those of row 0 moved by it: we decompose the three
 neighbours of (0, 0, p), p = 0, 1, exactly (integer reduction modulo Zc via
-the screw/rotation/flip coordinates), and shift their screw powers for every
-other row, which gives each bond a target orbit and an integer (c', b)
-offset.  The hopping matrix then splits into n*P Hermitian blocks of size
-2*q', one per pair (m, l) of quantum numbers.  The blocks use only this
-relabelling, not the screw-line formula under test.
+the screw/rotation/flip coordinates), and shifting their screw powers gives
+every row's bonds a target orbit and an integer (c', b) offset.  The hopping
+matrix then splits into n*P Hermitian blocks of size 2*q', one per pair
+(m, l) of quantum numbers.  The blocks use only this relabelling, not the
+screw-line formula under test.
 
 Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
 [[eps I, T], [T^H, eps I]] for a q' x q' hopping block T, and its
 eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
-only T, never the 2q' x 2q' block, and assembles it from the p = 0 rows
-alone: that the p = 1 rows hold exactly T^H is a property of the integer
-bond table (bond j of a row is reversed by bond j of its target row), and
-is checked there.  T is the one stack built, and verify holds at most two
-stacks' worth at once: T and LAPACK's working copy, or T and the halves of
-compare_spectra's pairing check.  Each is n*P*q'^2*itemsize <= (qP)^2 *
-itemsize bytes, at most 32 MiB real or 64 MiB complex under MAX_DIM (8 MB
-for the real T of (25,-7,-18), P = 1).
+only T, assembled from the p = 0 rows alone: that the p = 1 rows hold
+exactly T^H is one integer condition per bond direction on the six
+decompositions, checked there (build_hamiltonian).  verify holds at most
+two stacks of n*P*q'^2*itemsize <= (qP)^2 * itemsize bytes at once (T and
+LAPACK's working copy, or T and the halves of compare_spectra's pairing
+check), at most 32 MiB real or 64 MiB complex under MAX_DIM.
 
 The involution v -> Theta - v swaps the sublattices: it maps row a, the
 atom a omega, to row q' + a, the atom Theta - a omega, and the bond
 v -> v^j to the bond (Theta - v) -> (Theta - v)^j, with the conjugate
 hopping and the opposite (c', b) offset.  So row q' + a of a block holds
 conj(T[a, b]) in column b, where Hermiticity puts conj(T[b, a]): every T is
-symmetric, T = T^T (the U axis of the tube's line group).  This holds bit
-for bit, because conjugate phases are paired exactly and each entry sums
-its bonds in the same order j, so it too is checked on the bond table.  A
-real symmetric T with eigenvalues lambda has singular values |lambda|, so
-its block's spectrum is eps +- lambda from one eigvalsh of T.  A complex T
-is complex symmetric, not Hermitian, and keeps the singular value
-decomposition.  T is real exactly when n <= 2, P <= 2 and no flux is
-applied.
+symmetric, T = T^T (the U axis of the tube's line group), and bit for bit
+by construction.  A real symmetric T with eigenvalues lambda has singular
+values |lambda|, so its block's spectrum is eps +- lambda from one eigvalsh
+of T.  A complex T is complex symmetric, not Hermitian, and keeps the
+singular value decomposition.  T is real exactly when n <= 2, P <= 2 and
+no flux is applied.
 
 With real hoppings every phase of block (-m mod n, -l mod P) is the exact
 conjugate of the same phase of block (m, l), so T_{-m,-l} = conj(T_{m,l})
@@ -57,6 +53,7 @@ evaluated here in numpy.  Agreement to rounding error is the whole point.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,20 +74,17 @@ class DimensionError(ValueError):
     """The segment's matrix dimension 2qP exceeds MAX_DIM."""
 
 
-@dataclass(frozen=True)
-class FiniteTube:
-    """Orbit representatives and bond table of a P-period tube segment.
+class FiniteTube(namedtuple("FiniteTube", "sym periods bonds")):
+    """A P-period tube segment and the six bond decompositions that give all its bonds.
 
     The translations by c' and by b split the segment's 2qP atoms into 2q'
     orbits; row p*q' + s' is the representative (s', 0, p), s' < q', so the
-    rows below q' are the sum-0 sublattice.  bonds is a (2q', 3, 3) integer
-    array: bonds[r, j] = (row, x, y) for the bond v -> v^j leaving row r,
-    which ends at row's atom moved x steps along c' and y steps along b.
+    rows below q' are the sum-0 sublattice.  bonds[p][j] = (s_j, m_j,
+    target_j), Python ints, are the coordinates (decompose) of the
+    neighbour v^j of row (0, 0, p).
     """
 
-    sym: object
-    periods: int
-    bonds: np.ndarray
+    __slots__ = ()
 
 
 def _check_dimension(sym, periods):
@@ -109,7 +103,7 @@ def _axial_twist(sym):
     """Integer j with q' * omega = b + (j/n) * c.
 
     Translating by b shifts the screw power by q' and the rotation index by
-    -j; the bond offsets of build_finite_tube account for both.
+    -j; build_hamiltonian's bond offsets account for both.
     """
     j, rem = divmod(sym.q * inner(sym.c, sym.omega), inner(sym.c, sym.c))
     if rem:
@@ -118,27 +112,19 @@ def _axial_twist(sym):
 
 
 def build_finite_tube(sym, periods):
-    """The segment's 2q' orbit representatives and their (row, x, y) bonds.
+    """The segment and the decompositions of the six bonds of rows (0, 0, 0) and (0, 0, 1).
 
-    Six decompositions give every bond.  The neighbour v^j of row (0, 0, p)
-    is (s_j, m_j, 1 - p).  Row (s', 0, p) is row (0, 0, p) translated by the
-    lattice vector (1 - 2p) s' omega, which lowers a screw power on the other
-    sublattice by s', so its bond j ends at (s_j - s', m_j, 1 - p).
+    These six give every bond.  The neighbour v^j of row (0, 0, p) is
+    (s_j, m_j, 1 - p).  Row (s', 0, p) is row (0, 0, p) translated by the
+    lattice vector (1 - 2p) s' omega, which lowers a screw power on the
+    other sublattice by s', so its bond j ends at (s_j - s', m_j, 1 - p).
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     _check_dimension(sym, periods)
-    qp, twist = sym.q_prime, _axial_twist(sym)
-    # s_j, m_j and target_j of rows (0, 0, p), each shaped (p, 1, j) to broadcast over s'
-    decomposed = np.array([[decompose(nb, sym) for nb in nearest_neighbors(compose(0, 0, p, sym))]
-                           for p in (0, 1)])
-    s, m, target = decomposed.transpose(2, 0, 1)[:, :, None]
-    # q' omega = b + twist c', so (u q' + s'', m, target) is row target q' + s''
-    # moved (m + twist u, u) steps along (c', b), mirrored by tau when target = 1
-    u, s = np.divmod(s - np.arange(qp)[:, None], qp)
-    flip = 1 - 2 * target
-    bonds = np.stack([target * qp + s, flip * (m + twist * u), flip * u], axis=-1)
-    return FiniteTube(sym=sym, periods=periods, bonds=bonds.reshape(2 * qp, 3, 3))
+    bonds = tuple(tuple(decompose(nb, sym) for nb in nearest_neighbors(compose(0, 0, p, sym)))
+                  for p in (0, 1))
+    return FiniteTube(sym, periods, bonds)
 
 
 def _roots(n):
@@ -159,52 +145,55 @@ def build_hamiltonian(tube, p):
     """The n*P sublattice hopping blocks T of the segment's (m, l) blocks.
 
     Shape (n*P, q', q'), block m*P + l for m < n, l < P: T[a, b] is the
-    hopping from row a (sublattice p = 0) to row q' + b (p = 1), with the
-    rows and bonds of build_finite_tube.  The (m, l) block of the hopping
-    matrix is [[epsilon I, T], [T^H, epsilon I]]; eigenvalues takes its
-    spectrum from T alone.  The bond (v, v^j) carries p.hoppings[j] (gamma,
-    or gamma e^{i beta c_j a} under a field) when the source site is on the
-    sum-0 sublattice and its conjugate otherwise, times
-    e^{2 pi i (m x / n + l y / P)} when it ends at (x, y) from its target's
-    row.  Each entry sums its bonds in the order j.  The bond table is
-    checked in integers before T is built: bond j of row r reversed by bond
-    j of its target row (the p = 1 rows are then exactly T^H), and row
-    q' + a holding row a's bonds mirrored (then T = T^T bit for bit).  With
-    x compared mod n and y mod P, as the phases see them, and bonds matched
-    by their order j, each check is exactly as strict as the dense identity
-    it stands for.  Only the p = 0 rows are assembled, so T is the one stack
-    built.  T is real exactly when n <= 2, P <= 2 and no flux.
+    hopping from row a (sublattice p = 0) to row q' + b (p = 1), and the
+    (m, l) block of the hopping matrix is [[epsilon I, T], [T^H, epsilon I]].
+    The bond (v, v^j) carries p.hoppings[j] (gamma, or gamma e^{i beta c_j a}
+    under a field) from the sum-0 sublattice and its conjugate from the
+    other, times e^{2 pi i (m x / n + l y / P)} when it ends x steps along
+    c' and y along b from its target's row.
+
+    With q' omega = b + twist c' (_axial_twist), bond j of row a ends at
+    (s_0j - a, m_0j, 1) = (u q' + b, m_0j, 1), at x = -(m_0j + twist u),
+    y = -u from row q' + b (tau reverses both), and bond j of row q' + b at
+    (s_1j - b, m_1j, 0) = (u' q' + col, m_1j, 0), at (m_1j + twist u', u')
+    from row col.  Hence:
+
+    - each (p, j) maps one sublattice's q' rows one-to-one onto the other's,
+      so every atom receives exactly three bonds;
+    - bond j of row b ends at column a with the same u, as s_0j - b =
+      u q' + a, so T[a, b] and T[b, a] sum the same values in the same
+      order j: T = T^T bit for bit;
+    - bond j of row q' + b reverses bond j of row a (so the p = 1 rows hold
+      exactly T^H), and row q' + a holds row a's bonds mirrored, exactly
+      when s_1j - s_0j = k q' with k = 0 mod P and m_1j - m_0j + twist k =
+      0 mod n: both identities give u' = u + k, and u cancels.  The phases
+      see x mod n and y mod P alone, so this is as strict as either.
+
+    That condition and the targets (1, 0) are checked on the six
+    decompositions; then T is three phased reversal-shift adds, one per j in
+    bond order, and the one stack built.  T is real exactly when n <= 2,
+    P <= 2 and no flux.
     """
-    n, periods = tube.sym.n, tube.periods
-    qp = tube.sym.q_prime
-    row, x, y = tube.bonds.transpose(2, 0, 1)
-    # the translations act freely, so an orbit receives as many bonds as each atom in it
-    if np.any(np.bincount(row.ravel(), minlength=2 * qp) != 3):
-        raise AdjacencyError("every atom must receive exactly three bonds")
-    if np.any(row // qp == (np.arange(2 * qp) // qp)[:, None]):
-        raise AdjacencyError("a bond joins two atoms of the same sublattice")
-    # only x mod n and y mod P enter a phase, so the offsets are compared as those residues
-    residues = [n, periods]
-    # bond j reverses bond j: the one of row r ending at (t, x, y) is met by row t's,
-    # ending at (r, -x, -y), so each conjugate pair sums the same bonds in the same order
-    back = tube.bonds[row, np.arange(3)]
-    if ((back[..., 0] != np.arange(2 * qp)[:, None]).any()
-            or ((back[..., 1:] + tube.bonds[..., 1:]) % residues).any()):
-        raise AdjacencyError("assembled matrix is not exactly Hermitian")
-    # the involution maps row a's bonds to row q' + a's, so with the reversal T = T^T
-    if ((row[qp:] != row[:qp] - qp).any()
-            or ((tube.bonds[qp:, :, 1:] + tube.bonds[:qp, :, 1:]) % residues).any()):
-        raise AdjacencyError("hopping block T is not exactly symmetric")
+    sym, periods = tube.sym, tube.periods
+    n, qp, twist = sym.n, sym.q_prime, _axial_twist(sym)
+    for (s0, m0, target0), (s1, m1, target1) in zip(*tube.bonds):
+        if (target0, target1) != (1, 0):
+            raise AdjacencyError("a bond joins two atoms of the same sublattice")
+        k, rem = divmod(s1 - s0, qp)
+        if rem or k % periods or (m1 - m0 + twist * k) % n:
+            raise AdjacencyError("assembled matrix is not exactly Hermitian")
     gammas = np.array(p.hoppings, dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
-    m = np.arange(n)[:, None, None, None]
-    l = np.arange(periods)[:, None, None]
-    values = gammas * _roots(n)[m * x[:qp] % n] * _roots(periods)[l * y[:qp] % periods]
-    # row a of T sums the bonds leaving row a in bond order j; its columns are the
-    # p = 1 rows
-    t = np.zeros((n * periods, qp, qp), dtype=values.dtype)
-    np.add.at(t, (m * periods + l, np.arange(qp)[:, None], row[:qp] - qp), values)
+    root_n, root_p = _roots(n), _roots(periods)
+    m = np.arange(n)[:, None, None]
+    l = np.arange(periods)[:, None]
+    a = np.arange(qp)
+    t = np.zeros((n * periods, qp, qp), dtype=np.result_type(gammas, root_n, root_p))
+    blocks = t.reshape(n, periods, qp, qp)
+    for gamma, (s, mj, _) in zip(gammas, tube.bonds[0]):
+        u, col = np.divmod(s - a, qp)
+        blocks[:, :, a, col] += gamma * root_n[m * -(mj + twist * u) % n] * root_p[l * -u % periods]
     return t
 
 

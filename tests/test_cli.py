@@ -579,6 +579,22 @@ def test_verify_dimension_error_is_input_error(monkeypatch, capsys):
     assert captured.out == "" and captured.err.startswith("error: matrix dimension")
 
 
+@pytest.mark.parametrize("stderr", [subprocess.STDOUT, subprocess.PIPE], ids=["merged", "apart"])
+def test_closed_output_pipe_exits_3(stderr):
+    # bands prints ~1.5 MB, more than a pipe buffer holds; the reader takes one line and
+    # closes the pipe, as head -1 does.  Exit 1 is reserved for a failed verification, and
+    # a failed last flush would exit 120 and print "Exception ignored"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen([sys.executable, "-m", "cntbands.cli", "bands", "--c", "8,0,-8"],
+                          env=env, stdout=subprocess.PIPE, stderr=stderr) as proc:
+        assert proc.stdout.readline() == b"m,kappa,E_minus,E_plus\n"
+        proc.stdout.close()
+        err = proc.stderr.read() if proc.stderr else b""
+        assert proc.wait(timeout=60) == 3
+    assert b"Exception ignored" not in err
+    assert err == (b"error: BrokenPipeError: [Errno 32] Broken pipe\n" if proc.stderr else b"")
+
+
 def modules_after(statement, *argv):
     """Names in sys.modules after a fresh interpreter runs statement, sys.argv[1:] = argv."""
     code = f"import sys\n{statement}\nprint(*sys.modules, file=sys.stderr)"

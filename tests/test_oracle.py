@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -67,6 +66,26 @@ def test_site_counts(c, periods, expected):
     assert oracle.compare_spectra(c, sym, periods, P_UNIFORM, tol=1e-8).dimension == expected
 
 
+def loop_bond_table(tube):
+    """The segment's bonds as a (2q', 3, 3) table, one (p, j) at a time, as a reference.
+
+    bonds[r, j] = (row, x, y) for the bond v -> v^j leaving row r, which ends
+    at row's atom moved x steps along c' and y steps along b.  Row (s', 0, p)
+    is row (0, 0, p) moved by a lattice vector, so its bond j ends at
+    (s_j - s', m_j, target_j), that is at row target_j q' + s'' moved
+    (m_j + twist u, u) along (c', b), mirrored by tau when target_j = 1,
+    where s_j - s' = u q' + s''.
+    """
+    qp, twist = tube.sym.q_prime, oracle._axial_twist(tube.sym)
+    bonds = np.empty((2, 3, 3, qp), dtype=np.int64)
+    for p in (0, 1):
+        for j, (s, m, target) in enumerate(tube.bonds[p]):
+            u, s = divmod(s - np.arange(qp), qp)
+            flip = 1 - 2 * target
+            bonds[p, j] = target * qp + s, flip * (m + twist * u), flip * u
+    return bonds.transpose(0, 3, 1, 2).reshape(2 * qp, 3, 3)
+
+
 BUILD_TUBES = [(4, -1, -3), (2, 0, -2), (4, -2, -2), (5, 0, -5), (7, -1, -6), (6, -2, -4),
                (9, -3, -6), (7, -3, -4), (8, -4, -4), (10, -1, -9)]
 
@@ -84,7 +103,7 @@ def test_array_build_matches_scalar_reference(c, periods):
     tube = oracle.build_finite_tube(sym, periods)
     atoms = segment_atoms(sym, periods)
     assert tube.periods == periods
-    assert tube.bonds.shape == (2 * qp, 3, 3)
+    bonds = loop_bond_table(tube)
     for r in range(2 * qp):
         rep = compose(r % qp, 0, r // qp, sym)
         # the rows below q' are the sum-0 sublattice, whose bonds carry gamma unconjugated
@@ -92,7 +111,7 @@ def test_array_build_matches_scalar_reference(c, periods):
         for j, nb in enumerate(nearest_neighbors(rep)):
             # the key's s differs from the neighbour's own by a multiple of P q'
             s, _, p = atoms[segment_key(nb, sym, periods)]
-            row, x, y = tube.bonds[r, j].tolist()
+            row, x, y = bonds[r, j].tolist()
             assert row == p * qp + s % qp
             # the neighbour is its row's atom moved x steps along c' and y along b
             moved = [v + x * cp + y * b for v, cp, b in
@@ -115,19 +134,6 @@ def test_build_decomposes_six_bonds(monkeypatch, c, periods):
     assert len(calls) == 6
 
 
-def loop_bond_table(sym, periods):
-    """build_finite_tube's bond table one (p, j) at a time, as a reference."""
-    qp, twist = sym.q_prime, oracle._axial_twist(sym)
-    bonds = np.empty((2, qp, 3, 3), dtype=np.int64)
-    for p in (0, 1):
-        for j, nb in enumerate(nearest_neighbors(compose(0, 0, p, sym))):
-            s, m, target = decompose(nb, sym)
-            u, s = np.divmod(s - np.arange(qp), qp)
-            flip = 1 - 2 * target
-            bonds[p, :, j] = np.stack([target * qp + s, flip * (m + twist * u), flip * u], axis=-1)
-    return bonds.reshape(2 * qp, 3, 3)
-
-
 def pool(c0_max):
     """The benchmark's survey pool of chiralities c0 > c1 >= c2, up to a largest c0."""
     return [(c0, c1, -c0 - c1) for c0 in range(1, c0_max + 1) for c1 in range(-(c0 // 2), c0)]
@@ -135,25 +141,30 @@ def pool(c0_max):
 
 @pytest.mark.parametrize("periods", [1, 2])
 def test_bond_table_matches_loop_reference(periods):
+    # loop_bond_table shifts the screw powers of the six decompositions for every row: each
+    # sampled row's own neighbours decompose to exactly those shifted coordinates
     for c in pool(44):
         sym = tube_symmetry(c)
         if 2 * sym.q * periods > oracle.MAX_DIM:
             continue
-        bonds = oracle.build_finite_tube(sym, periods).bonds
-        ref = loop_bond_table(sym, periods)
-        assert bonds.dtype == ref.dtype and bonds.flags.c_contiguous
-        assert np.array_equal(bonds, ref), c
+        tube = oracle.build_finite_tube(sym, periods)
+        assert all(type(v) is int for row in tube.bonds for bond in row for v in bond)
+        qp = sym.q_prime
+        for p, row in enumerate(tube.bonds):
+            for r in {0, 1 % qp, qp // 2, qp - 1}:
+                own = [decompose(nb, sym) for nb in nearest_neighbors(compose(r, 0, p, sym))]
+                assert own == [(s - r, m, target) for s, m, target in row], (c, p, r)
 
 
 def test_three_regular_symmetric_bonds():
     for c in [(5, 0, -5), (4, -1, -3), (6, -2, -4)]:
         sym = tube_symmetry(c)
-        tube = oracle.build_finite_tube(sym, 2)
-        assert np.bincount(tube.bonds[..., 0].ravel()).tolist() == [3] * 2 * sym.q_prime
+        table = loop_bond_table(oracle.build_finite_tube(sym, 2))
+        assert np.bincount(table[..., 0].ravel()).tolist() == [3] * 2 * sym.q_prime
         # each bond r -> (row, x, y) has a reverse row -> (r, -x, -y); x counts
         # steps along c', so it is defined mod n
         bonds = Counter((r, row, x % sym.n, y)
-                        for r, table in enumerate(tube.bonds.tolist()) for row, x, y in table)
+                        for r, leaving in enumerate(table.tolist()) for row, x, y in leaving)
         for (r, row, x, y), count in bonds.items():
             assert bonds[(row, r, -x % sym.n, -y)] == count
 
@@ -186,16 +197,17 @@ def assembled_blocks(t, epsilon):
 
 
 def two_half_hamiltonian(tube, p):
-    """build_hamiltonian's T with both halves assembled densely, as a reference.
+    """build_hamiltonian's T with both halves of loop_bond_table assembled densely: a reference.
 
     The p = 1 rows are assembled into a stack of their own, conjugated and
     compared exactly with T^T, then with T, which given the first identity is
-    T = T^T; either failure raises build_hamiltonian's AdjacencyError.  Bond
-    degrees and sublattices are not checked.
+    T = T^T; either failure raises AdjacencyError with build_hamiltonian's
+    Hermitian message or the symmetry one.  Bond degrees and sublattices are
+    not checked.
     """
     n, periods = tube.sym.n, tube.periods
     qp = tube.sym.q_prime
-    row, x, y = np.moveaxis(tube.bonds, -1, 0)
+    row, x, y = np.moveaxis(loop_bond_table(tube), -1, 0)
     gammas = np.array(p.hoppings, dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
@@ -320,7 +332,7 @@ def test_blocks_match_dense_reference(c, beta):
 
 
 def test_hopping_stack_holds_one_buffer():
-    # the p = 1 rows are checked in the bond table: only T is allocated
+    # the p = 1 rows are checked on the six decompositions: only T is allocated
     tube = oracle.build_finite_tube(tube_symmetry((14, 1, -15)), 1)
     tracemalloc.start()
     try:
@@ -561,85 +573,141 @@ def test_mismatched_chirality_rejected():
         oracle.compare_spectra((5, 0, -5), sym, 1, P_UNIFORM, tol=1e-8)
 
 
-def test_redirected_bond_fails_degree_check():
-    tube = oracle.build_finite_tube(tube_symmetry((4, -1, -3)), 2)
-    bonds = tube.bonds.copy()
-    bonds[0, 0, 0] = (bonds[0, 0, 0] + 1) % len(bonds)
-    with pytest.raises(oracle.AdjacencyError, match="three bonds"):
-        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+def moved(tube, *moves):
+    """tube with each move (p, j, ds, dm) added to the screw and rotation power of bonds[p][j]."""
+    bonds = [list(row) for row in tube.bonds]
+    for p, j, ds, dm in moves:
+        s, m, target = bonds[p][j]
+        bonds[p][j] = (s + ds, m + dm, target)
+    return tube._replace(bonds=tuple(map(tuple, bonds)))
 
 
 def test_same_sublattice_bonds_fail_bipartite_check():
     tube = oracle.build_finite_tube(tube_symmetry((4, -1, -3)), 2)
     qp = tube.sym.q_prime
-    bonds = tube.bonds.copy()
-    # swap the targets of a p = 0 and a p = 1 row: every degree stays 3
-    bonds[0, 0, 0], bonds[qp, 0, 0] = bonds[qp, 0, 0], bonds[0, 0, 0]
-    assert np.bincount(bonds[..., 0].ravel()).tolist() == [3] * 2 * qp
+    # swap the targets of bond 0 of rows (0, 0, 0) and (0, 0, 1): every degree stays 3
+    (s0, m0, target0), (s1, m1, target1) = tube.bonds[0][0], tube.bonds[1][0]
+    swapped = tube._replace(bonds=(((s0, m0, target1), *tube.bonds[0][1:]),
+                                   ((s1, m1, target0), *tube.bonds[1][1:])))
+    assert np.bincount(loop_bond_table(swapped)[..., 0].ravel()).tolist() == [3] * 2 * qp
     with pytest.raises(oracle.AdjacencyError, match="sublattice"):
-        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+        oracle.build_hamiltonian(swapped, P_UNIFORM)
 
 
 def test_shifted_bond_offset_fails_hermitian_check():
     tube = oracle.build_finite_tube(tube_symmetry((5, 0, -5)), 2)
-    for axis in (1, 2):  # one step further along c', or along b
-        bonds = tube.bonds.copy()
-        bonds[0, 0, axis] += 1
+    for ds, dm in ((0, 1), (1, 0)):  # one step further along c', or one screw step
         with pytest.raises(oracle.AdjacencyError, match="Hermitian"):
-            oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
-
-
-def reversed_bond(bonds, n, r, j):
-    """(target, i): bonds[target, i] reverses bonds[r, j], with x compared mod n."""
-    target, x, y = bonds[r, j].tolist()
-    return target, next(i for i, (row, xr, yr) in enumerate(bonds[target].tolist())
-                        if (row, xr % n, yr) == (r, -x % n, -y))
+            oracle.build_hamiltonian(moved(tube, (0, 0, ds, dm)), P_UNIFORM)
 
 
 @pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2)])
-@pytest.mark.parametrize("axis", [1, 2])  # along c', or along b
-def test_shifted_bond_pair_fails_symmetric_check(c, axis):
+@pytest.mark.parametrize("axis", [1, 2])  # along c', or one screw step
+def test_shifted_bond_pair_stays_symmetric(c, axis):
+    # moving both decompositions of direction j keeps the pair Hermitian, and T = T^T holds
+    # by construction: the dense two-half reference, which compares the p = 1 rows with T^T
+    # and with T, builds the same moved T bit for bit
     tube = oracle.build_finite_tube(tube_symmetry(c), 2)
-    n, qp = tube.sym.n, tube.sym.q_prime
-    bonds = tube.bonds.copy()
-    # a bond row 0 -> row q' + k, k != 0, and its reverse row q' + k -> row 0
-    j = next(j for j in range(3) if bonds[0, j, 0] != qp)
-    target, rev = reversed_bond(bonds, n, 0, j)
-    # moving both ends keeps the pair Hermitian and every degree at 3
-    bonds[0, j, axis] += 1
-    bonds[target, rev, axis] -= 1
-    with pytest.raises(oracle.AdjacencyError, match="symmetric"):
-        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), P_UNIFORM)
+    ds, dm = ((0, 1), (1, 0))[axis - 1]
+    want = oracle.build_hamiltonian(tube, P_UNIFORM)
+    for j in range(3):
+        t = builds_like_reference(moved(tube, (0, j, ds, dm), (1, j, ds, dm)), P_UNIFORM)
+        assert np.array_equal(t, np.swapaxes(t, -1, -2))
+        assert not np.array_equal(t, want)
 
 
 @pytest.mark.parametrize("c", [(5, 0, -5), (4, -2, -2), (7, -3, -4)])
 @pytest.mark.parametrize("axis", [1, 2])  # along c', or along b
 def test_bond_offsets_count_modulo_their_period(c, axis):
     # a phase sees x mod n and y mod P: moving a bond by a whole period builds the same T,
-    # moving it by one step raises, unless that step is a whole period (n = 1), exactly
-    # where the dense two-half checks do
+    # moving one end by one step raises, unless that step is a whole period (n = 1), exactly
+    # where the dense two-half checks do, and moving both ends keeps T Hermitian
     periods = 3
     tube = oracle.build_finite_tube(tube_symmetry(c), periods)
-    n, qp = tube.sym.n, tube.sym.q_prime
+    n, qp, twist = tube.sym.n, tube.sym.q_prime, oracle._axial_twist(tube.sym)
+    # a step along c' adds (0, 1) to (s, m), one along b (q', -twist): q' omega = b + twist c'
+    ds, dm = ((0, 1), (qp, -twist))[axis - 1]
     period = (n, periods)[axis - 1]
-    j = next(j for j in range(3) if tube.bonds[0, j, 0] != qp)
-    target, rev = reversed_bond(tube.bonds, n, 0, j)
     for p in (P_UNIFORM, bands.magnetic_params(1.0, 0.2 / A, c, A)):
         want = oracle.build_hamiltonian(tube, p)
-        for step in (period, -period, 1):
-            one, pair = tube.bonds.copy(), tube.bonds.copy()
-            one[0, j, axis] += step
-            # moving both ends of the pair keeps it Hermitian
-            pair[0, j, axis] += step
-            pair[target, rev, axis] -= step
-            for bonds, match in ((one, "Hermitian"), (pair, "symmetric")):
-                t = builds_like_reference(dataclasses.replace(tube, bonds=bonds), p)
+        for j in range(3):
+            for step in (period, -period, 1):
+                one = moved(tube, (0, j, step * ds, step * dm))
+                pair = moved(tube, (0, j, step * ds, step * dm), (1, j, step * ds, step * dm))
+                t = builds_like_reference(one, p)
                 if step % period:
                     assert t is None
-                    with pytest.raises(oracle.AdjacencyError, match=match):
-                        oracle.build_hamiltonian(dataclasses.replace(tube, bonds=bonds), p)
+                    with pytest.raises(oracle.AdjacencyError, match="Hermitian"):
+                        oracle.build_hamiltonian(one, p)
                 else:
                     assert same_bits(t, want)
+                t = builds_like_reference(pair, p)
+                assert t is not None and same_bits(t, want) == (step % period == 0)
+
+
+def table_verdict(tube):
+    """The first failing check of loop_bond_table's four integer identities, or None.
+
+    The checks build_hamiltonian made on the bond table before it checked the
+    six decompositions: every row receives three bonds, every bond joins the
+    sublattices, bond j of row r is reversed by bond j of its target row, and
+    row q' + a holds row a's bonds mirrored, with x compared mod n and y mod P.
+    """
+    n, periods, qp = tube.sym.n, tube.periods, tube.sym.q_prime
+    bonds = loop_bond_table(tube)
+    row = bonds[..., 0]
+    if np.any(np.bincount(row.ravel(), minlength=2 * qp) != 3):
+        return "degree"
+    if np.any(row // qp == (np.arange(2 * qp) // qp)[:, None]):
+        return "sublattice"
+    residues = [n, periods]
+    back = bonds[row, np.arange(3)]
+    if ((back[..., 0] != np.arange(2 * qp)[:, None]).any()
+            or ((back[..., 1:] + bonds[..., 1:]) % residues).any()):
+        return "Hermitian"
+    if ((row[qp:] != row[:qp] - qp).any()
+            or ((bonds[qp:, :, 1:] + bonds[:qp, :, 1:]) % residues).any()):
+        return "symmetric"
+    return None
+
+
+def mutations(tube):
+    """The distinct decomposition sets one mistake away from tube's: a screw or rotation power
+    shifted, a target flipped, or two bonds of one row swapped."""
+    qp, n, periods = tube.sym.q_prime, tube.sym.n, tube.periods
+    sets = set()
+    for p in (0, 1):
+        for j in range(3):
+            for shift in (1, 2, 3, qp, periods * qp, n):
+                for sign in (1, -1):
+                    sets.add(moved(tube, (p, j, sign * shift, 0)).bonds)
+                    sets.add(moved(tube, (p, j, 0, sign * shift)).bonds)
+            bonds = [list(row) for row in tube.bonds]
+            s, m, target = bonds[p][j]
+            bonds[p][j] = (s, m, 1 - target)
+            sets.add(tuple(map(tuple, bonds)))
+            bonds = [list(row) for row in tube.bonds]
+            bonds[p][j], bonds[p][j - 1] = bonds[p][j - 1], bonds[p][j]
+            sets.add(tuple(map(tuple, bonds)))
+    return [tube._replace(bonds=bonds) for bonds in sorted(sets)]
+
+
+def test_scalar_checks_match_the_bond_table_checks():
+    # the two scalar conditions on the six decompositions pass exactly the decomposition sets
+    # whose expanded bond table passes all four table checks; the mirror check never fails
+    # first, as it reduces to the same condition as the reversal check
+    cases = Counter()
+    for c in pool(6):
+        for periods in (1, 2, 3, 4):
+            for tube in mutations(oracle.build_finite_tube(tube_symmetry(c), periods)):
+                verdict = table_verdict(tube)
+                if verdict is None:
+                    oracle.build_hamiltonian(tube, P_UNIFORM)
+                else:
+                    with pytest.raises(oracle.AdjacencyError):
+                        oracle.build_hamiltonian(tube, P_UNIFORM)
+                cases[verdict] += 1
+    assert set(cases) == {None, "degree", "Hermitian"} and sum(cases.values()) > 14000
 
 
 def test_dropped_block_fails_spectrum_length_check(monkeypatch):
