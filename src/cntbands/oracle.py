@@ -48,18 +48,17 @@ block is diagonalized.
 
 The sorted values of all blocks must reproduce, as a multiset, the analytic
 two-band values at the Bloch-quantized points of the allowed k-lines: grid
-points of lines.line_numerators, whose integer phases `bands` prints from,
-evaluated here in numpy.  Agreement to rounding error is the whole point.
+points of lines.line_numerators, phased by lines._turn and lines._offsets
+as `bands` phases its rows.  Agreement to rounding error is the whole point.
 """
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geom import inner
-from .lines import EIGHTH_TURN, QUARTER_TURNS, line_numerators
+from .lines import _offsets, _turn, line_numerators
 from .honeycomb import nearest_neighbors
 from .tube import compose, decompose
 
@@ -130,14 +129,12 @@ def build_finite_tube(sym, periods):
 def _roots(n):
     """The n-th roots of unity e^{2 pi i k / n}, k < n, paired exactly.
 
-    root[n - k] is conj(root[k]) bit for bit, root[0] = 1 and root[n/2] = -1,
-    so blocks built from them are exactly Hermitian; real for n <= 2.
+    root[k] is lines._turn(k, n) for k <= n/2, so root[0] = 1 and root[n/2] =
+    -1 exactly, and root[n - k] is conj(root[k]) bit for bit: blocks built
+    from them are exactly Hermitian; real for n <= 2.
     """
-    root = np.exp(2j * math.pi * np.arange(n) / n)
-    root[0] = 1.0
-    root[n // 2 + 1:] = root[1:(n + 1) // 2][::-1].conj()
-    if n % 2 == 0:
-        root[n // 2] = -1.0
+    half = [_turn(k, n) for k in range(n // 2 + 1)]
+    root = np.array(half + [z.conjugate() for z in half[(n - 1) // 2:0:-1]])
     return root.real if n <= 2 else root
 
 
@@ -261,35 +258,25 @@ def _paired_spectrum(t, n, periods, real):
     return np.sort(np.concatenate(parts))
 
 
-def _bloch_numerators(sym, periods):
-    """(nums, den): Bloch point (m, l) has the bond phases 2 pi nums[j, m, l] / den, j = 0, 1.
-
-    Axial closure puts line m's point l < P q' at kappa a / 2 pi =
-    (m twist mod n) / n + l / P: grid point (m twist mod n) P + n l of
-    lines.line_numerators at S = n P q' samples.  den = C B S = 3 q^3 P <=
-    3 * 2^33 as MAX_DIM bounds 2 q P by 2^12, so with the numerators reduced
-    mod den in Python ints first, every int64 product stays below 3 * 2^44 <
-    2^46 (n <= q) and every sum below 2^47.
-    """
-    n, points = sym.n, periods * sym.q_prime
-    across, along, den = line_numerators(sym, n * points)
-    x, s = (np.array([v % den for v in pair])[:, None, None] for pair in (across, along))
-    m = np.arange(n)[:, None]
-    first = m * (_axial_twist(sym) % n) % n * periods  # grid index of (m, 0)
-    return (m * x + first * s) % den + np.arange(points) * (n * s % den), den
-
-
 def analytic_spectrum(sym, periods, p):
     """Zone-folded eigenvalues of the same segment, sorted: at each of the P*q' Bloch points
-    of each line, eps +- |gamma_0 e^{i (k_0 - k_2) a} + gamma_1 e^{i (k_1 - k_2) a} + gamma_2|."""
+    of each line, eps +- |gamma_0 e^{i (k_0 - k_2) a} + gamma_1 e^{i (k_1 - k_2) a} + gamma_2|.
+
+    Axial closure puts line m's point l < P q' at grid point first_m + n l, first_m = (m twist
+    mod n) P, of lines.line_numerators at S = n P q'.  Its modulus is lines._moduli's |L_0 T_0(l)
+    + L_1 T_1(l) + gamma_2|, L_j gamma_j times the phasor of first_m.  S steps turn each phase
+    whole: T_j(l) = R(l k_j mod P q'), k_j = S along_j / den, R the lines._offsets P q'-th roots.
+    """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    nums, den = _bloch_numerators(sym, periods)
-    # each phasor as lines._turn rounds it: from an angle within pi / 4, turned by i^k
-    k, r = np.divmod(8 * nums + den, 2 * den)
-    z = np.exp(1j * EIGHTH_TURN * ((r - den) / den)) * np.array(QUARTER_TURNS)[k & 3]
-    h0, h1, h2 = p.hoppings
-    mod = np.abs(h0 * z[0] + h1 * z[1] + h2).ravel()
+    n, points = sym.n, periods * sym.q_prime
+    across, along, den = line_numerators(sym, n * points)
+    twist, gammas = _axial_twist(sym) % n, p.hoppings
+    lead = np.array([[g * _turn(m * x + m * twist % n * periods * s, den)
+                      for g, x, s in zip(gammas, across, along)] for m in range(n)])
+    root = np.fromiter(_offsets((1,), points, points)[0], complex, points)
+    t0, t1 = (root[np.arange(points) * (n * points * s // den % points) % points] for s in along)
+    mod = np.abs(lead[:, :1] * t0 + lead[:, 1:] * t1 + gammas[2]).ravel()
     return np.sort(np.concatenate([p.epsilon + mod, p.epsilon - mod]))
 
 

@@ -453,7 +453,11 @@ def mp_bloch_moduli(sym, periods, p, dps=40):
 
 @pytest.mark.parametrize("c,periods,flux", [
     ((18, 7, -25), 1, 0.0), ((25, -7, -18), 1, 0.0), ((7, 4, -11), 13, 0.0),
-    ((7, 4, -11), 13, 0.37), ((8, 0, -8), 33, 0.21)])
+    ((7, 4, -11), 13, 0.37), ((8, 0, -8), 33, 0.21),
+    # the largest segments MAX_DIM allows, whose phase numerators are the largest
+    *[(c, periods, flux) for c, periods in [((47, 14, -61), 1), ((1024, 0, -1024), 1),
+                                             ((2048, -1024, -1024), 1), ((8, 0, -8), 128)]
+      for flux in (0.0, 0.37)]])
 def test_analytic_spectrum_matches_mpmath(c, periods, flux):
     # the Bloch points' phases are reduced in integers, so no float kappa of size ~q' rounds
     # into them (a float parametrization was up to 3.7e-14 off here)
@@ -466,26 +470,53 @@ def test_analytic_spectrum_matches_mpmath(c, periods, flux):
         assert max(abs(g - r) for g, r in zip(got, ref)) <= 2e-15 * p.gamma
 
 
-@pytest.mark.parametrize("c,periods", [
-    ((47, 14, -61), 1), ((1024, 0, -1024), 1), ((2048, -1024, -1024), 1), ((8, 0, -8), 128)])
-def test_bloch_numerators_stay_exact_in_int64(c, periods):
-    # the largest segments MAX_DIM allows: den = 3 q^3 P <= 3 * 2^33 and every numerator
-    # below 2^46, equal mod den to its Python-int value
+def test_roots_pair_exactly_within_rounding_of_mpmath():
+    # np.exp roots were 1.02e-15 off at n = 196, k = 93
+    with mpmath.workdps(40):
+        for n in [*range(1, 200), 256, 331, 509, 997, 1024, 1500, 2039, 2048]:
+            root = oracle._roots(n).astype(complex)
+            assert root[0] == 1 and (n % 2 or root[n // 2] == -1)
+            k = np.arange(1, (n + 1) // 2)
+            assert same_bits(root[n - k], root[k].conj())
+            assert max(abs(mpmath.mpc(z) - mpmath.expjpi(mpmath.mpf(2 * j) / n))
+                       for j, z in enumerate(root)) <= 6e-16
+
+
+def printed_bloch_rows(c, sym, periods, p):
+    """(E_plus - eps, at K) of the band_blocks rows of verify's Bloch points.
+
+    At S = n P q' samples these are line m's grid points first_m + n l, first_m
+    = (m twist mod n) P, l < P q', taken mod S; rows added off the grid at K
+    are skipped.
+    """
+    n, points = sym.n, periods * sym.q_prime
+    samples, twist = n * points, oracle._axial_twist(sym) % n
+    rows = []
+    for m in range(n):
+        k_rows = lines._k_rows(c, sym, m, samples, p)
+        added = {kk for _, kk, _ in k_rows if kk is not None}
+        on_k = {i for i, kk, _ in k_rows if kk is None}
+        grid = [plus for _, kappa, _, block in lines.band_blocks(c, sym, m, samples, p)
+                for kk, plus in zip(kappa, block) if kk not in added]
+        assert len(grid) == samples
+        first = m * twist % n * periods
+        rows += [(grid[i] - p.epsilon, i in on_k)
+                 for i in ((first + n * l) % samples for l in range(points))]
+    return rows
+
+
+@pytest.mark.parametrize("c,periods,k_rows", [
+    ((4, -1, -3), 2, 0), ((7, -2, -5), 1, 0), ((7, -2, -5), 3, 2),
+    ((5, 0, -5), 2, 0), ((4, -2, -2), 2, 0), ((4, -2, -2), 3, 2), ((6, 0, -6), 1, 2)])
+@pytest.mark.parametrize("flux", [0.0, 0.37])
+def test_verify_checks_the_moduli_bands_prints(c, periods, k_rows, flux):
     sym = tube_symmetry(c)
-    assert 4000 < 2 * sym.q * periods <= oracle.MAX_DIM
-    (n0, n1), den = oracle._bloch_numerators(sym, periods)
-    assert den == 3 * sym.q ** 3 * periods <= 3 * 2 ** 33
-    across, along, whole = lines.line_numerators(sym, sym.n * periods * sym.q_prime)
-    assert whole == den
-    twist = oracle._axial_twist(sym) % sym.n
-    for nums, x, s in ((n0, across[0], along[0]), (n1, across[1], along[1])):
-        assert nums.dtype == np.int64 and nums.shape == (sym.n, periods * sym.q_prime)
-        assert 0 <= nums.min() and nums.max() < 2 ** 46
-        exact = [[(m * x + (m * twist % sym.n * periods + sym.n * l) * s) % den
-                  for l in range(periods * sym.q_prime)] for m in range(sym.n)]
-        assert (nums % den).tolist() == exact
-    spec = oracle.analytic_spectrum(sym, periods, P_UNIFORM)
-    assert len(spec) == 2 * sym.q * periods and np.all(np.abs(spec) <= 3.0)
+    p = flux_params(c, flux)
+    rows = printed_bloch_rows(c, sym, periods, p)
+    printed = np.sort([s * v for v, _ in rows for s in (1, -1)])
+    assert np.max(np.abs(printed - oracle.analytic_spectrum(sym, periods, p))) <= 1e-15 * p.gamma
+    at_k = [v for v, k in rows if k]
+    assert len(at_k) == k_rows and (flux or at_k == [0.0] * k_rows)
 
 
 @pytest.mark.parametrize("c,periods", [
