@@ -13,7 +13,8 @@ on `bands`' gap search, all in Python floats and integers.  numpy and
 dataclasses, and `json` only for the commands that print JSON or read
 --config.  A band point is the exact product of a line phasor and an offset
 phasor, both reduced in integers (`lines`).  CSV is written in blocks of
-lines.BLOCK rows, each formatted by one %.
+lines.BLOCK rows, each formatted by one %; at epsilon = +-0.0 `bands`
+formats each modulus once for both of its band columns.
 """
 
 import argparse
@@ -195,17 +196,27 @@ def cmd_bands(args, cfg):
                          f"exceed {MAX_GRID}")
     p = lines.uniform_params(cfg.gamma, cfg.epsilon, cfg.a)
 
+    # at epsilon = +-0.0, E_plus is the modulus v and E_minus is -v, and %.12g is symmetric in
+    # sign: E_minus prints as "-" and E_plus's text, each modulus formatted once.  Where v = 0.0
+    # that is "-0", E_minus at epsilon = -0.0 but not at +0.0, whose blocks holding a zero
+    # format both columns.
+    once = p.epsilon == 0.0
+    negative = math.copysign(1.0, p.epsilon) < 0.0
+
     def blocks():  # one block of one line at a time
         kappa_text = {}  # grid block key -> its kappa column, formatted once for all n lines
         for m in range(sym.n):
-            row_format = f"{m},%s,%.12g,%.12g\n"
             for key, kappa, e_minus, e_plus in lines.band_blocks(c, sym, m, cfg.resolution, p):
                 text = kappa_text.get(key)
                 if text is None:
                     text = ("%.12g\n" * len(kappa)) % tuple(kappa)
                     if key is not None and m + 1 < sym.n:
                         kappa_text[key] = text
-                yield row_format, (text.split(), e_minus, e_plus)
+                if once and (negative or 0.0 not in e_plus):
+                    e_plus = e_minus = (("%.12g\n" * len(e_plus)) % tuple(e_plus)).split()
+                    yield f"{m},%s,-%s,%s\n", (text.split(), e_minus, e_plus)
+                else:
+                    yield f"{m},%s,%.12g,%.12g\n", (text.split(), e_minus, e_plus)
 
     _emit(_csv(("m", "kappa", "E_minus", "E_plus"), blocks()), cfg)
     return EXIT_OK

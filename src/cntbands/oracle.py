@@ -1,47 +1,54 @@
 """Independent spectral cross-check against an explicit finite Hamiltonian.
 
 A tube segment of P translational periods, closed with axial periodic
-boundary, has 2*q*P atoms.  Translation by c' = c/n and translation by the
-axial period b both map atoms to atoms and bonds to bonds, and they generate
-a group Z_n x Z_P that splits the atoms into 2*q' orbits, one representative
-(s', 0, p), s' < q', each.  The screw omega^s' is a lattice translation, so
-the bonds of row s' are those of row 0 moved by it: we decompose the three
-neighbours of (0, 0, p), p = 0, 1, exactly (integer reduction modulo Zc via
-the screw/rotation/flip coordinates), and shifting their screw powers gives
-every row's bonds a target orbit and an integer (c', b) offset.  The hopping
-matrix then splits into n*P Hermitian blocks of size 2*q', one per pair
-(m, l) of quantum numbers.  The blocks use only this relabelling, not the
-screw-line formula under test.
+boundary, has 2*q*P atoms.  q' is even, so the half-period screw
+g = (q'/2) omega, with g^2 = q' omega = b + twist c' (_axial_twist), is a
+lattice translation outside the group of c' = c/n and the axial period b.
+Translation by c' and by g map atoms to atoms and bonds to bonds, and on the
+segment they generate a group of order 2nP that splits the atoms into q'
+orbits, one representative (s', 0, p), s' < h = q'/2, each.  The screw
+omega^s' is a lattice translation, so the bonds of row s' are those of row 0
+moved by it: we decompose the three neighbours of (0, 0, p), p = 0, 1,
+exactly (integer reduction modulo Zc via the screw/rotation/flip
+coordinates), and shifting their screw powers gives every row's bonds a
+target orbit and an integer (c', g) offset.  The hopping matrix then splits
+into 2nP Hermitian blocks of size q', one per character (m, e) of the group:
+e^{2 pi i m / n} on c' and e^{2 pi i e / 2nP} on g, with e mod 2nP and
+e = m twist P mod n, so that c = n c' and P b = 2P g - P twist c' act
+trivially.  This is the line-group Bloch block of Damnjanovic et al. (PRB 60,
+2728, 1999) split once more by the screw.  The blocks use only this
+relabelling, not the screw-line formula under test: the remaining q'/2
+screw steps stay dense.
 
 Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
-[[eps I, T], [T^H, eps I]] for a q' x q' hopping block T, and its
+[[eps I, T], [T^H, eps I]] for an h x h hopping block T, and its
 eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
 only T, assembled from the p = 0 rows alone: that the p = 1 rows hold
 exactly T^H is one integer condition per bond direction on the six
 decompositions, checked there (build_hamiltonian).  verify holds at most
-two stacks of n*P*q'^2*itemsize <= (qP)^2 * itemsize bytes at once (T and
-LAPACK's working copy, or T and the halves of compare_spectra's pairing
-check), at most 32 MiB real or 64 MiB complex under MAX_DIM.
+two stacks of n*P*q'^2/2*itemsize <= (qP)^2/2 * itemsize bytes at once (T
+and LAPACK's working copy, or T and the halves of compare_spectra's pairing
+check), at most 16 MiB real or 32 MiB complex under MAX_DIM.
 
 The involution v -> Theta - v swaps the sublattices: it maps row a, the
-atom a omega, to row q' + a, the atom Theta - a omega, and the bond
+atom a omega, to row h + a, the atom Theta - a omega, and the bond
 v -> v^j to the bond (Theta - v) -> (Theta - v)^j, with the conjugate
-hopping and the opposite (c', b) offset.  So row q' + a of a block holds
+hopping and the opposite (c', g) offset.  So row h + a of a block holds
 conj(T[a, b]) in column b, where Hermiticity puts conj(T[b, a]): every T is
 symmetric, T = T^T (the U axis of the tube's line group), and bit for bit
 by construction.  A real symmetric T with eigenvalues lambda has singular
 values |lambda|, so its block's spectrum is eps +- lambda from one eigvalsh
 of T.  A complex T is complex symmetric, not Hermitian, and keeps the
-singular value decomposition.  T is real exactly when n <= 2, P <= 2 and
-no flux is applied.
+singular value decomposition.  T is real exactly when n = P = 1 and no flux
+is applied: the characters are then +-1.
 
-With real hoppings every phase of block (-m mod n, -l mod P) is the exact
-conjugate of the same phase of block (m, l), so T_{-m,-l} = conj(T_{m,l})
+With real hoppings every phase of block (-m mod n, -e mod 2nP) is the exact
+conjugate of the same phase of block (m, e), so T_{-m,-e} = conj(T_{m,e})
 bit for bit (time reversal pairs the Bloch irreps of the line group) and
 the two blocks share their singular values.  compare_spectra checks that
 pairing exactly and diagonalizes one block per pair, counting its values
-twice.  A block with 2m = 0 mod n and 2l = 0 mod P is its own partner: its
+twice.  A block with 2m = 0 mod n and e = 0 or nP is its own partner: its
 T must be exactly real, and it takes eigvalsh even when the stack is complex.
 Under flux the hoppings are complex, no block has a partner, and every
 block is diagonalized.
@@ -76,11 +83,11 @@ class DimensionError(ValueError):
 class FiniteTube(namedtuple("FiniteTube", "sym periods bonds")):
     """A P-period tube segment and the six bond decompositions that give all its bonds.
 
-    The translations by c' and by b split the segment's 2qP atoms into 2q'
-    orbits; row p*q' + s' is the representative (s', 0, p), s' < q', so the
-    rows below q' are the sum-0 sublattice.  bonds[p][j] = (s_j, m_j,
-    target_j), Python ints, are the coordinates (decompose) of the
-    neighbour v^j of row (0, 0, p).
+    The translations by c' and by the half-period screw g split the
+    segment's 2qP atoms into q' orbits; row p*h + s' is the representative
+    (s', 0, p), s' < h = q'/2, so the rows below h are the sum-0 sublattice.
+    bonds[p][j] = (s_j, m_j, target_j), Python ints, are the coordinates
+    (decompose) of the neighbour v^j of row (0, 0, p).
     """
 
     __slots__ = ()
@@ -90,8 +97,9 @@ def _check_dimension(sym, periods):
     """Raise DimensionError when the segment's 2qP atoms exceed MAX_DIM.
 
     This bounds verify's memory: T and LAPACK's working copy each take at
-    most n*P*q'^2*itemsize = P*q*q'*itemsize <= (qP)^2 * itemsize bytes, and
-    qP <= MAX_DIM / 2 = 2048 makes that 32 MiB real or 64 MiB complex.
+    most 2nP (q'/2)^2 itemsize = n*P*q'^2/2*itemsize = P*q*q'/2*itemsize <=
+    (qP)^2/2 * itemsize bytes, and qP <= MAX_DIM / 2 = 2048 makes that
+    16 MiB real or 32 MiB complex.
     """
     if 2 * sym.q * periods > MAX_DIM:
         raise DimensionError(
@@ -102,7 +110,10 @@ def _axial_twist(sym):
     """Integer j with q' * omega = b + (j/n) * c.
 
     Translating by b shifts the screw power by q' and the rotation index by
-    -j; build_hamiltonian's bond offsets account for both.
+    -j.  q' is even, so g = (q'/2) omega has g^2 = b + j c', and j is odd:
+    an even j would make g - (j/2) c' a translation along the axis half as
+    long as b, the shortest one.  build_hamiltonian's bond offsets count
+    along c' and g.
     """
     j, rem = divmod(sym.q * inner(sym.c, sym.omega), inner(sym.c, sym.c))
     if rem:
@@ -138,38 +149,58 @@ def _roots(n):
     return root.real if n <= 2 else root
 
 
+def _block_labels(n, periods, twist):
+    """(m, e) of each block of build_hamiltonian's stack: block i = n (e // n) + m.
+
+    m < n, e < 2nP and e = m twist P mod n: the characters of the group of
+    c' and g on the segment, e^{2 pi i m / n} on c' and e^{2 pi i e / 2nP}
+    on g.
+    """
+    i = np.arange(2 * n * periods)
+    m = i % n
+    return m, i - m + m * (twist * periods % n) % n
+
+
+def _partners(n, periods, twist):
+    """Block index of each block's time-reversal partner (-m mod n, -e mod 2nP)."""
+    m, e = _block_labels(n, periods, twist)
+    return -e % (2 * n * periods) // n * n + -m % n
+
+
 def build_hamiltonian(tube, p):
-    """The n*P sublattice hopping blocks T of the segment's (m, l) blocks.
+    """The 2nP sublattice hopping blocks T of the segment's (m, e) blocks.
 
-    Shape (n*P, q', q'), block m*P + l for m < n, l < P: T[a, b] is the
-    hopping from row a (sublattice p = 0) to row q' + b (p = 1), and the
-    (m, l) block of the hopping matrix is [[epsilon I, T], [T^H, epsilon I]].
-    The bond (v, v^j) carries p.hoppings[j] (gamma, or gamma e^{i beta c_j a}
-    under a field) from the sum-0 sublattice and its conjugate from the
-    other, times e^{2 pi i (m x / n + l y / P)} when it ends x steps along
-    c' and y along b from its target's row.
+    Shape (2nP, h, h), h = q'/2, block n (e // n) + m (_block_labels):
+    T[a, b] is the hopping from row a (sublattice p = 0) to row h + b
+    (p = 1), and the (m, e) block of the hopping matrix is
+    [[epsilon I, T], [T^H, epsilon I]].  The bond (v, v^j) carries
+    p.hoppings[j] (gamma, or gamma e^{i beta c_j a} under a field) from the
+    sum-0 sublattice and its conjugate from the other, times
+    e^{2 pi i (2P m x + e y) / 2nP} when it ends x steps along c' and y along
+    g from its target's row: one table of 2nP-th roots of unity.
 
-    With q' omega = b + twist c' (_axial_twist), bond j of row a ends at
-    (s_0j - a, m_0j, 1) = (u q' + b, m_0j, 1), at x = -(m_0j + twist u),
-    y = -u from row q' + b (tau reverses both), and bond j of row q' + b at
-    (s_1j - b, m_1j, 0) = (u' q' + col, m_1j, 0), at (m_1j + twist u', u')
-    from row col.  Hence:
+    With g^2 = b + twist c' (_axial_twist), bond j of row a ends at
+    (s_0j - a, m_0j, 1) = (u h + b, m_0j, 1), at x = -m_0j, y = -u from row
+    h + b (tau reverses both), and bond j of row h + b at (s_1j - b, m_1j, 0)
+    = (u' h + col, m_1j, 0), at (m_1j, u') from row col.  Hence:
 
-    - each (p, j) maps one sublattice's q' rows one-to-one onto the other's,
+    - each (p, j) maps one sublattice's h rows one-to-one onto the other's,
       so every atom receives exactly three bonds;
     - bond j of row b ends at column a with the same u, as s_0j - b =
-      u q' + a, so T[a, b] and T[b, a] sum the same values in the same
+      u h + a, so T[a, b] and T[b, a] sum the same values in the same
       order j: T = T^T bit for bit;
-    - bond j of row q' + b reverses bond j of row a (so the p = 1 rows hold
-      exactly T^H), and row q' + a holds row a's bonds mirrored, exactly
+    - bond j of row h + b reverses bond j of row a (so the p = 1 rows hold
+      exactly T^H), and row h + a holds row a's bonds mirrored, exactly
       when s_1j - s_0j = k q' with k = 0 mod P and m_1j - m_0j + twist k =
-      0 mod n: both identities give u' = u + k, and u cancels.  The phases
-      see x mod n and y mod P alone, so this is as strict as either.
+      0 mod n: both identities give u' = u + 2k, and the offset 2k g +
+      (m_1j - m_0j) c' must lie in the group of c and P b, on which every
+      character is 1.  The phases see nothing else, so this is as strict as
+      either.
 
     That condition and the targets (1, 0) are checked on the six
     decompositions; then T is three phased reversal-shift adds, one per j in
-    bond order, and the one stack built.  T is real exactly when n <= 2,
-    P <= 2 and no flux.
+    bond order, and the one stack built.  T is real exactly when n = P = 1
+    and no flux.
     """
     sym, periods = tube.sym, tube.periods
     n, qp, twist = sym.n, sym.q_prime, _axial_twist(sym)
@@ -182,15 +213,14 @@ def build_hamiltonian(tube, p):
     gammas = np.array(p.hoppings, dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
-    root_n, root_p = _roots(n), _roots(periods)
-    m = np.arange(n)[:, None, None]
-    l = np.arange(periods)[:, None]
-    a = np.arange(qp)
-    t = np.zeros((n * periods, qp, qp), dtype=np.result_type(gammas, root_n, root_p))
-    blocks = t.reshape(n, periods, qp, qp)
+    order, half = 2 * n * periods, qp // 2
+    root = _roots(order)
+    m, e = (x[:, None] for x in _block_labels(n, periods, twist))
+    a = np.arange(half)
+    t = np.zeros((order, half, half), dtype=np.result_type(gammas, root))
     for gamma, (s, mj, _) in zip(gammas, tube.bonds[0]):
-        u, col = np.divmod(s - a, qp)
-        blocks[:, :, a, col] += gamma * root_n[m * -(mj + twist * u) % n] * root_p[l * -u % periods]
+        u, col = np.divmod(s - a, half)
+        t[:, a, col] += gamma * root[-(2 * periods * mj * m + u * e) % order]
     return t
 
 
@@ -220,36 +250,35 @@ def eigenvalues(t, epsilon):
     return np.sort(np.concatenate([epsilon - half, epsilon + half]))
 
 
-def _paired_spectrum(t, n, periods, real):
+def _paired_spectrum(t, sym, periods, real):
     """eigenvalues(t, 0) of build_hamiltonian's stack, one block per conjugate pair.
 
-    With real hoppings (real is true) block m*P + l of an n*P stack is
-    paired with block (-m mod n)*P + (-l mod P), which must be its exact
+    With real hoppings (real is true) block (m, e) of a 2nP stack is paired
+    with block (-m mod n, -e mod 2nP) (_partners), which must be its exact
     conjugate: one of them is diagonalized and its values counted twice.  A
-    block that is its own partner must then be exactly real, and takes
-    eigvalsh.  Under flux, or for a stack whose length is not n*P (left to
-    compare_spectra's length check), every block is its own partner and the
-    whole stack goes to eigenvalues unchanged.
+    block that is its own partner (2m = 0 mod n, e = 0 or nP) must then be
+    exactly real, and takes eigvalsh.  Under flux, or for a stack whose
+    length is not 2nP (left to compare_spectra's length check), every block
+    is its own partner and the whole stack goes to eigenvalues unchanged.
     """
     index = np.arange(len(t))
     partner = index
-    paired = real and len(t) == n * periods
+    paired = real and len(t) == 2 * sym.n * periods
     if paired:
-        m, l = np.divmod(index, periods)
-        partner = -m % n * periods + -l % periods
+        partner = _partners(sym.n, periods, _axial_twist(sym))
     lower = index < partner
     pair = t[lower]
     partners = t[partner[lower]]
     np.conjugate(partners, out=partners)  # in place: no third copy of half the stack
     if not np.array_equal(partners, pair):
-        raise AdjacencyError("blocks (m, l) and (-m, -l) are not exactly conjugate")
+        raise AdjacencyError("blocks (m, e) and (-m, -e) are not exactly conjugate")
     del partners
     own = index == partner
-    # a real stack (n <= 2, P <= 2) has only own blocks and goes on uncopied
+    # a real stack (n = P = 1) has only own blocks and goes on uncopied
     blocks = t if own.all() else t[own]
     if paired and np.iscomplexobj(blocks):
         if blocks.imag.any():
-            raise AdjacencyError("a self-conjugate block (2m = 0 mod n, 2l = 0 mod P) "
+            raise AdjacencyError("a self-conjugate block (2m = 0 mod n, 2e = 0 mod 2nP) "
                                  "is not exactly real")
         blocks = blocks.real
     parts = [eigenvalues(blocks, 0.0)]
@@ -309,7 +338,7 @@ def compare_spectra(c, sym, periods, p, tol):
     _check_dimension(sym, periods)
     t = build_hamiltonian(build_finite_tube(sym, periods), p)
     real = not np.iscomplex(p.hoppings).any()
-    fin = _paired_spectrum(t, sym.n, periods, real)
+    fin = _paired_spectrum(t, sym, periods, real)
     ana = analytic_spectrum(sym, periods, p._replace(epsilon=0.0))
     if len(fin) != len(ana):
         raise AdjacencyError(

@@ -92,6 +92,22 @@ def test_bands_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("epsilon,zero", [("0.0", "0"), ("-0.0", "-0")])
+def test_bands_k_rows_keep_the_sign_of_epsilon(tmp_path, epsilon, zero):
+    # at epsilon = +-0.0 E_minus is printed as "-" and the modulus' text, except at K, where the
+    # modulus is 0.0 and E_minus stays %.12g of epsilon - 0.0
+    out = tmp_path / "bands.csv"
+    c = (3, 0, -3)
+    assert main(["bands", "--c", "3,0,-3", f"--epsilon={epsilon}", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[2:] for r in rows if r[3] == "0"] == [[zero, "0"]] * 2
+    sym, p = tube_symmetry(c), lines.uniform_params(1.0, float(epsilon), A)
+    want = [["%.12g" % lo, "%.12g" % hi] for m in range(sym.n)
+            for *_, e_minus, e_plus in lines.band_blocks(c, sym, m, 4096, p)
+            for lo, hi in zip(e_minus, e_plus)]
+    assert [r[2:] for r in rows] == want
+
+
 def test_gap_metallic(capsys):
     code, rep = run_json(capsys, ["gap", "--c", "4,-2,-2"])
     assert code == 0

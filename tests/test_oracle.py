@@ -1,19 +1,24 @@
+import json
 import math
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cntbands import bands, geom, lines, oracle
 from cntbands.bands import A_DEFAULT as A
 from cntbands.honeycomb import nearest_neighbors, nu
-from cntbands.tube import DecompositionError, canonical_rep, compose, decompose, tube_symmetry
+from cntbands.tube import (MAX_COORD, DecompositionError, canonical_rep, compose, decompose,
+                           tube_symmetry)
 
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
 def segment_key(v, sym, periods):
@@ -199,28 +204,38 @@ def assembled_blocks(t, epsilon):
 def two_half_hamiltonian(tube, p):
     """build_hamiltonian's T with both halves of loop_bond_table assembled densely: a reference.
 
-    The p = 1 rows are assembled into a stack of their own, conjugated and
-    compared exactly with T^T, then with T, which given the first identity is
-    T = T^T; either failure raises AdjacencyError with build_hamiltonian's
-    Hermitian message or the symmetry one.  Bond degrees and sublattices are
-    not checked.
+    loop_bond_table's rows are the 2q' orbits of c' and b.  Its row
+    p q' + v h + r, h = q'/2, r < h, is row p h + r of the (c', g) blocks
+    moved by v g (by -v g when p = 1, tau reverses it), and b = 2 g - twist c',
+    so a bond ending x steps along c' and y along b from its row ends
+    x - twist y along c' and 2 y + (1 - 2p) v along g from the block's row:
+    block (m, e) (oracle._block_labels) phases it by the 2nP-th root of
+    unity 2P m (x - twist y) + e (2 y + (1 - 2p) v).  The p = 1 rows are
+    assembled into a stack of their own, conjugated and compared exactly
+    with T^T, then with T, which given the first identity is T = T^T;
+    either failure raises AdjacencyError with build_hamiltonian's Hermitian
+    message or the symmetry one.  Bond degrees and sublattices are not
+    checked.
     """
-    n, periods = tube.sym.n, tube.periods
-    qp = tube.sym.q_prime
-    row, x, y = np.moveaxis(loop_bond_table(tube), -1, 0)
+    sym, periods = tube.sym, tube.periods
+    n, qp, twist = sym.n, sym.q_prime, oracle._axial_twist(sym)
+    half, order = qp // 2, 2 * n * periods
+    table = loop_bond_table(tube)
+    row, x, y = np.moveaxis(np.concatenate([table[:half], table[qp:qp + half]]), -1, 0)
+    v, col = np.divmod(row % qp, half)
     gammas = np.array(p.hoppings, dtype=complex)
     if not gammas.imag.any():
         gammas = gammas.real
-    hop = np.repeat([gammas, gammas.conj()], qp, axis=0)
-    m = np.arange(n)[:, None, None, None]
-    l = np.arange(periods)[:, None, None]
-    values = hop * oracle._roots(n)[m * x % n] * oracle._roots(periods)[l * y % periods]
-    block = m * periods + l
-    rows = np.arange(qp)[:, None]
-    t = np.zeros((n * periods, qp, qp), dtype=values.dtype)
-    np.add.at(t, (block, rows, row[:qp] % qp), values[..., :qp, :])
+    hop = np.repeat([gammas, gammas.conj()], half, axis=0)
+    m, e = (z[:, None, None] for z in oracle._block_labels(n, periods, twist))
+    turns = 2 * periods * m * (x - twist * y) + e * (2 * y + (1 - 2 * (row // qp)) * v)
+    values = hop * oracle._roots(order)[turns % order]
+    block = np.arange(order)[:, None, None]
+    rows = np.arange(half)[:, None]
+    t = np.zeros((order, half, half), dtype=values.dtype)
+    np.add.at(t, (block, rows, col[:half]), values[:, :half])
     back = np.zeros_like(t)
-    np.add.at(back, (block, rows, row[qp:] % qp), values[..., qp:, :])
+    np.add.at(back, (block, rows, col[half:]), values[:, half:])
     np.conjugate(back, out=back)
     if not np.array_equal(back, np.swapaxes(t, -1, -2)):
         raise oracle.AdjacencyError("assembled matrix is not exactly Hermitian")
@@ -278,54 +293,61 @@ def test_compare_spectra_matches_two_half_reference(monkeypatch, c, periods, flu
 
 
 def test_hamiltonian_uniform_real_symmetric():
-    c = (4, -2, -2)
+    # n = P = 1: the characters of c' and g are +-1, and the only real stack
+    c = (4, -1, -3)
     sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(sym, 2)
+    tube = oracle.build_finite_tube(sym, 1)
     t = oracle.build_hamiltonian(tube, P_UNIFORM)
-    assert t.shape == (sym.n * 2, sym.q_prime, sym.q_prime) == (4, 2, 2)
+    assert t.shape == (2 * sym.n, sym.q_prime // 2, sym.q_prime // 2) == (2, 13, 13)
     assert np.isrealobj(t)
     assert np.array_equal(t, np.swapaxes(t, -1, -2))
     # in the (0, 0) block every phase is 1: 3 gamma of hopping weight per row
     # of T (a p = 0 atom) and per column (a p = 1 atom)
-    assert np.abs(t[0]).sum(axis=-1) == pytest.approx(np.full(2, 3.0))
-    assert np.abs(t[0]).sum(axis=-2) == pytest.approx(np.full(2, 3.0))
-    # bonds of one orbit may share an entry, so weigh rows over all n P blocks:
-    # sum_(m,l) |T_ml[a, b]|^2 = n P sum_t |H[a, t(b)]|^2 = 3 n P gamma^2
-    assert (t ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(2, 3.0 * 4))
-    assert (t ** 2).sum(axis=(0, 1)) == pytest.approx(np.full(2, 3.0 * 4))
+    assert np.abs(t[0]).sum(axis=-1) == pytest.approx(np.full(13, 3.0))
+    assert np.abs(t[0]).sum(axis=-2) == pytest.approx(np.full(13, 3.0))
+    # bonds of one orbit may share an entry, so weigh rows over all 2nP blocks:
+    # sum_(m,e) |T_me[a, b]|^2 = 2nP sum_t |H[a, t(b)]|^2 = 3 (2nP) gamma^2
+    assert (t ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(13, 3.0 * 2))
+    assert (t ** 2).sum(axis=(0, 1)) == pytest.approx(np.full(13, 3.0 * 2))
+    # n = 2 or P = 2 makes the characters complex
+    for c, periods in (((4, -2, -2), 1), ((4, -1, -3), 2)):
+        assert np.iscomplexobj(oracle.build_hamiltonian(
+            oracle.build_finite_tube(tube_symmetry(c), periods), P_UNIFORM))
 
 
 def test_hamiltonian_magnetic_hermitian():
-    c = (5, 0, -5)
-    sym = tube_symmetry(c)
-    tube = oracle.build_finite_tube(sym, 2)
-    pm = bands.magnetic_params(1.0, 0.2 / A, c, A)
-    t = oracle.build_hamiltonian(tube, pm)
-    assert t.shape == (sym.n * 2, sym.q_prime, sym.q_prime) == (10, 2, 2)
-    assert np.iscomplexobj(t)
-    # complex symmetric, not Hermitian: the flux makes T != T^H
-    assert np.array_equal(t, np.swapaxes(t, -1, -2))
-    assert not np.array_equal(t, np.swapaxes(t, -1, -2).conj())
-    assert (np.abs(t) ** 2).sum(axis=(0, 2)) == pytest.approx(np.full(2, 3.0 * 10))
-    assert (np.abs(t) ** 2).sum(axis=(0, 1)) == pytest.approx(np.full(2, 3.0 * 10))
-    ev = oracle.eigenvalues(t, pm.epsilon)
-    assert np.isrealobj(ev)
-    ref = np.sort(np.linalg.eigvalsh(assembled_blocks(t, pm.epsilon)), axis=None)
-    assert np.max(np.abs(ev - ref)) < 1e-12
+    # at P = 2 the blocks of (5, 0, -5) are 1 x 1, those of (4, -1, -3) 13 x 13
+    for c, shape in (((5, 0, -5), (20, 1, 1)), ((4, -1, -3), (4, 13, 13))):
+        sym = tube_symmetry(c)
+        tube = oracle.build_finite_tube(sym, 2)
+        pm = bands.magnetic_params(1.0, 0.2 / A, c, A)
+        t = oracle.build_hamiltonian(tube, pm)
+        assert t.shape == (2 * sym.n * 2, sym.q_prime // 2, sym.q_prime // 2) == shape
+        assert np.iscomplexobj(t)
+        # complex symmetric, not Hermitian: the flux makes T != T^H
+        assert np.array_equal(t, np.swapaxes(t, -1, -2))
+        assert not np.array_equal(t, np.swapaxes(t, -1, -2).conj())
+        weight = np.full(shape[-1], 3.0 * shape[0])  # 3 gamma^2 per row and column, 2nP blocks
+        assert (np.abs(t) ** 2).sum(axis=(0, 2)) == pytest.approx(weight)
+        assert (np.abs(t) ** 2).sum(axis=(0, 1)) == pytest.approx(weight)
+        ev = oracle.eigenvalues(t, pm.epsilon)
+        assert np.isrealobj(ev)
+        ref = np.sort(np.linalg.eigvalsh(assembled_blocks(t, pm.epsilon)), axis=None)
+        assert np.max(np.abs(ev - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("c", [(4, -1, -3), (2, 0, -2), (4, -2, -2), (3, 0, -3),
                                (8, -4, -4), (6, -3, -3), (5, 0, -5), (6, 0, -6),
-                               (6, -2, -4), (9, -3, -6)])
+                               (6, -2, -4), (9, -3, -6), (3, 1, -4), (2, 1, -3), (5, 1, -6)])
 @pytest.mark.parametrize("beta", [0.0, 0.23])
 def test_blocks_match_dense_reference(c, beta):
     sym = tube_symmetry(c)
     p = bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta else P_UNIFORM
-    for periods in (1, 2, 3):  # P = 3 makes the phases along b complex
+    for periods in (1, 2, 3, 4):
         tube = oracle.build_finite_tube(sym, periods)
         t = oracle.build_hamiltonian(tube, p)
-        assert t.shape == (sym.n * periods, sym.q_prime, sym.q_prime)
-        assert np.isrealobj(t) == (sym.n <= 2 and periods <= 2 and not beta)
+        assert t.shape == (2 * sym.n * periods, sym.q_prime // 2, sym.q_prime // 2)
+        assert np.isrealobj(t) == (sym.n == periods == 1 and not beta)
         assert np.array_equal(t, np.swapaxes(t, -1, -2))
         ref = np.linalg.eigvalsh(dense_hamiltonian(sym, periods, p))
         assert np.max(np.abs(oracle.eigenvalues(t, p.epsilon) - ref)) < 1e-12
@@ -340,7 +362,8 @@ def test_hopping_stack_holds_one_buffer():
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert t.shape == (1, 422, 422)
+    # the half-period screw splits the one 422 x 422 block of n = P = 1 in two: half the bytes
+    assert t.shape == (2, 211, 211) and t.nbytes == 422 ** 2 * 8 // 2
     root = t
     while root.base is not None:
         root = root.base
@@ -749,10 +772,10 @@ def test_dropped_block_fails_spectrum_length_check(monkeypatch):
 
 
 @pytest.mark.parametrize("c,block,delta,match", [
-    ((5, 0, -5), 2, 1e-3, "conjugate"),   # (m, l) = (1, 0), whose partner is (4, 0)
-    ((5, 0, -5), 8, 1e-3j, "conjugate"),  # that partner
-    ((5, 0, -5), 1, 1e-3j, "real"),       # (0, 1) is its own partner
-    ((4, -2, -2), 3, 1e-3j, "real"),      # (1, 1) of a real stack
+    ((5, 0, -5), 2, 1e-3, "conjugate"),   # (m, e) = (2, 1), whose partner is (3, 19)
+    ((5, 0, -5), 8, 1e-3j, "conjugate"),  # (3, 9), whose partner is (2, 11)
+    ((4, -2, -2), 1, 1e-3j, "real"),      # (1, 0) is its own partner
+    ((6, 0, -6), 3, 1e-3j, "real"),       # and so is (3, 0) at n = 6
 ])
 def test_broken_time_reversal_fails_pairing_check(monkeypatch, c, block, delta, match):
     build = oracle.build_hamiltonian
@@ -808,11 +831,13 @@ SWEEP_DIM = 600  # 286 of the 456 (c, P); bounds the dense spectra's time
 @pytest.mark.parametrize("beta", [0.0, 0.23])
 @pytest.mark.parametrize("periods", [1, 2, 3, 4])
 def test_paired_spectrum_matches_full_stack(periods, beta):
+    chiral = 0
     for c in [(c0, c1, -c0 - c1) for c0 in range(1, 13) for c1 in range(-c0, c0)
               if c0 > c1 >= -c0 - c1]:
         sym = tube_symmetry(c)
         if 2 * sym.q * periods > SWEEP_DIM:
             continue
+        chiral += sym.n == 1
         p = (bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta
              else bands.uniform_params(1.0, 0.1, A))
         t = oracle.build_hamiltonian(oracle.build_finite_tube(sym, periods), p)
@@ -822,9 +847,62 @@ def test_paired_spectrum_matches_full_stack(periods, beta):
             # under flux no block has a partner: every block is diagonalized as before
             assert np.array_equal(paired, full)
         else:
-            m, l = np.divmod(np.arange(len(t)), periods)
-            assert np.array_equal(t[-m % sym.n * periods + -l % periods], t.conj())
+            # block (-m mod n, -e mod 2nP), found by its labels, is the exact conjugate
+            m, e = oracle._block_labels(sym.n, periods, oracle._axial_twist(sym))
+            index = {label: i for i, label in enumerate(zip(m.tolist(), e.tolist()))}
+            order = 2 * sym.n * periods
+            partner = [index[-mi % sym.n, -ei % order] for mi, ei in zip(m.tolist(), e.tolist())]
+            assert np.array_equal(t[partner], t.conj())
             assert np.max(np.abs(paired - full)) < 1e-12
+    # n = 1 tubes, whose conjugate pairs (e, -e) are new with the half-period screw
+    assert chiral >= 10
+
+
+def assert_half_period_screw(c):
+    """q' is even and the axial twist odd: g = (q'/2) omega is a lattice translation with
+    g^2 = q' omega = b + twist c', outside the group of c' and b."""
+    sym = tube_symmetry(c)
+    twist = oracle._axial_twist(sym)
+    assert sym.q_prime % 2 == 0 and twist % 2 == 1, c
+    assert tuple(sym.q_prime * w - twist * x for w, x in zip(sym.omega, sym.c_prime)) == sym.b
+
+
+def test_half_period_screw_on_reference_tubes():
+    survey = json.loads(REFERENCE.read_text())["survey"]
+    assert len(survey) == 10860
+    for row in survey:
+        assert_half_period_screw(tuple(row[:3]))
+
+
+# c0 > c1 >= c2 = -c0 - c1, every |coordinate| at most MAX_COORD
+chiralities = st.integers(1, MAX_COORD).flatmap(
+    lambda c0: st.integers(-(c0 // 2), min(c0 - 1, MAX_COORD - c0)).map(
+        lambda c1: (c0, c1, -c0 - c1)))
+
+
+@given(c=chiralities)
+def test_half_period_screw_at_any_size(c):
+    assert_half_period_screw(c)
+
+
+@pytest.mark.parametrize("c", [(4, -1, -3), (2, 1, -3), (4, -2, -2), (5, 0, -5), (6, 0, -6),
+                               (9, -3, -6), (7, -3, -4), (8, -4, -4)])
+def test_block_partner_is_an_involution(c):
+    sym = tube_symmetry(c)
+    n, twist = sym.n, oracle._axial_twist(sym)
+    for periods in range(1, 6):
+        order = 2 * n * periods
+        m, e = oracle._block_labels(n, periods, twist)
+        # the 2nP characters of the group of c' and g: distinct, and trivial on c = n c' and on
+        # P b = 2P g - P twist c', that is e = m twist P mod n
+        assert len(set(zip(m.tolist(), e.tolist()))) == order
+        assert ((0 <= e) & (e < order) & ((e - m * twist * periods) % n == 0)).all()
+        partner = oracle._partners(n, periods, twist)
+        assert np.array_equal(partner[partner], np.arange(order))
+        assert np.array_equal(m[partner], -m % n) and np.array_equal(e[partner], -e % order)
+        # its own partner exactly where 2m = 0 mod n and e = 0 or nP
+        own = partner == np.arange(order)
+        assert np.array_equal(own, (2 * m % n == 0) & (e % (n * periods) == 0))
 
 
 def test_inexact_representatives_fail_decomposition():
