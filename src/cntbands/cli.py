@@ -279,12 +279,11 @@ def cmd_graphene_path(args, cfg):
         raise InputError(f"samples must be >= 2, got {args.samples}")
     if args.samples > MAX_GRID:
         raise InputError(f"samples = {args.samples} exceed {MAX_GRID}")
-    points = lines.special_points(cfg.a)
-    waypoints = {"G": points["Gamma"], "K": points["K"][0], "M": points["M"][0]}
+    waypoints = {lab: images[0] for lab, images in lines.special_points(cfg.a).items()}
     labels = [s.strip().upper() for s in args.path.split(",")]
     for lab in labels:
         if lab not in waypoints:
-            raise InputError(f"unknown path label {lab!r}; use G, K, M")
+            raise InputError(f"unknown path label {lab!r}; use {', '.join(waypoints)}")
     if len(labels) < 2:
         raise InputError("path needs at least two labels")
     segs = list(zip(labels[:-1], labels[1:]))

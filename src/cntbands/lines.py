@@ -4,7 +4,7 @@ The two-band dispersion is E+-(k) = eps +- |sum_j gamma_j e^{i k_j a}|.  Rolling
 into a tube keeps the straight k-lines with <k, c> in (2 pi / a) Z, indexed by
 a rotation quantum number m and the screw coordinate kappa; band_blocks
 samples one of them on a uniform kappa grid, graphene-path a straight segment
-of the sheet between special points.
+of the sheet between two WAYPOINTS.
 
 Every point either samples is rational in units of 2 pi / a.  With C = <c, c>,
 B = <b, b>, W = <c, omega> and S samples, grid point i of line m sits at
@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .geom import inner
-from .honeycomb import bond_length_scale
+from .honeycomb import bond_length_scale, sigma
 from .tube import is_metallic, validate_chirality
 
 A_DEFAULT = bond_length_scale(1.44)
@@ -61,18 +61,19 @@ QUARTER_TURNS = (1.0, 1j, -1.0, -1j)
 K_PHASORS = ((complex(-0.5, math.sqrt(3.0) / 2.0), complex(-0.5, -math.sqrt(3.0) / 2.0)),
              (complex(-0.5, -math.sqrt(3.0) / 2.0), complex(-0.5, math.sqrt(3.0) / 2.0)))
 
-# the sheet's special points in sixths of 2 pi / a: Gamma, K and M of special_points
+# the sheet's special points Gamma, K and M in sixths of 2 pi / a, imaged by special_points
 WAYPOINTS = {"G": (0, 0, 0), "K": (2, -2, 0), "M": (2, -1, -1)}
 
 
 class BandParams(namedtuple("BandParams", "epsilon gamma a field")):
     """Onsite energy, the one real hopping gamma > 0, length scale, and an axial field.
 
-    field, when set, is the ((num, den), c) of an axial magnetic field of
-    flux phi = num / den periods through tube c, integers with den > 0 and
-    |phi| <= MAX_FLUX_PERIODS: the bond along axis j then carries
+    field is None, or the ((num, den), c) of an axial magnetic field of
+    flux phi = num / den != 0 periods through tube c, integers with den > 0
+    and |phi| <= MAX_FLUX_PERIODS: the bond along axis j then carries
     gamma e^{2 pi i phi c_j / <c, c>}.  The constructor validates the
-    chirality; _replace goes through its checks too.
+    chirality, stores a zero flux as None and gamma as a float; _replace
+    goes through its checks too.
     """
 
     __slots__ = ()
@@ -90,8 +91,9 @@ class BandParams(namedtuple("BandParams", "epsilon gamma a field")):
                 raise ValueError(f"the flux must be integers num / den, den > 0, got {field[0]}")
             if abs(num) > MAX_FLUX_PERIODS * den:
                 raise ValueError(f"the flux exceeds {MAX_FLUX_PERIODS} flux periods")
-            field = ((num, den), validate_chirality(c))
-        return super().__new__(cls, epsilon, gamma, a, field)
+            c = validate_chirality(c)
+            field = ((num, den), c) if num else None
+        return super().__new__(cls, epsilon, float(gamma), a, field)
 
     @classmethod
     def _make(cls, iterable):
@@ -120,7 +122,7 @@ def _flux(beta, c, a):
 
 
 def magnetic_params(gamma, beta, c, a=A_DEFAULT, epsilon=0.0):
-    """An axial field beta: the dispersion at k is the zero-field one at k + beta c."""
+    """Axial field beta, None at +-0: the dispersion at k is the zero-field one at k + beta c."""
     return BandParams(epsilon, gamma, a, (_flux(beta, c, a), c))
 
 
@@ -136,14 +138,16 @@ def flux_period(c, a=A_DEFAULT):
 
 
 def special_points(a=A_DEFAULT):
-    """Gamma, the six K vertices, and the six M edge midpoints of the zone."""
-    u = 2.0 * math.pi / (3.0 * a)
-    h = math.pi / (3.0 * a)
-    k_base = ((u, -u, 0.0), (u, 0.0, -u), (0.0, u, -u))
-    m_base = ((2.0 * h, -h, -h), (-h, 2.0 * h, -h), (-h, -h, 2.0 * h))
-    ks = tuple(p for b in k_base for p in (b, tuple(-x for x in b)))
-    ms = tuple(p for b in m_base for p in (b, tuple(-x for x in b)))
-    return {"Gamma": (0.0, 0.0, 0.0), "K": ks, "M": ms}
+    """Each WAYPOINTS label's distinct images under sign and sigma, the waypoint first, K' second.
+
+    The sixth 2 pi / (6 a) is exactly half of 2 pi / (3 a), and is pi / (3 a) in doubles.
+    """
+    sixth = 2.0 * math.pi / (6.0 * a)
+    points = {}
+    for label, v in WAYPOINTS.items():
+        ks = [tuple(x * sixth for x in w) for w in (v, sigma(v), sigma(sigma(v)))]
+        points[label] = tuple(dict.fromkeys(p for k in ks for p in (k, tuple(-x for x in k))))
+    return points
 
 
 def kappa_period(sym, a=A_DEFAULT):

@@ -210,9 +210,7 @@ def build_hamiltonian(tube, p):
         k, rem = divmod(s1 - s0, qp)
         if rem or k % periods or (m1 - m0 + twist * k) % n:
             raise AdjacencyError("assembled matrix is not exactly Hermitian")
-    gammas = np.array(p.hoppings, dtype=complex)
-    if not gammas.imag.any():
-        gammas = gammas.real
+    gammas = np.array(p.hoppings)
     order, half = 2 * n * periods, qp // 2
     root = _roots(order)
     m, e = (x[:, None] for x in _block_labels(n, periods, twist))
@@ -253,13 +251,14 @@ def eigenvalues(t, epsilon):
 def _paired_spectrum(t, sym, periods, real):
     """eigenvalues(t, 0) of build_hamiltonian's stack, one block per conjugate pair.
 
-    With real hoppings (real is true) block (m, e) of a 2nP stack is paired
-    with block (-m mod n, -e mod 2nP) (_partners), which must be its exact
-    conjugate: one of them is diagonalized and its values counted twice.  A
-    block that is its own partner (2m = 0 mod n, e = 0 or nP) must then be
-    exactly real, and takes eigvalsh.  Under flux, or for a stack whose
-    length is not 2nP (left to compare_spectra's length check), every block
-    is its own partner and the whole stack goes to eigenvalues unchanged.
+    Without a field (real is true: the hoppings are real) block (m, e) of
+    a 2nP stack is paired with block (-m mod n, -e mod 2nP) (_partners),
+    which must be its exact conjugate: one of them is diagonalized and its
+    values counted twice.  A block that is its own partner (2m = 0 mod n,
+    e = 0 or nP) must then be exactly real, and takes eigvalsh.  Under
+    flux, or for a stack whose length is not 2nP (left to compare_spectra's
+    length check), every block is its own partner and the whole stack goes
+    to eigenvalues unchanged.
     """
     index = np.arange(len(t))
     partner = index
@@ -337,8 +336,7 @@ def compare_spectra(c, sym, periods, p, tol):
         raise ValueError(f"tolerance must be positive, got {tol}")
     _check_dimension(sym, periods)
     t = build_hamiltonian(build_finite_tube(sym, periods), p)
-    real = not np.iscomplex(p.hoppings).any()
-    fin = _paired_spectrum(t, sym, periods, real)
+    fin = _paired_spectrum(t, sym, periods, p.field is None)
     ana = analytic_spectrum(sym, periods, p._replace(epsilon=0.0))
     if len(fin) != len(ana):
         raise AdjacencyError(

@@ -129,10 +129,11 @@ def _ext_gcd(x, y):
 def _shortest_screw(b, target):
     """Shortest sum-zero integer triple w with <w, b> = target.
 
-    Solutions form a line w0 + Z*h with h parallel to the tube axis
-    direction; the norm is quadratic in the step, so it suffices to scan a
-    small window around the real minimizer.  Ties (the minimal-norm set can
-    contain two vectors) break to the lexicographically smallest triple.
+    Solutions form a line w0 + Z*h, h = +-c' the primitive step orthogonal
+    to b; the norm is quadratic in the step t, least at the real
+    -<w0, h> / <h, h>, whose floor t or t + 1 is the shortest step.  Ties
+    (the minimal-norm set can contain two vectors) break to the
+    lexicographically smallest triple.
     """
     p = b[0] - b[2]
     q = b[1] - b[2]
@@ -144,14 +145,9 @@ def _shortest_screw(b, target):
     w0 = (x, y, -x - y)
     hx, hy = q // g, -p // g
     h = (hx, hy, -hx - hy)
-    t_star = -inner(w0, h) / inner(h, h)
-    best = None
-    for t in range(math.floor(t_star) - 2, math.ceil(t_star) + 3):
-        w = (w0[0] + t * h[0], w0[1] + t * h[1], w0[2] + t * h[2])
-        key = (inner(w, w), w)
-        if best is None or key < best:
-            best = key
-    return best[1]
+    t = -inner(w0, h) // inner(h, h)
+    return min((tuple(wj + s * hj for wj, hj in zip(w0, h)) for s in (t, t + 1)),
+               key=lambda w: (inner(w, w), w))
 
 
 def tube_symmetry(c):

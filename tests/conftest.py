@@ -1,6 +1,14 @@
 """Shared test helpers."""
 
+from hypothesis import strategies as st
+
 from cntbands.honeycomb import is_site
+from cntbands.tube import MAX_COORD
+
+# c0 > c1 >= c2 = -c0 - c1, every |coordinate| at most MAX_COORD
+chiralities = st.integers(1, MAX_COORD).flatmap(
+    lambda c0: st.integers(-(c0 // 2), min(c0 - 1, MAX_COORD - c0)).map(
+        lambda c1: (c0, c1, -c0 - c1)))
 
 
 def ball(radius, center=(0, 0, 0)):

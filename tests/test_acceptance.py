@@ -38,11 +38,11 @@ def test_criterion_1_graphene_anchors():
     pts = lines.special_points(A)
     for k in pts["K"]:
         assert bands.graphene_E(k, 1.0, A) <= 1e-12
-    assert bands.dispersion(pts["Gamma"], P_UNIFORM)[1] == 3.0
+    assert bands.dispersion(pts["G"][0], P_UNIFORM)[1] == 3.0
     for m in pts["M"]:
         assert abs(bands.graphene_E(m, 1.0, A) - 1.0) <= 1e-12
     step = 1e-6 / A
-    for k in [pts["Gamma"], *pts["M"]]:
+    for k in [*pts["G"], *pts["M"]]:
         fd = []
         for i in range(3):
             dk = np.zeros(3)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from cntbands import bands, geom, lines, tube
 from cntbands.bands import A_DEFAULT as A
+from cntbands.cli import RunConfig
 from cntbands.tube import tube_symmetry
 
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
@@ -85,12 +87,66 @@ def test_graphene_E_at_m_point():
 def test_special_points_values():
     pts = lines.special_points(A)
     assert len(pts["K"]) == 6 and len(pts["M"]) == 6
-    assert bands.dispersion(pts["Gamma"], P_UNIFORM)[1] == 3.0
+    assert bands.dispersion(pts["G"][0], P_UNIFORM)[1] == 3.0
     for k in pts["K"]:
         assert bands.graphene_E(k, 1.0, A) == pytest.approx(0.0, abs=1e-12)
         assert max(map(abs, k)) <= 2 * math.pi / (3 * A) + 1e-12  # on the zone boundary
     for m in pts["M"]:
         assert bands.graphene_E(m, 1.0, A) == pytest.approx(1.0, abs=1e-12)
+
+
+def closed_form_special_points(a):
+    """Gamma, the six K and the six M as 2 pi / (3 a) and pi / (3 a) give them."""
+    u = 2.0 * math.pi / (3.0 * a)
+    h = math.pi / (3.0 * a)
+    k_base = ((u, -u, 0.0), (u, 0.0, -u), (0.0, u, -u))
+    m_base = ((2.0 * h, -h, -h), (-h, 2.0 * h, -h), (-h, -h, 2.0 * h))
+    ks = tuple(p for b in k_base for p in (b, tuple(-x for x in b)))
+    ms = tuple(p for b in m_base for p in (b, tuple(-x for x in b)))
+    return (0.0, 0.0, 0.0), ks, ms
+
+
+def accepted_bond_lengths():
+    """The least and the greatest bond length RunConfig accepts, bisected over the doubles."""
+    def bits(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def double(i):
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+    def accepted(i):
+        try:
+            RunConfig(bond_length=double(i))
+        except ValueError:
+            return False
+        return True
+
+    edges = []
+    for inside, outside in ((bits(1.0), 0), (bits(1.0), bits(math.inf))):
+        while abs(outside - inside) > 1:  # positive doubles are ordered as their bits
+            mid = (inside + outside) // 2
+            inside, outside = (mid, outside) if accepted(mid) else (inside, mid)
+        edges.append(double(inside))
+    return edges
+
+
+def test_special_points_are_the_closed_forms_bit_for_bit():
+    # special_points scales WAYPOINTS' sixths by 2 pi / (6 a); 6 a = 2 (3 a) exactly, so
+    # G, K, K' and M are bit for bit the closed forms, and the K and M sets are theirs
+    def bits(points):
+        return [struct.pack("<3d", *k) for k in points]
+
+    rng = np.random.default_rng(41)
+    edges = accepted_bond_lengths()
+    assert 0 < edges[0] < 1e-150 and 1e150 < edges[1] < math.inf
+    for bond in [1.44, *edges, *(10.0 ** rng.uniform(-150, 150, 300)), *rng.uniform(0.1, 10, 300)]:
+        a = RunConfig(bond_length=float(bond)).a
+        origin, ks, ms = closed_form_special_points(a)
+        pts = lines.special_points(a)
+        assert bits(pts["G"]) == bits([origin])
+        assert bits(pts["K"][:2]) == bits(ks[:2]) and bits(pts["M"][:1]) == bits(ms[:1]), bond
+        assert len(pts["K"]) == len(set(pts["K"])) == 6 and set(pts["K"]) == set(ks)
+        assert len(pts["M"]) == len(set(pts["M"])) == 6 and set(pts["M"]) == set(ms)
 
 
 def test_gamma_is_maximum():
@@ -378,6 +434,17 @@ def test_is_metallic():
 def test_magnetic_params_zero_field():
     p = bands.magnetic_params(1.0, 0.0, (4, -2, -2), A)
     assert p.hoppings == (1.0, 1.0, 1.0)
+    # a zero flux has one representation, field None, however it is built
+    c = (7, -3, -4)
+    for beta in (0.0, -0.0):
+        zero = bands.magnetic_params(2.5, beta, c, A, epsilon=0.3)
+        assert zero.field is None and zero == bands.uniform_params(2.5, 0.3, A)
+    assert lines.BandParams(field=((0, 3 ** 100), c)).field is None
+    assert lines.BandParams(field=((1, 3), c))._replace(field=((0, 1), c)).field is None
+    # its chirality is validated all the same
+    for bad in ((7, -4, -3), (0, 0, 0), (2, 1, 1), (1, 2)):
+        with pytest.raises(tube.ChiralityError):
+            lines.BandParams(field=((0, 1), bad))
 
 
 def test_magnetic_shift_identity():
@@ -732,7 +799,8 @@ def test_magnetic_hoppings_match_mpmath():
         for beta in [0.0, -0.0] + [float(x) for x in rng.uniform(-5, 5, 40) * period]:
             gamma = float(rng.uniform(0.2, 3.0))
             p = bands.magnetic_params(gamma, beta, c, A)
-            (num, den), _ = p.field
+            assert (p.field is None) == (beta == 0)
+            (num, den), _ = p.field or ((0, 1), c)  # no field: flux 0
             assert Fraction(num, den) == Fraction(beta) * Fraction(A) * geom.inner(c, c) \
                 * lines.TWO_PI_RATIO[1] / lines.TWO_PI_RATIO[0]
             if beta == 0:

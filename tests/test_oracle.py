@@ -9,13 +9,13 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from cntbands import bands, geom, lines, oracle
 from cntbands.bands import A_DEFAULT as A
 from cntbands.honeycomb import nearest_neighbors, nu
-from cntbands.tube import (MAX_COORD, DecompositionError, canonical_rep, compose, decompose,
-                           tube_symmetry)
+from cntbands.tube import DecompositionError, canonical_rep, compose, decompose, tube_symmetry
+from conftest import chiralities
 
 P_UNIFORM = bands.uniform_params(1.0, 0.0, A)
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
@@ -558,7 +558,8 @@ def test_spectrum_equivalence(c, periods):
 @pytest.mark.parametrize("c", [(4, -2, -2), (5, 0, -5), (4, 1, -5), (7, -3, -4), (8, -4, -4),
                                (6, -1, -5)])
 def test_zero_field_is_the_uniform_tube_bit_for_bit(c):
-    # `cntbands gap` builds magnetic_params whatever its beta
+    # `cntbands gap` and `verify` build magnetic_params whatever their beta; at beta = +-0
+    # it is field None, the uniform tube's parameters
     sym = tube_symmetry(c)
     for gamma, eps in [(1.0, 0.0), (2.7, 0.3), (0.45, -1.5)]:
         uniform = bands.uniform_params(gamma, eps, A)
@@ -568,6 +569,17 @@ def test_zero_field_is_the_uniform_tube_bit_for_bit(c):
             assert got.finite.tobytes() == want.finite.tobytes()
             assert got.analytic.tobytes() == want.analytic.tobytes()
             assert repr(got.max_deviation) == repr(want.max_deviation)
+
+
+def test_integer_gamma_builds_a_float_stack():
+    # BandParams stores gamma as a float, so an integer gamma beyond int64, as a --config
+    # file may give, builds a float64 T and not an array of Python objects
+    c = (7, -3, -4)
+    sym = tube_symmetry(c)
+    p = bands.uniform_params(10 ** 30, 0.0, A)
+    assert type(p.gamma) is float and p.hoppings == (1e30,) * 3
+    assert oracle.build_hamiltonian(oracle.build_finite_tube(sym, 1), p).dtype == np.float64
+    assert oracle.compare_spectra(c, sym, 1, p, tol=1e22).passed
 
 
 def test_spectrum_equivalence_magnetic():
@@ -872,12 +884,6 @@ def test_half_period_screw_on_reference_tubes():
     assert len(survey) == 10860
     for row in survey:
         assert_half_period_screw(tuple(row[:3]))
-
-
-# c0 > c1 >= c2 = -c0 - c1, every |coordinate| at most MAX_COORD
-chiralities = st.integers(1, MAX_COORD).flatmap(
-    lambda c0: st.integers(-(c0 // 2), min(c0 - 1, MAX_COORD - c0)).map(
-        lambda c1: (c0, c1, -c0 - c1)))
 
 
 @given(c=chiralities)

@@ -28,7 +28,7 @@ from cntbands.tube import (
     tube_symmetry,
     validate_chirality,
 )
-from conftest import ball
+from conftest import ball, chiralities
 
 A = bond_length_scale(1.44)
 SRC = Path(cntbands.__file__).resolve().parents[1]
@@ -98,6 +98,19 @@ def test_symmetry_identities_exhaustive():
         assert sum(sym.b) == 0 and sum(sym.omega) == 0
         assert geom.inner(sym.b, c) == 0
         assert sym.q_prime * geom.inner(sym.omega, sym.b) == nb2
+
+
+@given(c=chiralities)
+def test_shortest_screw_at_any_size(c):
+    # omega solves <omega, b> = ||b||^2 / q' and, its solutions being omega + Z c', is no
+    # longer than either neighbour, and lexicographically first if as long
+    sym = tube_symmetry(c)
+    b, w, cp = sym.b, sym.omega, sym.c_prime
+    assert sym.q_prime * geom.inner(w, b) == geom.inner(b, b)
+    assert sum(w) == 0 and geom.inner(cp, b) == 0
+    for sign in (1, -1):
+        other = tuple(x + sign * y for x, y in zip(w, cp))
+        assert (geom.inner(w, w), w) < (geom.inner(other, other), other)
 
 
 def test_line_spacing():
