@@ -50,6 +50,10 @@ class RunConfig(namedtuple("RunConfig", "gamma epsilon bond_length resolution to
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{key} must be a number, got {value!r}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                # math.isfinite would raise OverflowError on it
+                raise ValueError(f"{key} must lie within the float range "
+                                 f"+-{sys.float_info.max:.6g}")
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
         if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):

@@ -41,7 +41,10 @@ by construction.  A real symmetric T with eigenvalues lambda has singular
 values |lambda|, so its block's spectrum is eps +- lambda from one eigvalsh
 of T.  A complex T is complex symmetric, not Hermitian, and keeps the
 singular value decomposition.  T is real exactly when n = P = 1 and no flux
-is applied: the characters are then +-1.
+is applied: the characters are then +-1.  Every achiral tube has q' = 2, so
+its blocks are 1 x 1, and the singular value |t| of [t] needs no LAPACK call.
+The 2nP-th roots of unity that phase T are read from the lines._offsets
+table up to a quarter turn and mirrored exactly beyond it.
 
 With real hoppings every phase of block (-m mod n, -e mod 2nP) is the exact
 conjugate of the same phase of block (m, e), so T_{-m,-e} = conj(T_{m,e})
@@ -140,12 +143,17 @@ def build_finite_tube(sym, periods):
 def _roots(n):
     """The n-th roots of unity e^{2 pi i k / n}, k < n, paired exactly.
 
-    root[k] is lines._turn(k, n) for k <= n/2, so root[0] = 1 and root[n/2] =
-    -1 exactly, and root[n - k] is conj(root[k]) bit for bit: blocks built
-    from them are exactly Hermitian; real for n <= 2.
+    root[k] for k <= n/4 (k <= n/2 for odd n) is read from the lines._offsets
+    table, O(sqrt n) lines._turn calls; the rest are exact mirrors,
+    root[n/2 - k] = -conj(root[k]) and root[n - k] = conj(root[k]).  So root[0]
+    = 1 and root[n/2] = -1 exactly, and root[n - k] is conj(root[k]) bit for
+    bit: blocks built from them are exactly Hermitian; real for n <= 2.
     """
-    half = [_turn(k, n) for k in range(n // 2 + 1)]
-    root = np.array(half + [z.conjugate() for z in half[(n - 1) // 2:0:-1]])
+    quarter = n // 4 if n % 2 == 0 else n // 2
+    root = np.fromiter(_offsets((1,), n, quarter + 1)[0], complex, quarter + 1)
+    if n % 2 == 0:  # up to k = n/2
+        root = np.concatenate([root, -root[n // 2 - quarter - 1::-1].conj()])
+    root = np.concatenate([root, root[(n - 1) // 2:0:-1].conj()])
     return root.real if n <= 2 else root
 
 
@@ -226,10 +234,12 @@ def eigenvalues(t, epsilon):
     """All eigenvalues of the blocks [[epsilon I, T], [T^H, epsilon I]], ascending.
 
     t is one square hopping block T or a stack of them; each block's
-    eigenvalues are epsilon +- the singular values of its T.  A real t must
-    be exactly symmetric and takes one batched eigvalsh (singular values
-    |lambda|), a complex t one batched SVD.  Neither forms T T^H, whose
-    eigenvalues would lose half the digits of a small singular value.
+    eigenvalues are epsilon +- the singular values of its T.  A 1 x 1 block
+    [t] has the singular value |t| and makes no LAPACK call (every achiral
+    tube has q' = 2).  A larger real t must be exactly symmetric and takes
+    one batched eigvalsh (singular values |lambda|), a complex t one batched
+    SVD.  Neither forms T T^H, whose eigenvalues would lose half the digits
+    of a small singular value.
     """
     t = np.asarray(t)
     if t.shape[-1] != t.shape[-2]:
@@ -239,11 +249,14 @@ def eigenvalues(t, epsilon):
     real = np.isrealobj(t)
     if real and not np.array_equal(t, np.swapaxes(t, -1, -2)):
         raise ValueError("a real hopping block must be exactly symmetric")
-    try:
-        # +-lambda and +-|lambda| are the same multiset
-        half = np.linalg.eigvalsh(t) if real else np.linalg.svd(t, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"hopping block spectrum failed to converge: {exc}") from exc
+    if t.shape[-1] == 1:
+        half = np.abs(t)
+    else:
+        try:
+            # +-lambda and +-|lambda| are the same multiset
+            half = np.linalg.eigvalsh(t) if real else np.linalg.svd(t, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"hopping block spectrum failed to converge: {exc}") from exc
     half = half.ravel()
     return np.sort(np.concatenate([epsilon - half, epsilon + half]))
 

@@ -317,6 +317,21 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, values):
     assert "must be" in captured.err
 
 
+@pytest.mark.parametrize("key", ["gamma", "epsilon", "bond_length", "tolerance"])
+def test_config_rejects_integers_beyond_the_float_range(tmp_path, capsys, key):
+    # math.isfinite(10**400) raises OverflowError, which once escaped as exit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+    assert main(["gap", "--c", "5,0,-5", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must lie within the float range")
+    # an integer the float range holds is taken as before
+    cfg.write_text(json.dumps({"gamma": 10 ** 30}))
+    code, rep = run_json(capsys, ["gap", "--c", "5,0,-5", "--config", str(cfg)])
+    assert code == 0 and rep["gap"] == pytest.approx(10 ** 30 * GAP_5_0_5, rel=1e-6)
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamme": 2.0}))

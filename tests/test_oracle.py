@@ -505,6 +505,26 @@ def test_roots_pair_exactly_within_rounding_of_mpmath():
                        for j, z in enumerate(root)) <= 6e-16
 
 
+def test_roots_mirror_a_quarter_table_exactly(monkeypatch):
+    # root[k], k <= n/4, comes from lines._offsets in O(sqrt n) lines._turn calls; the rest are
+    # exact mirrors about the imaginary and the real axis
+    turns = Counter()
+    def counted(num, den, _turn=lines._turn):
+        turns[den] += 1
+        return _turn(num, den)
+    monkeypatch.setattr(lines, "_turn", counted)
+    for n in [*range(2, 200, 2), 800, 2000, 2048, 4096]:
+        lines._offsets.cache_clear()
+        root = oracle._roots(n).astype(complex)
+        quarter = n // 4
+        assert turns[n] <= min(quarter + 1, lines.SPLIT) + quarter // lines.SPLIT + 1
+        assert same_bits(root[:quarter + 1],
+                         np.array(lines._offsets((1,), n, quarter + 1)[0]))
+        k = np.arange(n // 2 - quarter)
+        assert np.array_equal(root[n // 2 - k], -root[k].conj())
+    lines._offsets.cache_clear()
+
+
 def printed_bloch_rows(c, sym, periods, p):
     """(E_plus - eps, at K) of the band_blocks rows of verify's Bloch points.
 
@@ -837,6 +857,47 @@ def test_compare_spectra_calls_layers_through_module(monkeypatch):
     assert calls["eigenvalues"] >= 2
 
 
+def achiral_reference_tubes():
+    survey = json.loads(REFERENCE.read_text())["survey"]
+    return [tuple(row[:3]) for row in survey if row[1] == 0 or row[1] == row[2]]
+
+
+@pytest.mark.parametrize("flux", [0.0, 0.37])
+def test_scalar_blocks_match_lapack(flux):
+    # every achiral tube has q' = 2: its blocks are 1 x 1, and |t| stands for LAPACK's value
+    for c in achiral_reference_tubes():
+        sym, p = tube_symmetry(c), flux_params(c, flux)
+        for periods in (1, 2):
+            if 2 * sym.q * periods > oracle.MAX_DIM:
+                continue
+            t = oracle.build_hamiltonian(oracle.build_finite_tube(sym, periods), p)
+            assert t.shape == (2 * sym.n * periods, 1, 1), c
+            stacks = [t]
+            if not flux:
+                # the self-conjugate blocks, exactly real, as _paired_spectrum passes them on
+                partner = oracle._partners(sym.n, periods, oracle._axial_twist(sym))
+                stacks.append(t[partner == np.arange(len(t))].real)
+            for stack in stacks:
+                half = (np.abs(np.linalg.eigvalsh(stack)) if np.isrealobj(stack)
+                        else np.linalg.svd(stack, compute_uv=False)).ravel()
+                ref = np.sort(np.concatenate([-half, half]))
+                got = oracle.eigenvalues(stack, 0.0)
+                assert np.all(np.abs(got - ref) <= 4e-16 * np.abs(ref)), c
+
+
+def test_scalar_blocks_make_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for c, periods, flux in (((12, 0, -12), 20, 0.0), ((8, -4, -4), 3, 0.37)):
+        assert oracle.compare_spectra(c, tube_symmetry(c), periods, flux_params(c, flux),
+                                      tol=1e-8).passed
+    # a chiral tube's blocks are larger and still go to LAPACK
+    with pytest.raises(AssertionError, match="LAPACK called"):
+        oracle.compare_spectra((4, -1, -3), tube_symmetry((4, -1, -3)), 1, P_UNIFORM, tol=1e-8)
+
+
 SWEEP_DIM = 600  # 286 of the 456 (c, P); bounds the dense spectra's time
 
 
@@ -872,10 +933,12 @@ def test_paired_spectrum_matches_full_stack(periods, beta):
 
 def assert_half_period_screw(c):
     """q' is even and the axial twist odd: g = (q'/2) omega is a lattice translation with
-    g^2 = q' omega = b + twist c', outside the group of c' and b."""
+    g^2 = q' omega = b + twist c', outside the group of c' and b.  q' = 2, so that every
+    block is 1 x 1, exactly when the tube is achiral."""
     sym = tube_symmetry(c)
     twist = oracle._axial_twist(sym)
     assert sym.q_prime % 2 == 0 and twist % 2 == 1, c
+    assert (sym.q_prime == 2) == (c[1] == 0 or c[1] == c[2]), c
     assert tuple(sym.q_prime * w - twist * x for w, x in zip(sym.omega, sym.c_prime)) == sym.b
 
 
