@@ -38,6 +38,10 @@ MAX_GRID = 2 ** 22
 # bound on the betas of one magsweep: 7.4 to 10.5 s at the bound, 0.45 to 0.64 ms a gap,
 # for (4,-2,-2), (7,-3,-4) and (2^30,0,-2^30) (whole process, 2-vCPU Xeon)
 MAX_BETAS = 2 ** 14
+# smallest gamma, 2^-970: gamma times the rounding unit 2^-52 stays a normal double, so band
+# values keep their relative precision; below it they turn subnormal and wrong (gap/gamma of
+# (4,-1,-3) read 0.75 at gamma = 4e-323 against 1.035)
+MIN_GAMMA = sys.float_info.min / sys.float_info.epsilon
 
 
 class RunConfig(namedtuple("RunConfig", "gamma epsilon bond_length resolution tolerance out")):
@@ -60,8 +64,8 @@ class RunConfig(namedtuple("RunConfig", "gamma epsilon bond_length resolution to
             raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a file name, got {self.out!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not self.gamma >= MIN_GAMMA:
+            raise ValueError(f"gamma must be at least 2^-970 = {MIN_GAMMA:.6g}, got {self.gamma}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.bond_length <= 0:

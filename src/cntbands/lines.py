@@ -18,13 +18,13 @@ an integer numerator at the start of a block and i - lo integer steps over a
 common denominator, both reduced exactly in integers: the modulus of point i
 is |L_0 T_0(i - lo) + L_1 T_1(i - lo) + gamma_2|, where L_j is gamma_j times
 the phasor at the block start and T_j is one table of at most BLOCK step
-phasors, shared by every line and block of a run, or by every line of one
-oracle verify call.  Each phasor rounds once, from an angle within pi / 4,
-and a table entry is the product of two of them, so rows stay within 2e-15
-of 40-digit mpmath however large the tube; rows at K, on a line or a path,
-are exactly epsilon without a field.  An axial field is its flux phi in
-periods, an exact ratio of integers, so its bond phases 2 pi phi c_j / C
-reduce in integers too; magnetic_params turns a float beta into phi once.
+phasors, shared by every line and block of a run.  Each phasor rounds once,
+from an angle within pi / 4, and a table entry is the product of two of
+them, so rows stay within 2e-15 of 40-digit mpmath however large the tube;
+rows at K, on a line or a path, are exactly epsilon without a field.  An
+axial field is its flux phi in periods, an exact ratio of integers, so its
+bond phases 2 pi phi c_j / C reduce in integers too; magnetic_params turns
+a float beta into phi once.
 
 Loading this module loads neither numpy nor dataclasses; the parameter and
 table records are named tuples.

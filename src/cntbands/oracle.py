@@ -27,9 +27,9 @@ eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
 only T, assembled from the p = 0 rows alone: that the p = 1 rows hold
 exactly T^H is one integer condition per bond direction on the six
 decompositions, checked there (build_hamiltonian).  verify holds at most
-two stacks of n*P*q'^2/2*itemsize <= (qP)^2/2 * itemsize bytes at once (T
-and LAPACK's working copy, or T and the halves of compare_spectra's pairing
-check), at most 16 MiB real or 32 MiB complex under MAX_DIM.
+twice the bytes of all 2nP blocks T, which _check_dimension bounds: T and
+LAPACK's working copy, or without a field the kept half of T, a copy of its
+pair blocks and LAPACK's copy of those.
 
 The involution v -> Theta - v swaps the sublattices: it maps row a, the
 atom a omega, to row h + a, the atom Theta - a omega, and the bond
@@ -43,23 +43,23 @@ of T.  A complex T is complex symmetric, not Hermitian, and keeps the
 singular value decomposition.  T is real exactly when n = P = 1 and no flux
 is applied: the characters are then +-1.  Every achiral tube has q' = 2, so
 its blocks are 1 x 1, and the singular value |t| of [t] needs no LAPACK call.
-The 2nP-th roots of unity that phase T are read from the lines._offsets
-table up to a quarter turn and mirrored exactly beyond it.
 
-With real hoppings every phase of block (-m mod n, -e mod 2nP) is the exact
-conjugate of the same phase of block (m, e), so T_{-m,-e} = conj(T_{m,e})
-bit for bit (time reversal pairs the Bloch irreps of the line group) and
-the two blocks share their singular values.  compare_spectra checks that
-pairing exactly and diagonalizes one block per pair, counting its values
-twice.  A block with 2m = 0 mod n and e = 0 or nP is its own partner: its
-T must be exactly real, and it takes eigvalsh even when the stack is complex.
-Under flux the hoppings are complex, no block has a partner, and every
-block is diagonalized.
+Without a field time reversal pairs block (m, e) with (-m mod n, -e mod
+2nP) (_partners), as it pairs the Bloch irreps of the line group: each
+phase index 2P m x + e y of one is minus the other's mod 2nP, root[2nP - k]
+= conj(root[k]) bit for bit (_roots), the gamma_j are real and the adds run
+in the same order j, so T_{-m,-e} = conj(T_{m,e}), with the same singular
+values.  So only the lower index of each pair is built, and its values are
+counted twice.  The own in {2, 4} blocks with 2m = 0 mod n and e = 0 or nP
+are their own partners: their phase indices are 0 or nP, roots exactly 1
+and -1, so their T is exactly real and takes eigvalsh.  Under flux no block
+has a partner, and all 2nP are built and diagonalized.
 
 The sorted values of all blocks must reproduce, as a multiset, the analytic
 two-band values at the Bloch-quantized points of the allowed k-lines: grid
-points of lines.line_numerators, phased by lines._turn and lines._offsets
-as `bands` phases its rows.  Agreement to rounding error is the whole point.
+points of lines.line_numerators, phased by lines._turn and the
+lines._offsets phasors `bands` phases its rows with, mirrored beyond a
+quarter turn (_roots).  Agreement to rounding error is the whole point.
 """
 
 from collections import namedtuple
@@ -83,12 +83,13 @@ class DimensionError(ValueError):
     """The segment's matrix dimension 2qP exceeds MAX_DIM."""
 
 
-class FiniteTube(namedtuple("FiniteTube", "sym periods bonds")):
-    """A P-period tube segment and the six bond decompositions that give all its bonds.
+class FiniteTube(namedtuple("FiniteTube", "sym periods twist bonds")):
+    """A P-period tube segment, its axial twist and the six bond decompositions giving all bonds.
 
     The translations by c' and by the half-period screw g split the
     segment's 2qP atoms into q' orbits; row p*h + s' is the representative
     (s', 0, p), s' < h = q'/2, so the rows below h are the sum-0 sublattice.
+    twist is the odd integer with g^2 = b + twist c' (_axial_twist).
     bonds[p][j] = (s_j, m_j, target_j), Python ints, are the coordinates
     (decompose) of the neighbour v^j of row (0, 0, p).
     """
@@ -99,8 +100,8 @@ class FiniteTube(namedtuple("FiniteTube", "sym periods bonds")):
 def _check_dimension(sym, periods):
     """Raise DimensionError when the segment's 2qP atoms exceed MAX_DIM.
 
-    This bounds verify's memory: T and LAPACK's working copy each take at
-    most 2nP (q'/2)^2 itemsize = n*P*q'^2/2*itemsize = P*q*q'/2*itemsize <=
+    This bounds verify's memory: a stack of all 2nP blocks T takes
+    2nP (q'/2)^2 itemsize = n*P*q'^2/2*itemsize = P*q*q'/2*itemsize <=
     (qP)^2/2 * itemsize bytes, and qP <= MAX_DIM / 2 = 2048 makes that
     16 MiB real or 32 MiB complex.
     """
@@ -137,28 +138,28 @@ def build_finite_tube(sym, periods):
     _check_dimension(sym, periods)
     bonds = tuple(tuple(decompose(nb, sym) for nb in nearest_neighbors(compose(0, 0, p, sym)))
                   for p in (0, 1))
-    return FiniteTube(sym, periods, bonds)
+    return FiniteTube(sym, periods, _axial_twist(sym), bonds)
 
 
 def _roots(n):
-    """The n-th roots of unity e^{2 pi i k / n}, k < n, paired exactly.
+    """The n-th roots of unity e^{2 pi i k / n}, k < n, for even n, paired exactly.
 
-    root[k] for k <= n/4 (k <= n/2 for odd n) is read from the lines._offsets
-    table, O(sqrt n) lines._turn calls; the rest are exact mirrors,
-    root[n/2 - k] = -conj(root[k]) and root[n - k] = conj(root[k]).  So root[0]
-    = 1 and root[n/2] = -1 exactly, and root[n - k] is conj(root[k]) bit for
-    bit: blocks built from them are exactly Hermitian; real for n <= 2.
+    root[k] for k <= n/4 is read from the lines._offsets table, O(sqrt n)
+    lines._turn calls; the rest are exact mirrors, root[n/2 - k] =
+    -conj(root[k]) and root[n - k] = conj(root[k]).  So root[0] = 1 and
+    root[n/2] = -1 exactly, and root[n - k] is conj(root[k]) bit for bit:
+    blocks built from them are exactly Hermitian, time-reversal partners are
+    exact conjugates, and the two roots of n = 2 are real.
     """
-    quarter = n // 4 if n % 2 == 0 else n // 2
+    quarter = n // 4
     root = np.fromiter(_offsets((1,), n, quarter + 1)[0], complex, quarter + 1)
-    if n % 2 == 0:  # up to k = n/2
-        root = np.concatenate([root, -root[n // 2 - quarter - 1::-1].conj()])
-    root = np.concatenate([root, root[(n - 1) // 2:0:-1].conj()])
-    return root.real if n <= 2 else root
+    root = np.concatenate([root, -root[n // 2 - quarter - 1::-1].conj()])  # up to k = n/2
+    root = np.concatenate([root, root[n // 2 - 1:0:-1].conj()])
+    return root.real if n == 2 else root
 
 
 def _block_labels(n, periods, twist):
-    """(m, e) of each block of build_hamiltonian's stack: block i = n (e // n) + m.
+    """(m, e) of the 2nP characters, in block order i = n (e // n) + m.
 
     m < n, e < 2nP and e = m twist P mod n: the characters of the group of
     c' and g on the segment, e^{2 pi i m / n} on c' and e^{2 pi i e / 2nP}
@@ -175,19 +176,33 @@ def _partners(n, periods, twist):
     return -e % (2 * n * periods) // n * n + -m % n
 
 
-def build_hamiltonian(tube, p):
-    """The 2nP sublattice hopping blocks T of the segment's (m, e) blocks.
+def _kept_blocks(tube, real):
+    """Block index of each T build_hamiltonian builds, and whether it is its own partner.
 
-    Shape (2nP, h, h), h = q'/2, block n (e // n) + m (_block_labels):
-    T[a, b] is the hopping from row a (sublattice p = 0) to row h + b
-    (p = 1), and the (m, e) block of the hopping matrix is
+    With real hoppings the one block of each time-reversal pair whose index is
+    at most its partner's (_partners); under flux all 2nP, each its own.
+    """
+    n, periods = tube.sym.n, tube.periods
+    index = np.arange(2 * n * periods)
+    partner = _partners(n, periods, tube.twist) if real else index
+    keep = index <= partner
+    return index[keep], (index == partner)[keep]
+
+
+def build_hamiltonian(tube, p):
+    """The sublattice hopping blocks T of the segment's (m, e) blocks (_kept_blocks).
+
+    Shape (k, h, h), h = q'/2, blocks n (e // n) + m (_block_labels) in
+    that order: all k = 2nP under flux, k = (2nP + own)/2 without.  T[a, b]
+    is the hopping from row a (sublattice p = 0) to row h + b (p = 1), and
+    the (m, e) block of the hopping matrix is
     [[epsilon I, T], [T^H, epsilon I]].  The bond (v, v^j) carries
     p.hoppings[j] (gamma, or gamma e^{i beta c_j a} under a field) from the
     sum-0 sublattice and its conjugate from the other, times
     e^{2 pi i (2P m x + e y) / 2nP} when it ends x steps along c' and y along
     g from its target's row: one table of 2nP-th roots of unity.
 
-    With g^2 = b + twist c' (_axial_twist), bond j of row a ends at
+    With g^2 = b + twist c', bond j of row a ends at
     (s_0j - a, m_0j, 1) = (u h + b, m_0j, 1), at x = -m_0j, y = -u from row
     h + b (tau reverses both), and bond j of row h + b at (s_1j - b, m_1j, 0)
     = (u' h + col, m_1j, 0), at (m_1j, u') from row col.  Hence:
@@ -210,8 +225,8 @@ def build_hamiltonian(tube, p):
     bond order, and the one stack built.  T is real exactly when n = P = 1
     and no flux.
     """
-    sym, periods = tube.sym, tube.periods
-    n, qp, twist = sym.n, sym.q_prime, _axial_twist(sym)
+    sym, periods, twist = tube.sym, tube.periods, tube.twist
+    n, qp = sym.n, sym.q_prime
     for (s0, m0, target0), (s1, m1, target1) in zip(*tube.bonds):
         if (target0, target1) != (1, 0):
             raise AdjacencyError("a bond joins two atoms of the same sublattice")
@@ -221,9 +236,10 @@ def build_hamiltonian(tube, p):
     gammas = np.array(p.hoppings)
     order, half = 2 * n * periods, qp // 2
     root = _roots(order)
-    m, e = (x[:, None] for x in _block_labels(n, periods, twist))
+    index = _kept_blocks(tube, p.field is None)[0]
+    m, e = (x[index, None] for x in _block_labels(n, periods, twist))
     a = np.arange(half)
-    t = np.zeros((order, half, half), dtype=np.result_type(gammas, root))
+    t = np.zeros((len(index), half, half), dtype=np.result_type(gammas, root))
     for gamma, (s, mj, _) in zip(gammas, tube.bonds[0]):
         u, col = np.divmod(s - a, half)
         t[:, a, col] += gamma * root[-(2 * periods * mj * m + u * e) % order]
@@ -261,42 +277,19 @@ def eigenvalues(t, epsilon):
     return np.sort(np.concatenate([epsilon - half, epsilon + half]))
 
 
-def _paired_spectrum(t, sym, periods, real):
-    """eigenvalues(t, 0) of build_hamiltonian's stack, one block per conjugate pair.
+def _paired_spectrum(t, tube, real):
+    """eigenvalues(t, 0) of all 2nP blocks, from build_hamiltonian's stack t of the kept ones.
 
-    Without a field (real is true: the hoppings are real) block (m, e) of
-    a 2nP stack is paired with block (-m mod n, -e mod 2nP) (_partners),
-    which must be its exact conjugate: one of them is diagonalized and its
-    values counted twice.  A block that is its own partner (2m = 0 mod n,
-    e = 0 or nP) must then be exactly real, and takes eigvalsh.  Under
-    flux, or for a stack whose length is not 2nP (left to compare_spectra's
-    length check), every block is its own partner and the whole stack goes
-    to eigenvalues unchanged.
+    A block that is its own partner (_kept_blocks; every block under flux)
+    counts once, any other twice, for itself and its conjugate partner.
+    Without a field the former are exactly real (root[0] = 1, root[nP] = -1)
+    and go on as .real to eigvalsh even in a complex stack.
     """
-    index = np.arange(len(t))
-    partner = index
-    paired = real and len(t) == 2 * sym.n * periods
-    if paired:
-        partner = _partners(sym.n, periods, _axial_twist(sym))
-    lower = index < partner
-    pair = t[lower]
-    partners = t[partner[lower]]
-    np.conjugate(partners, out=partners)  # in place: no third copy of half the stack
-    if not np.array_equal(partners, pair):
-        raise AdjacencyError("blocks (m, e) and (-m, -e) are not exactly conjugate")
-    del partners
-    own = index == partner
-    # a real stack (n = P = 1) has only own blocks and goes on uncopied
-    blocks = t if own.all() else t[own]
-    if paired and np.iscomplexobj(blocks):
-        if blocks.imag.any():
-            raise AdjacencyError("a self-conjugate block (2m = 0 mod n, 2e = 0 mod 2nP) "
-                                 "is not exactly real")
-        blocks = blocks.real
-    parts = [eigenvalues(blocks, 0.0)]
-    if len(pair):
-        parts += [eigenvalues(pair, 0.0)] * 2
-    return np.sort(np.concatenate(parts))
+    own = _kept_blocks(tube, real)[1]
+    if own.all():  # under flux (complex, kept whole) or the two real blocks of n = P = 1
+        return eigenvalues(t, 0.0)
+    pairs = eigenvalues(t[~own], 0.0)
+    return np.sort(np.concatenate([eigenvalues(t[own].real, 0.0), pairs, pairs]))
 
 
 def analytic_spectrum(sym, periods, p):
@@ -306,7 +299,7 @@ def analytic_spectrum(sym, periods, p):
     Axial closure puts line m's point l < P q' at grid point first_m + n l, first_m = (m twist
     mod n) P, of lines.line_numerators at S = n P q'.  Its modulus is lines._moduli's |L_0 T_0(l)
     + L_1 T_1(l) + gamma_2|, L_j gamma_j times the phasor of first_m.  S steps turn each phase
-    whole: T_j(l) = R(l k_j mod P q'), k_j = S along_j / den, R the lines._offsets P q'-th roots.
+    whole: T_j(l) = R(l k_j mod P q'), k_j = S along_j / den, R the _roots of the even P q'.
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
@@ -315,7 +308,7 @@ def analytic_spectrum(sym, periods, p):
     twist, gammas = _axial_twist(sym) % n, p.hoppings
     lead = np.array([[g * _turn(m * x + m * twist % n * periods * s, den)
                       for g, x, s in zip(gammas, across, along)] for m in range(n)])
-    root = np.fromiter(_offsets((1,), points, points)[0], complex, points)
+    root = _roots(points)
     t0, t1 = (root[np.arange(points) * (n * points * s // den % points) % points] for s in along)
     mod = np.abs(lead[:, :1] * t0 + lead[:, 1:] * t1 + gammas[2]).ravel()
     return np.sort(np.concatenate([p.epsilon + mod, p.epsilon - mod]))
@@ -347,9 +340,8 @@ def compare_spectra(c, sym, periods, p, tol):
         raise ValueError(f"chirality {tuple(c)} does not match the symmetry of {sym.c}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    _check_dimension(sym, periods)
-    t = build_hamiltonian(build_finite_tube(sym, periods), p)
-    fin = _paired_spectrum(t, sym, periods, p.field is None)
+    tube = build_finite_tube(sym, periods)
+    fin = _paired_spectrum(build_hamiltonian(tube, p), tube, p.field is None)
     ana = analytic_spectrum(sym, periods, p._replace(epsilon=0.0))
     if len(fin) != len(ana):
         raise AdjacencyError(

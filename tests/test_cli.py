@@ -220,9 +220,9 @@ def test_verify_fails_at_impossible_tolerance(capsys):
     assert rep["passed"] is False and rep["max_deviation"] >= 1e-18
 
 
-@pytest.mark.parametrize("tol,gamma", [("1e300", "1e300"), ("1e-300", "1e-300")])
+@pytest.mark.parametrize("tol,gamma", [("1e300", "1e300"), ("1e-300", "1e-290")])
 def test_verify_rejects_tolerance_out_of_range(capsys, tol, gamma):
-    # the product overflows to inf or underflows to 0
+    # the product overflows to inf or underflows to 0; gamma itself lies within its bounds
     assert main(["verify", "--c", "5,0,-5", "--tol", tol, "--gamma", gamma]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "positive and finite" in captured.err
@@ -418,6 +418,41 @@ def test_overflowing_band_energies_rejected(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["gap", "bands", "verify"])
+def test_gamma_below_its_bound_rejected(command, capsys):
+    # below 2^-970 band values turn subnormal: gap/gamma of (4,-1,-3) read 0.75 at 4e-323
+    assert cli.MIN_GAMMA == 2.0 ** -970
+    argv = [command, "--c", "4,-1,-3", "--resolution", "64"]
+    for gamma in (math.nextafter(cli.MIN_GAMMA, 0.0), 4e-323, 1e-320, 5e-324):
+        assert main(argv + ["--gamma", repr(gamma)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma must be at least 2^-970" in captured.err
+
+
+@pytest.mark.parametrize("c", ["4,-1,-3", "7,-3,-4", f"{2 ** 30},0,{-2 ** 30}",
+                               f"{2 ** 30},-1,{1 - 2 ** 30}"])
+def test_gap_at_the_gamma_bound_scales_exactly(c, capsys):
+    # 2^-970 is a power of two and its band values stay normal: gap / gamma is the gamma = 1
+    # gap bit for bit
+    _, unit = run_json(capsys, ["gap", "--c", c])
+    code, rep = run_json(capsys, ["gap", "--c", c, "--gamma", repr(cli.MIN_GAMMA)])
+    assert code == 0 and rep["gap"] / cli.MIN_GAMMA == unit["gap"]
+
+
+def test_bands_and_verify_at_the_gamma_bound(tmp_path, capsys):
+    argv = ["--c", "4,-1,-3", "--resolution", "64"]
+    tables = []
+    for gamma in ("1", repr(cli.MIN_GAMMA)):
+        out = tmp_path / f"bands-{gamma}.csv"
+        assert main(["bands", *argv, "--gamma", gamma, "--out", str(out)]) == 0
+        tables.append(read_csv(out)[1])
+    unit, tiny = ([float(v) for row in rows for v in row[2:]] for rows in tables)
+    # the printed 12 digits of the scaled values round apart
+    assert [v / cli.MIN_GAMMA for v in tiny] == pytest.approx(unit, rel=1e-11, abs=0.0)
+    code, rep = run_json(capsys, ["verify", *argv, "--gamma", repr(cli.MIN_GAMMA)])
+    assert code == 0 and rep["passed"] and rep["max_deviation"] < 1e-13 * cli.MIN_GAMMA
 
 
 def test_largest_finite_band_energies_accepted(capsys):

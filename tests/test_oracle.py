@@ -81,7 +81,7 @@ def loop_bond_table(tube):
     (m_j + twist u, u) along (c', b), mirrored by tau when target_j = 1,
     where s_j - s' = u q' + s''.
     """
-    qp, twist = tube.sym.q_prime, oracle._axial_twist(tube.sym)
+    qp, twist = tube.sym.q_prime, tube.twist
     bonds = np.empty((2, 3, 3, qp), dtype=np.int64)
     for p in (0, 1):
         for j, (s, m, target) in enumerate(tube.bonds[p]):
@@ -202,7 +202,7 @@ def assembled_blocks(t, epsilon):
 
 
 def two_half_hamiltonian(tube, p):
-    """build_hamiltonian's T with both halves of loop_bond_table assembled densely: a reference.
+    """All 2nP blocks T, both halves of loop_bond_table assembled densely: a reference.
 
     loop_bond_table's rows are the 2q' orbits of c' and b.  Its row
     p q' + v h + r, h = q'/2, r < h, is row p h + r of the (c', g) blocks
@@ -217,8 +217,8 @@ def two_half_hamiltonian(tube, p):
     message or the symmetry one.  Bond degrees and sublattices are not
     checked.
     """
-    sym, periods = tube.sym, tube.periods
-    n, qp, twist = sym.n, sym.q_prime, oracle._axial_twist(sym)
+    sym, periods, twist = tube.sym, tube.periods, tube.twist
+    n, qp = sym.n, sym.q_prime
     half, order = qp // 2, 2 * n * periods
     table = loop_bond_table(tube)
     row, x, y = np.moveaxis(np.concatenate([table[:half], table[qp:qp + half]]), -1, 0)
@@ -255,6 +255,15 @@ def same_bits(a, b):
             and np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
+def kept(full, tube, p):
+    """The blocks of a full 2nP stack that build_hamiltonian builds: all under flux, and
+    without a field the lower index of each time-reversal pair."""
+    if p.field is not None:
+        return full
+    partner = oracle._partners(tube.sym.n, tube.periods, tube.twist)
+    return full[np.arange(len(full)) <= partner]
+
+
 def builds_like_reference(tube, p):
     """build_hamiltonian's T, or None where it raises, checked against two_half_hamiltonian's."""
     try:
@@ -264,7 +273,7 @@ def builds_like_reference(tube, p):
             oracle.build_hamiltonian(tube, p)
         return None
     t = oracle.build_hamiltonian(tube, p)
-    assert same_bits(t, want)
+    assert same_bits(t, kept(want, tube, p))
     return t
 
 
@@ -276,7 +285,16 @@ def test_hamiltonian_matches_two_half_reference(periods, flux):
         if 2 * sym.q * periods > oracle.MAX_DIM:
             continue
         tube = oracle.build_finite_tube(sym, periods)
-        assert builds_like_reference(tube, flux_params(c, flux)) is not None, c
+        p = flux_params(c, flux)
+        full = two_half_hamiltonian(tube, p)
+        assert same_bits(oracle.build_hamiltonian(tube, p), kept(full, tube, p)), c
+        if not flux:
+            # what the blocks build_hamiltonian leaves out stand for: each block of the full
+            # reference is the conjugate of its time-reversal partner, and a block that is
+            # its own partner is real
+            partner = oracle._partners(sym.n, periods, tube.twist)
+            assert np.array_equal(full[partner], full.conj()), c
+            assert not full[partner == np.arange(len(full))].imag.any(), c
 
 
 @pytest.mark.parametrize("c,periods", [((5, 0, -5), 2), ((4, -1, -3), 3), ((7, -3, -4), 1),
@@ -285,7 +303,8 @@ def test_hamiltonian_matches_two_half_reference(periods, flux):
 def test_compare_spectra_matches_two_half_reference(monkeypatch, c, periods, flux):
     sym, p = tube_symmetry(c), flux_params(c, flux)
     got = oracle.compare_spectra(c, sym, periods, p, tol=1e-8)
-    monkeypatch.setattr(oracle, "build_hamiltonian", two_half_hamiltonian)
+    monkeypatch.setattr(oracle, "build_hamiltonian",
+                        lambda tube, p: kept(two_half_hamiltonian(tube, p), tube, p))
     want = oracle.compare_spectra(c, sym, periods, p, tol=1e-8)
     assert repr(got.max_deviation) == repr(want.max_deviation)
     assert got.passed and want.passed
@@ -346,37 +365,46 @@ def test_blocks_match_dense_reference(c, beta):
     for periods in (1, 2, 3, 4):
         tube = oracle.build_finite_tube(sym, periods)
         t = oracle.build_hamiltonian(tube, p)
-        assert t.shape == (2 * sym.n * periods, sym.q_prime // 2, sym.q_prime // 2)
+        blocks = 2 * sym.n * periods
+        if not beta:
+            # one per time-reversal pair; (0, 0), (0, nP), and for even n and P also
+            # (n/2, 0) and (n/2, nP), are their own partners
+            blocks = (blocks + (4 if sym.n % 2 == periods % 2 == 0 else 2)) // 2
+        assert t.shape == (blocks, sym.q_prime // 2, sym.q_prime // 2)
         assert np.isrealobj(t) == (sym.n == periods == 1 and not beta)
         assert np.array_equal(t, np.swapaxes(t, -1, -2))
         ref = np.linalg.eigvalsh(dense_hamiltonian(sym, periods, p))
-        assert np.max(np.abs(oracle.eigenvalues(t, p.epsilon) - ref)) < 1e-12
+        got = p.epsilon + oracle._paired_spectrum(t, tube, not beta)
+        assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_hopping_stack_holds_one_buffer():
-    # the p = 1 rows are checked on the six decompositions: only T is allocated
-    tube = oracle.build_finite_tube(tube_symmetry((14, 1, -15)), 1)
-    tracemalloc.start()
-    try:
-        t = oracle.build_hamiltonian(tube, P_UNIFORM)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the half-period screw splits the one 422 x 422 block of n = P = 1 in two: half the bytes
-    assert t.shape == (2, 211, 211) and t.nbytes == 422 ** 2 * 8 // 2
-    root = t
-    while root.base is not None:
-        root = root.base
-    assert root.nbytes == t.nbytes
-    assert current <= 1.25 * t.nbytes
-    # no second stack is built beside it, even for a moment
-    assert peak <= 1.25 * t.nbytes
+    # the p = 1 rows are checked on the six decompositions, and no partner block is built:
+    # only the kept blocks of T are allocated.  The half-period screw splits the one 422 x 422
+    # block of n = P = 1 in two, half the bytes; at P = 4 the 8 complex blocks are 2 real
+    # self-partners and 3 time-reversal pairs, 5 kept
+    for periods, shape, itemsize in ((1, (2, 211, 211), 8), (4, (5, 211, 211), 16)):
+        tube = oracle.build_finite_tube(tube_symmetry((14, 1, -15)), periods)
+        tracemalloc.start()
+        try:
+            t = oracle.build_hamiltonian(tube, P_UNIFORM)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.shape == shape and t.nbytes == math.prod(shape) * itemsize
+        root = t
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == t.nbytes
+        assert current <= 1.25 * t.nbytes
+        # no second stack is built beside it, even for a moment
+        assert peak <= 1.25 * t.nbytes
 
 
 def test_oversized_segment_rejected_before_assembly(monkeypatch):
     c = (60, 59, -119)
     sym = tube_symmetry(c)
-    monkeypatch.setattr(oracle, "build_finite_tube", None)  # must not be reached
+    monkeypatch.setattr(oracle, "build_hamiltonian", None)  # must not be reached
     with pytest.raises(oracle.DimensionError):
         oracle.compare_spectra(c, sym, 1, P_UNIFORM, tol=1e-8)
 
@@ -496,10 +524,11 @@ def test_analytic_spectrum_matches_mpmath(c, periods, flux):
 def test_roots_pair_exactly_within_rounding_of_mpmath():
     # np.exp roots were 1.02e-15 off at n = 196, k = 93
     with mpmath.workdps(40):
-        for n in [*range(1, 200), 256, 331, 509, 997, 1024, 1500, 2039, 2048]:
+        # the even orders 2nP and P q' the oracle takes, among them 2 x 331, 509, 997, 2039
+        for n in [*range(2, 200, 2), 256, 662, 1018, 1024, 1500, 1994, 2048, 4078]:
             root = oracle._roots(n).astype(complex)
-            assert root[0] == 1 and (n % 2 or root[n // 2] == -1)
-            k = np.arange(1, (n + 1) // 2)
+            assert root[0] == 1 and root[n // 2] == -1
+            k = np.arange(1, n // 2)
             assert same_bits(root[n - k], root[k].conj())
             assert max(abs(mpmath.mpc(z) - mpmath.expjpi(mpmath.mpf(2 * j) / n))
                        for j, z in enumerate(root)) <= 6e-16
@@ -615,7 +644,7 @@ def test_finite_antisymmetry():
     c = (4, -1, -3)
     sym = tube_symmetry(c)
     tube = oracle.build_finite_tube(sym, 2)
-    ev = oracle.eigenvalues(oracle.build_hamiltonian(tube, P_UNIFORM), P_UNIFORM.epsilon)
+    ev = oracle._paired_spectrum(oracle.build_hamiltonian(tube, P_UNIFORM), tube, True)
     assert ev == pytest.approx(-ev[::-1], abs=1e-10)
 
 
@@ -797,29 +826,33 @@ def test_scalar_checks_match_the_bond_table_checks():
 
 
 def test_dropped_block_fails_spectrum_length_check(monkeypatch):
+    # under flux every block stands for itself, so a stack one block short is a spectrum
+    # two values short
     build = oracle.build_hamiltonian
     monkeypatch.setattr(oracle, "build_hamiltonian", lambda tube, p: build(tube, p)[1:])
+    c = (5, 0, -5)
     with pytest.raises(oracle.AdjacencyError, match="length mismatch"):
-        oracle.compare_spectra((5, 0, -5), tube_symmetry((5, 0, -5)), 2, P_UNIFORM, tol=1e-8)
+        oracle.compare_spectra(c, tube_symmetry(c), 2, flux_params(c, 0.37), tol=1e-8)
 
 
-@pytest.mark.parametrize("c,block,delta,match", [
-    ((5, 0, -5), 2, 1e-3, "conjugate"),   # (m, e) = (2, 1), whose partner is (3, 19)
-    ((5, 0, -5), 8, 1e-3j, "conjugate"),  # (3, 9), whose partner is (2, 11)
-    ((4, -2, -2), 1, 1e-3j, "real"),      # (1, 0) is its own partner
-    ((6, 0, -6), 3, 1e-3j, "real"),       # and so is (3, 0) at n = 6
-])
-def test_broken_time_reversal_fails_pairing_check(monkeypatch, c, block, delta, match):
+@pytest.mark.parametrize("delta", [1e-3, 1e-3j])
+def test_broken_pair_block_fails_comparison(monkeypatch, delta):
+    # block 2 of (5, 0, -5) at P = 2 is (m, e) = (2, 1), kept for its partner (3, 19): the
+    # referee counts its perturbed values twice and must fail
+    c, periods = (5, 0, -5), 2
+    tube = oracle.build_finite_tube(tube_symmetry(c), periods)
+    index, own = oracle._kept_blocks(tube, True)
+    assert index[2] == 2 and not own[2]
     build = oracle.build_hamiltonian
 
     def perturbed(tube, p):
-        t = build(tube, p).astype(complex)
-        t[block, 0, 0] += delta
+        t = build(tube, p)
+        t[2, 0, 0] += delta
         return t
 
     monkeypatch.setattr(oracle, "build_hamiltonian", perturbed)
-    with pytest.raises(oracle.AdjacencyError, match=match):
-        oracle.compare_spectra(c, tube_symmetry(c), 2, P_UNIFORM, tol=1e-8)
+    report = oracle.compare_spectra(c, tube.sym, periods, P_UNIFORM, tol=1e-8)
+    assert not report.passed and report.max_deviation > 1e-4
 
 
 def test_perturbed_block_fails_at_any_epsilon(monkeypatch):
@@ -870,13 +903,14 @@ def test_scalar_blocks_match_lapack(flux):
         for periods in (1, 2):
             if 2 * sym.q * periods > oracle.MAX_DIM:
                 continue
-            t = oracle.build_hamiltonian(oracle.build_finite_tube(sym, periods), p)
-            assert t.shape == (2 * sym.n * periods, 1, 1), c
+            tube = oracle.build_finite_tube(sym, periods)
+            t = oracle.build_hamiltonian(tube, p)
+            own = oracle._kept_blocks(tube, not flux)[1]
+            assert t.shape == (len(own), 1, 1), c
             stacks = [t]
             if not flux:
-                # the self-conjugate blocks, exactly real, as _paired_spectrum passes them on
-                partner = oracle._partners(sym.n, periods, oracle._axial_twist(sym))
-                stacks.append(t[partner == np.arange(len(t))].real)
+                # the self-partner blocks, exactly real, as _paired_spectrum passes them on
+                stacks.append(t[own].real)
             for stack in stacks:
                 half = (np.abs(np.linalg.eigvalsh(stack)) if np.isrealobj(stack)
                         else np.linalg.svd(stack, compute_uv=False)).ravel()
@@ -913,19 +947,14 @@ def test_paired_spectrum_matches_full_stack(periods, beta):
         chiral += sym.n == 1
         p = (bands.magnetic_params(1.0, beta / A, c, A, epsilon=0.1) if beta
              else bands.uniform_params(1.0, 0.1, A))
-        t = oracle.build_hamiltonian(oracle.build_finite_tube(sym, periods), p)
-        full = oracle.eigenvalues(t, p.epsilon)
+        full = oracle.eigenvalues(
+            two_half_hamiltonian(oracle.build_finite_tube(sym, periods), p), p.epsilon)
         paired = oracle.compare_spectra(c, sym, periods, p, tol=1e-8).finite
         if beta:
-            # under flux no block has a partner: every block is diagonalized as before
+            # under flux no block has a partner: every block is built and diagonalized
             assert np.array_equal(paired, full)
         else:
-            # block (-m mod n, -e mod 2nP), found by its labels, is the exact conjugate
-            m, e = oracle._block_labels(sym.n, periods, oracle._axial_twist(sym))
-            index = {label: i for i, label in enumerate(zip(m.tolist(), e.tolist()))}
-            order = 2 * sym.n * periods
-            partner = [index[-mi % sym.n, -ei % order] for mi, ei in zip(m.tolist(), e.tolist())]
-            assert np.array_equal(t[partner], t.conj())
+            # one block per pair, counted twice, for all 2nP blocks of the reference
             assert np.max(np.abs(paired - full)) < 1e-12
     # n = 1 tubes, whose conjugate pairs (e, -e) are new with the half-period screw
     assert chiral >= 10
