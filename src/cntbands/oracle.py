@@ -8,28 +8,27 @@ Translation by c' and by g map atoms to atoms and bonds to bonds, and on the
 segment they generate a group of order 2nP that splits the atoms into q'
 orbits, one representative (s', 0, p), s' < h = q'/2, each.  The screw
 omega^s' is a lattice translation, so the bonds of row s' are those of row 0
-moved by it: we decompose the three neighbours of (0, 0, p), p = 0, 1,
-exactly (integer reduction modulo Zc via the screw/rotation/flip
-coordinates), and shifting their screw powers gives every row's bonds a
-target orbit and an integer (c', g) offset.  The hopping matrix then splits
-into 2nP Hermitian blocks of size q', one per character (m, e) of the group:
-e^{2 pi i m / n} on c' and e^{2 pi i e / 2nP} on g, with e mod 2nP and
-e = m twist P mod n, so that c = n c' and P b = 2P g - P twist c' act
-trivially.  This is the line-group Bloch block of Damnjanovic et al. (PRB 60,
-2728, 1999) split once more by the screw.  The blocks use only this
-relabelling, not the screw-line formula under test: the remaining q'/2
-screw steps stay dense.
+moved by it: we decompose the three neighbours of the origin exactly
+(integer reduction modulo Zc via the screw/rotation/flip coordinates), the
+flip gives those of (0, 0, 1) (build_finite_tube), and shifting their screw
+powers gives every row's bonds a target orbit and an integer (c', g) offset.
+The hopping matrix then splits into 2nP Hermitian blocks of size q', one
+per character (m, e) of the group: e^{2 pi i m / n} on c' and
+e^{2 pi i e / 2nP} on g, with e mod 2nP and e = m twist P mod n, so that
+c = n c' and P b = 2P g - P twist c' act trivially.  This is the
+line-group Bloch block of Damnjanovic et al. (PRB 60, 2728, 1999) split
+once more by the screw.  The blocks use only this relabelling, not the
+screw-line formula under test: the remaining q'/2 screw steps stay dense.
 
 Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
 [[eps I, T], [T^H, eps I]] for an h x h hopping block T, and its
 eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
-only T, assembled from the p = 0 rows alone: that the p = 1 rows hold
-exactly T^H is one integer condition per bond direction on the six
-decompositions, checked there (build_hamiltonian).  verify holds at most
-twice the bytes of all 2nP blocks T, which _check_dimension bounds: T and
-LAPACK's working copy, or without a field the kept half of T, a copy of its
-pair blocks and LAPACK's copy of those.
+only T, assembled from the p = 0 rows alone: the flip makes the p = 1 rows
+hold exactly T^H (build_hamiltonian).  verify holds at most twice the bytes
+of all 2nP blocks T, which _check_dimension bounds: T and LAPACK's working
+copy, or without a field the kept half of T, a copy of its pair blocks and
+LAPACK's copy of those.
 
 The involution v -> Theta - v swaps the sublattices: it maps row a, the
 atom a omega, to row h + a, the atom Theta - a omega, and the bond
@@ -70,13 +69,13 @@ import numpy as np
 from .geom import inner
 from .lines import _offsets, _turn, line_numerators
 from .honeycomb import nearest_neighbors
-from .tube import compose, decompose
+from .tube import decompose
 
 MAX_DIM = 4096
 
 
 class AdjacencyError(RuntimeError):
-    """Inconsistent bond structure while assembling the Hamiltonian."""
+    """The finite and the analytic spectrum differ in length (compare_spectra)."""
 
 
 class DimensionError(ValueError):
@@ -84,14 +83,15 @@ class DimensionError(ValueError):
 
 
 class FiniteTube(namedtuple("FiniteTube", "sym periods twist bonds")):
-    """A P-period tube segment, its axial twist and the six bond decompositions giving all bonds.
+    """A P-period tube segment, its axial twist and the three bond decompositions giving all bonds.
 
     The translations by c' and by the half-period screw g split the
     segment's 2qP atoms into q' orbits; row p*h + s' is the representative
     (s', 0, p), s' < h = q'/2, so the rows below h are the sum-0 sublattice.
     twist is the odd integer with g^2 = b + twist c' (_axial_twist).
-    bonds[p][j] = (s_j, m_j, target_j), Python ints, are the coordinates
-    (decompose) of the neighbour v^j of row (0, 0, p).
+    bonds[j] = (s_j, m_j), Python ints, are the screw and rotation powers
+    (decompose) of the origin's neighbour e_j = (s_j, m_j, 1), and the
+    neighbour of (0, 0, 1) across bond j is (s_j, m_j, 0) (build_finite_tube).
     """
 
     __slots__ = ()
@@ -114,30 +114,33 @@ def _axial_twist(sym):
     """Integer j with q' * omega = b + (j/n) * c.
 
     Translating by b shifts the screw power by q' and the rotation index by
-    -j.  q' is even, so g = (q'/2) omega has g^2 = b + j c', and j is odd:
-    an even j would make g - (j/2) c' a translation along the axis half as
-    long as b, the shortest one.  build_hamiltonian's bond offsets count
-    along c' and g.
+    -j.  j is an integer: <omega, b> q' = ||b||^2, so q' omega - b is a
+    sum-zero integer triple orthogonal to b, a whole multiple j of the
+    primitive c', and <c, c'> = ||c||^2 / n gives j exactly as below.  q' is
+    even, so g = (q'/2) omega has g^2 = b + j c', and j is odd: an even j
+    would make g - (j/2) c' a translation along the axis half as long as b,
+    the shortest one.  build_hamiltonian's bond offsets count along c' and g.
     """
-    j, rem = divmod(sym.q * inner(sym.c, sym.omega), inner(sym.c, sym.c))
-    if rem:
-        raise AdjacencyError("omega projection on c is not an integer lattice step")
-    return j
+    return sym.q * inner(sym.c, sym.omega) // inner(sym.c, sym.c)
 
 
 def build_finite_tube(sym, periods):
-    """The segment and the decompositions of the six bonds of rows (0, 0, 0) and (0, 0, 1).
+    """The segment and the decompositions (s_j, m_j) of the origin's three bonds.
 
-    These six give every bond.  The neighbour v^j of row (0, 0, p) is
-    (s_j, m_j, 1 - p).  Row (s', 0, p) is row (0, 0, p) translated by the
-    lattice vector (1 - 2p) s' omega, which lowers a screw power on the
-    other sublattice by s', so its bond j ends at (s_j - s', m_j, 1 - p).
+    These three give every bond.  The flip tau(v) = Theta - v swaps the
+    sublattices.  Row (0, 0, 1) is compose(0, 0, 1) = canonical_rep(Theta)
+    = Theta, as 0 < <Theta, c> = c0 < ||c||^2.  nu(Theta) = -1, so its
+    neighbours are Theta - e_j = tau(e_j), and decompose reduces the same
+    w = tau(e_j) for e_j (p = 1) and for tau(e_j) (p = 0): the neighbour of
+    row (0, 0, p) across bond j is (s_j, m_j, 1 - p).  Row (s', 0, p) is row
+    (0, 0, p) translated by the lattice vector (1 - 2p) s' omega, which
+    lowers a screw power on the other sublattice by s', so its bond j ends
+    at (s_j - s', m_j, 1 - p).
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     _check_dimension(sym, periods)
-    bonds = tuple(tuple(decompose(nb, sym) for nb in nearest_neighbors(compose(0, 0, p, sym)))
-                  for p in (0, 1))
+    bonds = tuple(decompose(nb, sym)[:2] for nb in nearest_neighbors((0, 0, 0)))
     return FiniteTube(sym, periods, _axial_twist(sym), bonds)
 
 
@@ -202,37 +205,24 @@ def build_hamiltonian(tube, p):
     e^{2 pi i (2P m x + e y) / 2nP} when it ends x steps along c' and y along
     g from its target's row: one table of 2nP-th roots of unity.
 
-    With g^2 = b + twist c', bond j of row a ends at
-    (s_0j - a, m_0j, 1) = (u h + b, m_0j, 1), at x = -m_0j, y = -u from row
-    h + b (tau reverses both), and bond j of row h + b at (s_1j - b, m_1j, 0)
-    = (u' h + col, m_1j, 0), at (m_1j, u') from row col.  Hence:
+    With g^2 = b + twist c', bond j of row a ends at (s_j - a, m_j, 1) =
+    (u h + b, m_j, 1), at x = -m_j, y = -u from row h + b (tau reverses
+    both), and bond j of row h + b at (s_j - b, m_j, 0) (build_finite_tube):
 
-    - each (p, j) maps one sublattice's h rows one-to-one onto the other's,
-      so every atom receives exactly three bonds;
-    - bond j of row b ends at column a with the same u, as s_0j - b =
+    - each j maps one sublattice's h rows one-to-one onto the other's, so
+      every atom receives exactly three bonds;
+    - bond j of row b ends at column a with the same u, as s_j - b =
       u h + a, so T[a, b] and T[b, a] sum the same values in the same
       order j: T = T^T bit for bit;
-    - bond j of row h + b reverses bond j of row a (so the p = 1 rows hold
-      exactly T^H), and row h + a holds row a's bonds mirrored, exactly
-      when s_1j - s_0j = k q' with k = 0 mod P and m_1j - m_0j + twist k =
-      0 mod n: both identities give u' = u + 2k, and the offset 2k g +
-      (m_1j - m_0j) c' must lie in the group of c and P b, on which every
-      character is 1.  The phases see nothing else, so this is as strict as
-      either.
+    - the same s_j - b = u h + a puts bond j of row h + b at (m_j, u) from
+      row a: it reverses bond j of row a, so the p = 1 rows hold exactly
+      T^H, and row h + a holds row a's bonds mirrored.
 
-    That condition and the targets (1, 0) are checked on the six
-    decompositions; then T is three phased reversal-shift adds, one per j in
-    bond order, and the one stack built.  T is real exactly when n = P = 1
-    and no flux.
+    So T is three phased reversal-shift adds, one per j in bond order, and
+    the one stack built.  T is real exactly when n = P = 1 and no flux.
     """
     sym, periods, twist = tube.sym, tube.periods, tube.twist
     n, qp = sym.n, sym.q_prime
-    for (s0, m0, target0), (s1, m1, target1) in zip(*tube.bonds):
-        if (target0, target1) != (1, 0):
-            raise AdjacencyError("a bond joins two atoms of the same sublattice")
-        k, rem = divmod(s1 - s0, qp)
-        if rem or k % periods or (m1 - m0 + twist * k) % n:
-            raise AdjacencyError("assembled matrix is not exactly Hermitian")
     gammas = np.array(p.hoppings)
     order, half = 2 * n * periods, qp // 2
     root = _roots(order)
@@ -240,7 +230,7 @@ def build_hamiltonian(tube, p):
     m, e = (x[index, None] for x in _block_labels(n, periods, twist))
     a = np.arange(half)
     t = np.zeros((len(index), half, half), dtype=np.result_type(gammas, root))
-    for gamma, (s, mj, _) in zip(gammas, tube.bonds[0]):
+    for gamma, (s, mj) in zip(gammas, tube.bonds):
         u, col = np.divmod(s - a, half)
         t[:, a, col] += gamma * root[-(2 * periods * mj * m + u * e) % order]
     return t

@@ -78,21 +78,17 @@ def canonicalize_chirality(raw):
 
     Applies the 12 signed coordinate permutations (lattice point symmetries
     restricted to T) and returns the image with c0 > c1 >= c2; if more than
-    one image qualifies, the lexicographically largest wins.
+    one image qualifies, the lexicographically largest wins.  One always
+    does: sorted to x0 >= x1 >= x2, the triple is an image unless x0 = x1,
+    and then x2 = -2 x0 < 0 makes (-x2, -x1, -x0) = (2 x0, -x0, -x0) one.
     """
     c = tuple(int(x) for x in raw)
     if c == (0, 0, 0):
         raise ChiralityError("zero", "chirality must be nonzero")
     if sum(c) != 0:
         raise ChiralityError("sum", f"chirality components must sum to 0, got sum {sum(c)}")
-    images = []
-    for sign in (1, -1):
-        for p in permutations((sign * c[0], sign * c[1], sign * c[2])):
-            if p[0] > p[1] >= p[2]:
-                images.append(p)
-    if not images:
-        raise ChiralityError("order", f"no domain image found for {raw}")
-    return max(images)
+    return max(p for sign in (1, -1) for p in permutations(sign * x for x in c)
+               if p[0] > p[1] >= p[2])
 
 
 class TubeSymmetry(namedtuple("TubeSymmetry", "c n c_prime R b q q_prime omega")):
@@ -133,13 +129,13 @@ def _shortest_screw(b, target):
     to b; the norm is quadratic in the step t, least at the real
     -<w0, h> / <h, h>, whose floor t or t + 1 is the shortest step.  Ties
     (the minimal-norm set can contain two vectors) break to the
-    lexicographically smallest triple.
+    lexicographically smallest triple.  A solution exists for the target
+    tube_symmetry asks: b0 - b2 = 3 c1 / R and b1 - b2 = -3 c0 / R have
+    gcd g = 3n/R, and ||b||^2 = 3 ||c||^2 / R^2 makes ||b||^2 / q' = 3n/R.
     """
     p = b[0] - b[2]
     q = b[1] - b[2]
     g, u, v = _ext_gcd(p, q)
-    if target % g:
-        raise DecompositionError(f"no screw solution: gcd {g} does not divide {target}")
     scale = target // g
     x, y = u * scale, v * scale
     w0 = (x, y, -x - y)
@@ -151,16 +147,19 @@ def _shortest_screw(b, target):
 
 
 def tube_symmetry(c):
-    """Derive the full symmetry record for a valid chirality."""
+    """Derive the full symmetry record for a valid chirality.
+
+    R is n or 3n: R/n divides the differences of c', hence each 3 c'_i.  So
+    q = n^2 ||c'||^2 / R is a whole multiple of n, as R = 3n makes the c'_i
+    agree mod 3 and 3 divide ||c'||^2.
+    """
     c = validate_chirality(c)
     n = math.gcd(c[0], math.gcd(c[1], c[2]))
     c_prime = (c[0] // n, c[1] // n, c[2] // n)
     diffs = (c[1] - c[2], c[2] - c[0], c[0] - c[1])
     R = math.gcd(diffs[0], math.gcd(diffs[1], diffs[2]))
     b = (diffs[0] // R, diffs[1] // R, diffs[2] // R)
-    q, rem = divmod(inner(c, c), R)
-    if rem or q % n:
-        raise DecompositionError(f"q = ||c||^2/R is not a multiple of n for c={c}")
+    q = inner(c, c) // R
     q_prime = q // n
     omega = _shortest_screw(b, inner(b, b) // q_prime)
     return TubeSymmetry(c=c, n=n, c_prime=c_prime, R=R, b=b, q=q, q_prime=q_prime, omega=omega)

@@ -22,6 +22,8 @@ KEPT = {
                                 "acceptance suite",
     "bands.graphene_E": "the closed-form sheet dispersion, the acceptance tests' "
                         "independent referee",
+    "tube.compose": "the paper's (s, m, p) coordinate map, inverse to decompose; the oracle's "
+                    "referees build the segment's atoms with it",
 }
 
 

@@ -82,6 +82,9 @@ def test_graphene_E_periodicity_and_shift():
 def test_graphene_E_at_m_point():
     h = math.pi / (3 * A)
     assert bands.graphene_E((2 * h, -h, -h), 1.0, A) == pytest.approx(1.0, abs=1e-12)
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            bands.graphene_E((2 * h, -h, -h), gamma, A)
 
 
 def test_special_points_values():

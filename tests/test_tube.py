@@ -98,6 +98,16 @@ def test_symmetry_identities_exhaustive():
         assert sum(sym.b) == 0 and sum(sym.omega) == 0
         assert geom.inner(sym.b, c) == 0
         assert sym.q_prime * geom.inner(sym.omega, sym.b) == nb2
+        assert_screw_target_is_the_gcd(sym)
+
+
+def assert_screw_target_is_the_gcd(sym):
+    """R is n or 3n, and _shortest_screw's target ||b||^2 / q' is 3n/R, the gcd of b0 - b2
+    and b1 - b2: the premises of tube_symmetry's q and of its screw's existence."""
+    b = sym.b
+    assert sym.R in (sym.n, 3 * sym.n)
+    assert geom.inner(b, b) == 3 * sym.n // sym.R * sym.q_prime
+    assert 3 * sym.n // sym.R == math.gcd(b[0] - b[2], b[1] - b[2])
 
 
 @given(c=chiralities)
@@ -108,6 +118,7 @@ def test_shortest_screw_at_any_size(c):
     b, w, cp = sym.b, sym.omega, sym.c_prime
     assert sym.q_prime * geom.inner(w, b) == geom.inner(b, b)
     assert sum(w) == 0 and geom.inner(cp, b) == 0
+    assert_screw_target_is_the_gcd(sym)
     for sign in (1, -1):
         other = tuple(x + sign * y for x, y in zip(w, cp))
         assert (geom.inner(w, w), w) < (geom.inner(other, other), other)
