@@ -2,7 +2,8 @@
 
 Deterministic CSV/JSON output suitable for regression diffing.  Exit codes:
 0 success, 1 verification failure, 2 invalid input, 3 any other
-failure.
+failure.  `verify` fails when its two spectra differ by the bound
+`oracle.compare_spectra` derives from the block size and gamma.
 
 Each command imports only what it computes with, so start-up costs no more
 than the command needs: `classify` and `neighbors` run on integer
@@ -44,13 +45,12 @@ MAX_BETAS = 2 ** 14
 MIN_GAMMA = sys.float_info.min / sys.float_info.epsilon
 
 
-class RunConfig(namedtuple("RunConfig", "gamma epsilon bond_length resolution tolerance out")):
+class RunConfig(namedtuple("RunConfig", "gamma epsilon bond_length resolution out")):
     __slots__ = ()
 
-    def __new__(cls, gamma=1.0, epsilon=0.0, bond_length=1.44, resolution=4096, tolerance=1e-8,
-                out=None):
-        self = super().__new__(cls, gamma, epsilon, bond_length, resolution, tolerance, out)
-        for key in ("gamma", "epsilon", "bond_length", "tolerance"):
+    def __new__(cls, gamma=1.0, epsilon=0.0, bond_length=1.44, resolution=4096, out=None):
+        self = super().__new__(cls, gamma, epsilon, bond_length, resolution, out)
+        for key in ("gamma", "epsilon", "bond_length"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{key} must be a number, got {value!r}")
@@ -66,8 +66,6 @@ class RunConfig(namedtuple("RunConfig", "gamma epsilon bond_length resolution to
             raise ValueError(f"out must be a file name, got {self.out!r}")
         if not self.gamma >= MIN_GAMMA:
             raise ValueError(f"gamma must be at least 2^-970 = {MIN_GAMMA:.6g}, got {self.gamma}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.bond_length <= 0:
             raise ValueError("bond-length must be positive")
         # squares of lengths and wave vectors (distances, inner products) must not
@@ -333,13 +331,10 @@ def cmd_verify(args, cfg):
     c, sym = _tube(args)
     if args.periods < 1:
         raise InputError(f"periods must be >= 1, got {args.periods}")
-    tol = cfg.tolerance * cfg.gamma
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance * gamma = {tol} must be positive and finite")
     try:
         oracle._check_dimension(sym, args.periods)  # before the hoppings are built
         p = _gap_params(c, cfg, args.beta or 0.0)
-        report = oracle.compare_spectra(c, sym, args.periods, p, tol=tol)
+        report = oracle.compare_spectra(c, sym, args.periods, p)
     except oracle.DimensionError as exc:
         raise InputError(str(exc)) from exc
     _emit(_json({
@@ -388,8 +383,6 @@ def build_parser():
                         help="C-C bond length in Angstrom (default 1.44)")
     common.add_argument("--resolution", type=int,
                         help="kappa samples per band line of bands (default 4096)")
-    common.add_argument("--tol", dest="tolerance", type=float,
-                        help="comparison tolerance in units of gamma (default 1e-8)")
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--config", help="JSON config file; flags override it")
 

@@ -122,22 +122,20 @@ def _ext_gcd(x, y):
     return old_r, old_u, old_v
 
 
-def _shortest_screw(b, target):
-    """Shortest sum-zero integer triple w with <w, b> = target.
+def _shortest_screw(b):
+    """Shortest sum-zero integer triple w with <w, b> = g, the gcd of b0 - b2 and b1 - b2.
 
     Solutions form a line w0 + Z*h, h = +-c' the primitive step orthogonal
     to b; the norm is quadratic in the step t, least at the real
     -<w0, h> / <h, h>, whose floor t or t + 1 is the shortest step.  Ties
     (the minimal-norm set can contain two vectors) break to the
-    lexicographically smallest triple.  A solution exists for the target
-    tube_symmetry asks: b0 - b2 = 3 c1 / R and b1 - b2 = -3 c0 / R have
-    gcd g = 3n/R, and ||b||^2 = 3 ||c||^2 / R^2 makes ||b||^2 / q' = 3n/R.
+    lexicographically smallest triple.  g is the screw's target
+    ||b||^2 / q' of tube_symmetry: b0 - b2 = 3 c1 / R and b1 - b2 = -3 c0 / R
+    have gcd g = 3n/R, and ||b||^2 = 3 ||c||^2 / R^2 makes ||b||^2 / q' = 3n/R.
     """
     p = b[0] - b[2]
     q = b[1] - b[2]
-    g, u, v = _ext_gcd(p, q)
-    scale = target // g
-    x, y = u * scale, v * scale
+    g, x, y = _ext_gcd(p, q)
     w0 = (x, y, -x - y)
     hx, hy = q // g, -p // g
     h = (hx, hy, -hx - hy)
@@ -161,7 +159,7 @@ def tube_symmetry(c):
     b = (diffs[0] // R, diffs[1] // R, diffs[2] // R)
     q = inner(c, c) // R
     q_prime = q // n
-    omega = _shortest_screw(b, inner(b, b) // q_prime)
+    omega = _shortest_screw(b)
     return TubeSymmetry(c=c, n=n, c_prime=c_prime, R=R, b=b, q=q, q_prime=q_prime, omega=omega)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -212,20 +213,25 @@ def test_verify_magnetic(capsys):
     assert rep["passed"] is True
 
 
-def test_verify_fails_at_impossible_tolerance(capsys):
-    # a chiral tube, whose eigensolver leaves ulps; the small achiral blocks can agree exactly
-    code, rep = run_json(capsys, ["verify", "--c", "4,-1,-3", "--periods", "2",
-                                  "--tol", "1e-18"])
-    assert code == 1
-    assert rep["passed"] is False and rep["max_deviation"] >= 1e-18
+@pytest.mark.parametrize("c,periods", [("5,0,-5", 4), ("25,-7,-18", 1)], ids=["h1", "h499"])
+@pytest.mark.parametrize("flux", [0.0, 0.3], ids=["plain", "flux"])
+def test_verify_fails_on_one_perturbed_hopping(monkeypatch, capsys, c, periods, flux):
+    # gamma_0 scaled by 1 + 1e-10 in the finite build alone must fail the derived bound on
+    # 1 x 1 and 499 x 499 blocks, real without a field and complex under it
+    beta = flux * lines.flux_period(tuple(map(int, c.split(","))), A)
+    argv = ["verify", "--c", c, "--periods", str(periods), f"--beta={beta!r}"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["passed"] is True
+    build = oracle.build_hamiltonian
 
+    def perturbed(tube, p):
+        h0, h1, h2 = p.hoppings
+        return build(tube, SimpleNamespace(hoppings=(h0 * (1 + 1e-10), h1, h2), field=p.field))
 
-@pytest.mark.parametrize("tol,gamma", [("1e300", "1e300"), ("1e-300", "1e-290")])
-def test_verify_rejects_tolerance_out_of_range(capsys, tol, gamma):
-    # the product overflows to inf or underflows to 0; gamma itself lies within its bounds
-    assert main(["verify", "--c", "5,0,-5", "--tol", tol, "--gamma", gamma]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "positive and finite" in captured.err
+    monkeypatch.setattr(oracle, "build_hamiltonian", perturbed)
+    code, rep = run_json(capsys, argv)
+    assert code == 1 and rep["passed"] is False
+    assert rep["max_deviation"] >= rep["tolerance"]
 
 
 def test_neighbors(capsys):
@@ -302,7 +308,6 @@ def test_config_file_and_override(tmp_path, capsys):
     {"resolution": 100.5},
     {"resolution": True},
     {"gamma": True},
-    {"tolerance": False},
     {"gamma": "1.0"},
     {"bond_length": "1.44"},
     {"out": 5},
@@ -317,7 +322,7 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, values):
     assert "must be" in captured.err
 
 
-@pytest.mark.parametrize("key", ["gamma", "epsilon", "bond_length", "tolerance"])
+@pytest.mark.parametrize("key", ["gamma", "epsilon", "bond_length"])
 def test_config_rejects_integers_beyond_the_float_range(tmp_path, capsys, key):
     # math.isfinite(10**400) raises OverflowError, which once escaped as exit 3
     cfg = tmp_path / "cfg.json"
@@ -357,6 +362,18 @@ def test_bad_gamma_rejected(capsys):
     assert main(["gap", "--c", "5,0,-5", "--gamma", "-1"]) == 2
 
 
+def test_tol_option_removed(tmp_path, capsys):
+    # verify derives its pass bound; neither a flag nor a config key sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--c", "5,0,-5", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": 1e-8}))
+    assert main(["verify", "--c", "5,0,-5", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown config keys: ['tolerance']" in captured.err
+
+
 def test_format_option_removed(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gap", "--c", "5,0,-5", "--format", "json"])
@@ -366,21 +383,30 @@ def test_format_option_removed(tmp_path, capsys):
     assert main(["gap", "--c", "5,0,-5", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--c", "4,-2,-2", "--tol", "nan"],
-    ["gap", "--c", "5,0,-5", "--gamma", "nan"],
-    ["gap", "--c", "5,0,-5", "--gamma", "inf"],
-    ["gap", "--c", "5,0,-5", "--epsilon", "inf"],
-    ["gap", "--c", "5,0,-5", "--epsilon", "nan"],
-    ["gap", "--c", "5,0,-5", "--bond-length", "nan"],
-    ["gap", "--c", "5,0,-5", "--beta", "nan"],
-    ["verify", "--c", "5,0,-5", "--beta", "inf"],
-    ["verify", "--c", "4,-2,-2", "--tol", "0"],
-    ["verify", "--c", "4,-2,-2", "--tol=-1e-8"],
-])
+INVALID_INPUT = {
+    ("gap", "--c", "5,0,-5", "--gamma", "nan"): "gamma must be finite, got nan",
+    ("gap", "--c", "5,0,-5", "--gamma", "inf"): "gamma must be finite, got inf",
+    ("gap", "--c", "5,0,-5", "--epsilon", "inf"): "epsilon must be finite, got inf",
+    ("gap", "--c", "5,0,-5", "--epsilon", "nan"): "epsilon must be finite, got nan",
+    ("gap", "--c", "5,0,-5", "--bond-length", "nan"): "bond_length must be finite, got nan",
+    ("gap", "--c", "5,0,-5", "--beta", "nan"): "beta must be finite, got nan",
+    ("verify", "--c", "5,0,-5", "--beta", "inf"): "beta must be finite, got inf",
+    ("gap", "--c", "5,0,-5", "--bond-length", "0"): "bond-length must be positive",
+    ("gap", "--c", "a,b,c"): "expected comma-separated integers, got 'a,b,c'",
+    ("gap", "--c", "1,2"): "expected three components, got '1,2'",
+    ("magsweep", "--c", "5,0,-5", "--samples", "1"): "samples must be >= 2, got 1",
+    ("magsweep", "--c", "5,0,-5", "--periods", "0"): "periods must be >= 1, got 0",
+    ("graphene-path", "--path", "G"): "path needs at least two labels",
+    ("verify", "--c", "5,0,-5", "--periods", "0"): "periods must be >= 1, got 0",
+}
+
+
+@pytest.mark.parametrize("argv", INVALID_INPUT)
 def test_invalid_number_rejected(capsys, argv):
-    assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    # invalid numbers, and the input checks of --c, --samples, --periods and --path
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {INVALID_INPUT[argv]}\n"
 
 
 def test_beta_bounded_by_flux_periods(monkeypatch, capsys):

@@ -68,7 +68,7 @@ def test_site_counts(c, periods, expected):
     sites, _ = scalar_finite_tube(sym, periods)
     assert len(sites) == expected == 2 * sym.q * periods
     assert len(set(sites)) == expected
-    assert oracle.compare_spectra(c, sym, periods, P_UNIFORM, tol=1e-8).dimension == expected
+    assert oracle.compare_spectra(c, sym, periods, P_UNIFORM).dimension == expected
 
 
 def back_row(sym):
@@ -305,10 +305,10 @@ def test_hamiltonian_matches_two_half_reference(periods, flux):
 @pytest.mark.parametrize("flux", [0.0, 0.37])
 def test_compare_spectra_matches_two_half_reference(monkeypatch, c, periods, flux):
     sym, p = tube_symmetry(c), flux_params(c, flux)
-    got = oracle.compare_spectra(c, sym, periods, p, tol=1e-8)
+    got = oracle.compare_spectra(c, sym, periods, p)
     monkeypatch.setattr(oracle, "build_hamiltonian",
                         lambda tube, p: kept(two_half_hamiltonian(tube, p), tube, p))
-    want = oracle.compare_spectra(c, sym, periods, p, tol=1e-8)
+    want = oracle.compare_spectra(c, sym, periods, p)
     assert repr(got.max_deviation) == repr(want.max_deviation)
     assert got.passed and want.passed
     assert got.finite.tobytes() == want.finite.tobytes()
@@ -409,7 +409,7 @@ def test_oversized_segment_rejected_before_assembly(monkeypatch):
     sym = tube_symmetry(c)
     monkeypatch.setattr(oracle, "build_hamiltonian", None)  # must not be reached
     with pytest.raises(oracle.DimensionError):
-        oracle.compare_spectra(c, sym, 1, P_UNIFORM, tol=1e-8)
+        oracle.compare_spectra(c, sym, 1, P_UNIFORM)
 
 
 def test_oversized_segment_rejected_by_build():
@@ -612,10 +612,12 @@ def test_verify_checks_the_moduli_bands_prints(c, periods, k_rows, flux):
 ])
 def test_spectrum_equivalence(c, periods):
     sym = tube_symmetry(c)
-    report = oracle.compare_spectra(c, sym, periods, P_UNIFORM, tol=1e-8)
+    report = oracle.compare_spectra(c, sym, periods, P_UNIFORM)
     assert report.passed
     assert report.dimension == 2 * sym.q * periods
-    assert report.max_deviation < 1e-8
+    # the derived bound 12 u gamma (h + 2), met with a margin of 2
+    assert report.tolerance == 12 * 2.0 ** -53 * (sym.q_prime // 2 + 2)
+    assert report.max_deviation <= report.tolerance / 2
 
 
 @pytest.mark.parametrize("c", [(4, -2, -2), (5, 0, -5), (4, 1, -5), (7, -3, -4), (8, -4, -4),
@@ -628,7 +630,7 @@ def test_zero_field_is_the_uniform_tube_bit_for_bit(c):
         uniform = bands.uniform_params(gamma, eps, A)
         for zero in (bands.magnetic_params(gamma, beta, c, A, epsilon=eps) for beta in (0.0, -0.0)):
             assert repr(bands.band_gap(c, sym, zero)) == repr(bands.band_gap(c, sym, uniform))
-            got, want = (oracle.compare_spectra(c, sym, 2, p, tol=1e-8) for p in (zero, uniform))
+            got, want = (oracle.compare_spectra(c, sym, 2, p) for p in (zero, uniform))
             assert got.finite.tobytes() == want.finite.tobytes()
             assert got.analytic.tobytes() == want.analytic.tobytes()
             assert repr(got.max_deviation) == repr(want.max_deviation)
@@ -642,7 +644,7 @@ def test_integer_gamma_builds_a_float_stack():
     p = bands.uniform_params(10 ** 30, 0.0, A)
     assert type(p.gamma) is float and p.hoppings == (1e30,) * 3
     assert oracle.build_hamiltonian(oracle.build_finite_tube(sym, 1), p).dtype == np.float64
-    assert oracle.compare_spectra(c, sym, 1, p, tol=1e22).passed
+    assert oracle.compare_spectra(c, sym, 1, p).passed
 
 
 def test_spectrum_equivalence_magnetic():
@@ -650,7 +652,7 @@ def test_spectrum_equivalence_magnetic():
     sym = tube_symmetry(c)
     beta = 0.3 / (A * math.sqrt(50))
     pm = bands.magnetic_params(1.0, beta, c, A)
-    report = oracle.compare_spectra(c, sym, 4, pm, tol=1e-8)
+    report = oracle.compare_spectra(c, sym, 4, pm)
     assert report.passed
 
 
@@ -689,17 +691,23 @@ def test_finite_gap_bounds_continuous_gap():
         assert min_plus >= gap / 2 - 1e-12
 
 
-def test_compare_tolerance_validation():
-    sym = tube_symmetry((4, -2, -2))
-    for tol in (0.0, float("nan")):
-        with pytest.raises(ValueError):
-            oracle.compare_spectra((4, -2, -2), sym, 1, P_UNIFORM, tol=tol)
+def test_compare_ignores_tol():
+    # the pass bound is derived; a tol passed by an older caller changes nothing
+    c = (4, -1, -3)
+    sym = tube_symmetry(c)
+    want = oracle.compare_spectra(c, sym, 2, P_UNIFORM)
+    for tol in (0.0, float("nan"), 1e-18, 1e-8, 1e300):
+        got = oracle.compare_spectra(c, sym, 2, P_UNIFORM, tol=tol)
+        assert got.finite.tobytes() == want.finite.tobytes()
+        assert got.analytic.tobytes() == want.analytic.tobytes()
+        assert (got.max_deviation, got.tolerance, got.passed) == (
+            want.max_deviation, want.tolerance, True)
 
 
 def test_mismatched_chirality_rejected():
     sym = tube_symmetry((4, -2, -2))
     with pytest.raises(ValueError, match="does not match"):
-        oracle.compare_spectra((5, 0, -5), sym, 1, P_UNIFORM, tol=1e-8)
+        oracle.compare_spectra((5, 0, -5), sym, 1, P_UNIFORM)
 
 
 def moved(tube, j, ds, dm):
@@ -753,7 +761,7 @@ def test_dropped_block_fails_spectrum_length_check(monkeypatch):
     monkeypatch.setattr(oracle, "build_hamiltonian", lambda tube, p: build(tube, p)[1:])
     c = (5, 0, -5)
     with pytest.raises(oracle.AdjacencyError, match="length mismatch"):
-        oracle.compare_spectra(c, tube_symmetry(c), 2, flux_params(c, 0.37), tol=1e-8)
+        oracle.compare_spectra(c, tube_symmetry(c), 2, flux_params(c, 0.37))
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-3j])
@@ -772,7 +780,7 @@ def test_broken_pair_block_fails_comparison(monkeypatch, delta):
         return t
 
     monkeypatch.setattr(oracle, "build_hamiltonian", perturbed)
-    report = oracle.compare_spectra(c, tube.sym, periods, P_UNIFORM, tol=1e-8)
+    report = oracle.compare_spectra(c, tube.sym, periods, P_UNIFORM)
     assert not report.passed and report.max_deviation > 1e-4
 
 
@@ -788,8 +796,7 @@ def test_perturbed_block_fails_at_any_epsilon(monkeypatch):
 
     monkeypatch.setattr(oracle, "build_hamiltonian", perturbed)
     c = (4, -2, -2)
-    reports = [oracle.compare_spectra(c, tube_symmetry(c), 2, bands.uniform_params(1.0, eps, A),
-                                      tol=1e-8) for eps in (0.0, 1e20)]
+    reports = [oracle.compare_spectra(c, tube_symmetry(c), 2, bands.uniform_params(1.0, eps, A)) for eps in (0.0, 1e20)]
     assert [r.passed for r in reports] == [False, False]
     assert reports[0].max_deviation == reports[1].max_deviation > 1e-4
     assert np.array_equal(reports[1].finite, 1e20 + reports[0].finite)
@@ -805,7 +812,7 @@ def test_compare_spectra_calls_layers_through_module(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     for c, beta in (((5, 0, -5), 0.0), ((4, -1, -3), 0.2)):
         p = bands.magnetic_params(1.0, beta / A, c, A) if beta else P_UNIFORM
-        assert oracle.compare_spectra(c, tube_symmetry(c), 2, p, tol=1e-8).passed
+        assert oracle.compare_spectra(c, tube_symmetry(c), 2, p).passed
     assert calls["build_finite_tube"] == calls["build_hamiltonian"] == 2
     assert calls["analytic_spectrum"] == 2
     assert calls["eigenvalues"] >= 2
@@ -846,11 +853,10 @@ def test_scalar_blocks_make_no_lapack_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for c, periods, flux in (((12, 0, -12), 20, 0.0), ((8, -4, -4), 3, 0.37)):
-        assert oracle.compare_spectra(c, tube_symmetry(c), periods, flux_params(c, flux),
-                                      tol=1e-8).passed
+        assert oracle.compare_spectra(c, tube_symmetry(c), periods, flux_params(c, flux)).passed
     # a chiral tube's blocks are larger and still go to LAPACK
     with pytest.raises(AssertionError, match="LAPACK called"):
-        oracle.compare_spectra((4, -1, -3), tube_symmetry((4, -1, -3)), 1, P_UNIFORM, tol=1e-8)
+        oracle.compare_spectra((4, -1, -3), tube_symmetry((4, -1, -3)), 1, P_UNIFORM)
 
 
 SWEEP_DIM = 600  # 286 of the 456 (c, P); bounds the dense spectra's time
@@ -870,7 +876,7 @@ def test_paired_spectrum_matches_full_stack(periods, beta):
              else bands.uniform_params(1.0, 0.1, A))
         full = oracle.eigenvalues(
             two_half_hamiltonian(oracle.build_finite_tube(sym, periods), p), p.epsilon)
-        paired = oracle.compare_spectra(c, sym, periods, p, tol=1e-8).finite
+        paired = oracle.compare_spectra(c, sym, periods, p).finite
         if beta:
             # under flux no block has a partner: every block is built and diagonalized
             assert np.array_equal(paired, full)

@@ -102,8 +102,8 @@ def test_symmetry_identities_exhaustive():
 
 
 def assert_screw_target_is_the_gcd(sym):
-    """R is n or 3n, and _shortest_screw's target ||b||^2 / q' is 3n/R, the gcd of b0 - b2
-    and b1 - b2: the premises of tube_symmetry's q and of its screw's existence."""
+    """R is n or 3n, and the screw's target ||b||^2 / q' is 3n/R, the gcd of b0 - b2 and
+    b1 - b2 that _shortest_screw solves for: the premises of tube_symmetry's q and screw."""
     b = sym.b
     assert sym.R in (sym.n, 3 * sym.n)
     assert geom.inner(b, b) == 3 * sym.n // sym.R * sym.q_prime
