@@ -162,6 +162,6 @@ def band_gap(c, sym, p, resolution=None):
     )
 
 
-def gap_vs_beta(c, sym, gamma, a, fluxes, epsilon=0.0):
-    """Band gaps under an axial field at each flux (num, den): phi = num / den periods."""
-    return [band_gap(c, sym, BandParams(epsilon, gamma, a, (flux, c))).gap for flux in fluxes]
+def gap_vs_beta(c, sym, gamma, a, fluxes):
+    """Band gaps at any epsilon under an axial field at each flux (num, den): num / den periods."""
+    return [band_gap(c, sym, BandParams(0.0, gamma, a, (flux, c))).gap for flux in fluxes]

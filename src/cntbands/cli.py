@@ -271,7 +271,7 @@ def cmd_magsweep(args, cfg):
     stop = args.periods * lines.flux_period(c, cfg.a)
     betas = [i * (stop / (total - 1)) for i in range(total - 1)] + [stop]
     gaps = bands.gap_vs_beta(c, sym, cfg.gamma, cfg.a,
-                             [(i * args.periods, total - 1) for i in range(total)], cfg.epsilon)
+                             [(i * args.periods, total - 1) for i in range(total)])
     rows = (betas, gaps)
     _emit(_csv(("beta", "gap"), (("%.12g,%.12g\n", [x[i:i + lines.BLOCK] for x in rows])
                                  for i in range(0, total, lines.BLOCK))), cfg)

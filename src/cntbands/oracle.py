@@ -23,10 +23,11 @@ screw-line formula under test: the remaining q'/2 screw steps stay dense.
 Every bond changes the coordinate sum v0 + v1 + v2 by one, so it joins the
 two sublattices p = 0 and p = 1.  With the p = 0 rows first, each block is
 [[eps I, T], [T^H, eps I]] for an h x h hopping block T, and its
-eigenvalues are exactly eps +- the singular values of T.  The oracle keeps
-only T, assembled from the p = 0 rows alone: the flip makes the p = 1 rows
-hold exactly T^H (build_hamiltonian).  verify holds at most twice the bytes
-of all 2nP blocks T, which _check_dimension bounds: T and LAPACK's working
+eigenvalues are exactly eps +- the singular values sigma of T.  The oracle
+computes the +- sigma, the spectrum at eps = 0, and keeps only T,
+assembled from the p = 0 rows alone: the flip makes the p = 1 rows hold
+exactly T^H (build_hamiltonian).  verify holds at most twice the bytes of
+all 2nP blocks T, which _check_dimension bounds: T and LAPACK's working
 copy, or without a field the kept half of T, a copy of its pair blocks and
 LAPACK's copy of those.
 
@@ -37,7 +38,7 @@ hopping and the opposite (c', g) offset.  So row h + a of a block holds
 conj(T[a, b]) in column b, where Hermiticity puts conj(T[b, a]): every T is
 symmetric, T = T^T (the U axis of the tube's line group), and bit for bit
 by construction.  A real symmetric T with eigenvalues lambda has singular
-values |lambda|, so its block's spectrum is eps +- lambda from one eigvalsh
+values |lambda|, so its block's +- sigma are +- lambda from one eigvalsh
 of T.  A complex T is complex symmetric, not Hermitian, and keeps the
 singular value decomposition.  T is real exactly when n = P = 1 and no flux
 is applied: the characters are then +-1.  Every achiral tube has q' = 2, so
@@ -55,11 +56,13 @@ and -1, so their T is exactly real and takes eigvalsh.  Under flux no block
 has a partner, and all 2nP are built and diagonalized.
 
 The sorted values of all blocks must reproduce, as a multiset, the analytic
-two-band values at the Bloch-quantized points of the allowed k-lines: grid
-points of lines.line_numerators, phased by lines._turn and the
-lines._offsets phasors `bands` phases its rows with, mirrored beyond a
-quarter turn (_roots).  Agreement to rounding error is the whole point, and
-compare_spectra derives that rounding bound from the block size and gamma.
+two-band values +- modulus at the Bloch-quantized points of the allowed
+k-lines: grid points of lines.line_numerators, phased by lines._turn and
+the lines._offsets phasors `bands` phases its rows with, mirrored beyond a
+quarter turn (_roots).  Both sides are computed at eps = 0 from the one
+FiniteTube compare_spectra builds, which adds eps to both for its report.
+Agreement to rounding error is the whole point, and compare_spectra
+derives that rounding bound from the block size and gamma.
 """
 
 from collections import namedtuple
@@ -72,11 +75,10 @@ from .lines import _offsets, _turn, line_numerators
 from .honeycomb import nearest_neighbors
 from .tube import decompose
 
+# bound on 2qP: LAPACK work 2nP (q'/2)^3 peaks at n = P = 1, q = 2042: (47,14,-61) verify took
+# 0.37 to 0.41 s plain, 0.95 to 1.12 s at 0.3 flux periods; (52,-22,-30), n = 2, 0.23 to 0.28
+# and 0.41 to 0.53 s (whole process, 2-vCPU Xeon; _check_dimension derives the bytes)
 MAX_DIM = 4096
-
-
-class AdjacencyError(RuntimeError):
-    """The finite and the analytic spectrum differ in length (compare_spectra)."""
 
 
 class DimensionError(ValueError):
@@ -237,39 +239,32 @@ def build_hamiltonian(tube, p):
     return t
 
 
-def eigenvalues(t, epsilon):
-    """All eigenvalues of the blocks [[epsilon I, T], [T^H, epsilon I]], ascending.
+def eigenvalues(t):
+    """All eigenvalues of the blocks [[0, T], [T^H, 0]], ascending: +- T's singular values.
 
-    t is one square hopping block T or a stack of them; each block's
-    eigenvalues are epsilon +- the singular values of its T.  A 1 x 1 block
-    [t] has the singular value |t| and makes no LAPACK call (every achiral
-    tube has q' = 2).  A larger real t must be exactly symmetric and takes
-    one batched eigvalsh (singular values |lambda|), a complex t one batched
-    SVD.  Neither forms T T^H, whose eigenvalues would lose half the digits
-    of a small singular value.
+    t is one hopping block T or a stack of them, as build_hamiltonian makes
+    them: square, at most MAX_DIM / 2 wide (build_finite_tube), and a real T
+    exactly symmetric.  A 1 x 1 block [t] has the singular value |t| and
+    makes no LAPACK call (every achiral tube has q' = 2).  A larger real t
+    takes one batched eigvalsh (singular values |lambda|), a complex t one
+    batched SVD.  Neither forms T T^H, whose eigenvalues would lose half the
+    digits of a small singular value.
     """
-    t = np.asarray(t)
-    if t.shape[-1] != t.shape[-2]:
-        raise ValueError(f"hopping blocks must be square, got shape {t.shape}")
-    if 2 * t.shape[-1] > MAX_DIM:
-        raise DimensionError(f"matrix dimension {2 * t.shape[-1]} exceeds {MAX_DIM}")
-    real = np.isrealobj(t)
-    if real and not np.array_equal(t, np.swapaxes(t, -1, -2)):
-        raise ValueError("a real hopping block must be exactly symmetric")
     if t.shape[-1] == 1:
         half = np.abs(t)
     else:
         try:
             # +-lambda and +-|lambda| are the same multiset
-            half = np.linalg.eigvalsh(t) if real else np.linalg.svd(t, compute_uv=False)
+            half = (np.linalg.eigvalsh(t) if np.isrealobj(t)
+                    else np.linalg.svd(t, compute_uv=False))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"hopping block spectrum failed to converge: {exc}") from exc
     half = half.ravel()
-    return np.sort(np.concatenate([epsilon - half, epsilon + half]))
+    return np.sort(np.concatenate([-half, half]))
 
 
 def _paired_spectrum(t, tube, real):
-    """eigenvalues(t, 0) of all 2nP blocks, from build_hamiltonian's stack t of the kept ones.
+    """eigenvalues of all 2nP blocks, from build_hamiltonian's stack t of the kept ones.
 
     A block that is its own partner (_kept_blocks; every block under flux)
     counts once, any other twice, for itself and its conjugate partner.
@@ -278,31 +273,32 @@ def _paired_spectrum(t, tube, real):
     """
     own = _kept_blocks(tube, real)[1]
     if own.all():  # under flux (complex, kept whole) or the two real blocks of n = P = 1
-        return eigenvalues(t, 0.0)
-    pairs = eigenvalues(t[~own], 0.0)
-    return np.sort(np.concatenate([eigenvalues(t[own].real, 0.0), pairs, pairs]))
+        return eigenvalues(t)
+    pairs = eigenvalues(t[~own])
+    return np.sort(np.concatenate([eigenvalues(t[own].real), pairs, pairs]))
 
 
-def analytic_spectrum(sym, periods, p):
-    """Zone-folded eigenvalues of the same segment, sorted: at each of the P*q' Bloch points
-    of each line, eps +- |gamma_0 e^{i (k_0 - k_2) a} + gamma_1 e^{i (k_1 - k_2) a} + gamma_2|.
+def analytic_spectrum(tube, p):
+    """Zone-folded +-moduli of the same segment, sorted: at each of the P*q' Bloch points of
+    each line, +-|gamma_0 e^{i (k_0 - k_2) a} + gamma_1 e^{i (k_1 - k_2) a} + gamma_2|.
 
-    Axial closure puts line m's point l < P q' at grid point first_m + n l, first_m = (m twist
-    mod n) P, of lines.line_numerators at S = n P q'.  Its modulus is lines._moduli's |L_0 T_0(l)
-    + L_1 T_1(l) + gamma_2|, L_j gamma_j times the phasor of first_m.  S steps turn each phase
-    whole: T_j(l) = R(l k_j mod P q'), k_j = S along_j / den, R the _roots of the even P q'.
+    It reads the tube's symmetry, periods and twist, not its bonds: the referee shares no
+    bond decomposition with build_hamiltonian.  Axial closure puts line m's point l < P q' at
+    grid point first_m + n l, first_m = (m twist mod n) P, of lines.line_numerators at
+    S = n P q'.  Its modulus is lines._moduli's |L_0 T_0(l) + L_1 T_1(l) + gamma_2|, L_j
+    gamma_j times the phasor of first_m.  S steps turn each phase whole: T_j(l) =
+    R(l k_j mod P q'), k_j = S along_j / den, R the _roots of the even P q'.
     """
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods}")
+    sym, periods = tube.sym, tube.periods
     n, points = sym.n, periods * sym.q_prime
     across, along, den = line_numerators(sym, n * points)
-    twist, gammas = _axial_twist(sym) % n, p.hoppings
+    twist, gammas = tube.twist % n, p.hoppings
     lead = np.array([[g * _turn(m * x + m * twist % n * periods * s, den)
                       for g, x, s in zip(gammas, across, along)] for m in range(n)])
     root = _roots(points)
     t0, t1 = (root[np.arange(points) * (n * points * s // den % points) % points] for s in along)
     mod = np.abs(lead[:, :1] * t0 + lead[:, 1:] * t1 + gammas[2]).ravel()
-    return np.sort(np.concatenate([p.epsilon + mod, p.epsilon - mod]))
+    return np.sort(np.concatenate([-mod, mod]))
 
 
 @dataclass(frozen=True)
@@ -322,10 +318,14 @@ class SpectrumReport:
 def compare_spectra(c, sym, periods, p, tol=None):
     """Diagonalize the segment and match its spectrum to the analytic one.
 
-    Both spectra are epsilon plus their values at epsilon = 0, and the
-    deviation is taken between the latter: at large |epsilon| the sum would
-    round the difference away.  Rounding is monotone, so epsilon + x keeps
-    the order and bits of the sorted spectra taken at epsilon.
+    Both layers work on the one FiniteTube built here and return their
+    values at epsilon = 0, and the deviation is taken between those: at large
+    |epsilon| the sum would round the difference away.  epsilon enters once,
+    added to both for the report; rounding is monotone, so epsilon + x keeps
+    the order of the sorted spectra.  Both hold 2qP values, q = n q': the
+    2nP blocks, each kept block counted once if it is its own partner and
+    twice if not (_paired_spectrum), give 2h = q' values each, and the n
+    lines give P q' points each, counted at +- their modulus.
 
     It passes below B = 12 u gamma (h + 2), u = 2^-53, h = q'/2, reported as
     the tolerance (tol is ignored).  ||T||_2 <= 3 gamma (three entries of
@@ -339,10 +339,7 @@ def compare_spectra(c, sym, periods, p, tol=None):
         raise ValueError(f"chirality {tuple(c)} does not match the symmetry of {sym.c}")
     tube = build_finite_tube(sym, periods)
     fin = _paired_spectrum(build_hamiltonian(tube, p), tube, p.field is None)
-    ana = analytic_spectrum(sym, periods, p._replace(epsilon=0.0))
-    if len(fin) != len(ana):
-        raise AdjacencyError(
-            f"spectrum length mismatch: finite {len(fin)} vs analytic {len(ana)}")
+    ana = analytic_spectrum(tube, p)
     dev = float(np.max(np.abs(fin - ana)))
     bound = 12 * 2.0 ** -53 * p.gamma * (sym.q_prime // 2 + 2)
     return SpectrumReport(c=tuple(sym.c), periods=periods, dimension=len(fin),

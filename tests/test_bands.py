@@ -542,7 +542,7 @@ def test_metallic_gap_vanishes_at_every_whole_flux_period(c):
     sym = tube_symmetry(c)
     fluxes = [(s * k * d, d) for k in range(1, 6) for d in (1, 32, 3 * 2 ** 61 + 1) for s in (1, -1)]
     assert bands.gap_vs_beta(c, sym, 1.0, A, fluxes) == [0.0] * len(fluxes)
-    assert bands.gap_vs_beta(c, sym, 2.7, A, [(5, 1)], epsilon=0.3) == [0.0]
+    assert bands.gap_vs_beta(c, sym, 2.7, A, [(5, 1)]) == [0.0]
 
 
 @pytest.mark.parametrize("c", FLUX_TUBES)

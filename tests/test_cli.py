@@ -222,6 +222,9 @@ def test_verify_fails_on_one_perturbed_hopping(monkeypatch, capsys, c, periods, 
     argv = ["verify", "--c", c, "--periods", str(periods), f"--beta={beta!r}"]
     code, rep = run_json(capsys, argv)
     assert code == 0 and rep["passed"] is True
+    # the deviation is taken at epsilon = 0: an onsite energy that rounds every value changes
+    # no field of the report
+    assert run_json(capsys, [*argv, "--epsilon", "1e20"]) == (code, rep)
     build = oracle.build_hamiltonian
 
     def perturbed(tube, p):
@@ -805,7 +808,7 @@ def test_magsweep_betas_are_numpy_linspace(monkeypatch, capsys, c, periods, samp
 
     fluxes, printed = [], []
 
-    def record(c, sym, gamma, a, flux, epsilon):
+    def record(c, sym, gamma, a, flux):
         fluxes.extend(flux)
         return [0.0] * len(flux)
 
@@ -830,12 +833,16 @@ def test_magsweep_is_gapless_at_every_whole_period(capsys):
     # a metallic tube at a whole number of flux periods; the float beta of a whole
     # period had left it 7.22216944169e-17 off
     for periods in (1, 3):
-        assert main(["magsweep", "--c", "4,-2,-2", "--samples", "33",
-                     "--periods", str(periods)]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
+        argv = ["magsweep", "--c", "4,-2,-2", "--samples", "33", "--periods", str(periods)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        rows = out.splitlines()[1:]
         assert len(rows) == 32 * periods + 1
         assert [rows[32 * k].split(",")[1] for k in range(periods + 1)] == ["0"] * (periods + 1)
         assert all(float(row.split(",")[1]) > 0.0 for i, row in enumerate(rows) if i % 32)
+        # the gap reads no onsite energy: --epsilon prints the same CSV
+        assert main([*argv, "--epsilon", "0.3"]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_package_import_loads_no_module():
